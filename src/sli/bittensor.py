@@ -6,17 +6,32 @@ axis fastest, bit L lives in word L//64 at bit position L%64.  Bits past
 the last valid index in the final word are always zero; every kernel
 preserves that invariant.
 
-The boolean connectives and popcount operate word-at-a-time on the packed
-array (one pass, no per-bit loop).  Structural kernels (axis insertion,
-permutation, reductions over unaligned axes) round-trip through numpy's
-packbits/unpackbits, which are single C passes as well; reductions whose
-trailing block is word-aligned stay on the packed words.
+Every kernel works on the packed words and allocates little beyond its
+packed input and output:
+
+* The boolean connectives and popcount run word-at-a-time.
+* Axis insertion copies whole bytes when the replicated rows are
+  byte-aligned, and reductions whose trailing block is word-aligned fold
+  whole words.
+* The other structural kernels (unaligned insertion and reduction,
+  permutation, and building a tensor from a pointwise predicate) work in
+  pieces: each piece unpacks or computes about `_CHUNK_BITS` bits at
+  most, one byte each, and is packed and shifted into place before the
+  next begins.
+* `from_ones` sets bits in the words directly, and `iter_ones` expands
+  only nonzero words.
+
+So the bit budget bounds the memory the kernels really use.  The piece
+loops call an optional `tick` once per piece, so a cooperative deadline
+also holds inside one large kernel.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +46,13 @@ from .errors import (
 )
 from .logic import Variable
 
+# Largest tensor, in bits, that one kernel may produce.  Kernels hold
+# their packed inputs and output plus O(_CHUNK_BITS) bytes of scratch, so
+# a tensor at the budget costs about budget/8 bytes, not a byte per bit.
 DEFAULT_BIT_BUDGET = 2**33
+
+# Bits a piecewise kernel unpacks or computes at a time (one byte each).
+_CHUNK_BITS = 2**20
 
 _WORD = np.uint64
 _FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -39,6 +60,17 @@ _FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
 # portable popcount fallback, one table lookup per byte
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
+
+Tick = Callable[[], None] | None
+
+COMPARISONS = {
+    "=": np.equal,
+    "~=": np.not_equal,
+    "<": np.less,
+    "=<": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
 
 
 @dataclass(frozen=True)
@@ -66,10 +98,7 @@ class Shape:
 
     @property
     def nbits(self) -> int:
-        n = 1
-        for _, e in self.axes:
-            n *= e
-        return n
+        return _prod(self.extents)
 
     def axis_of(self, var: Variable) -> int:
         for i, (v, _) in enumerate(self.axes):
@@ -82,6 +111,13 @@ class Shape:
 
     def insert(self, k: int, var: Variable, extent: int) -> "Shape":
         return Shape(self.axes[:k] + ((var, extent),) + self.axes[k:])
+
+
+def _prod(extents: Iterable[int]) -> int:
+    n = 1
+    for e in extents:
+        n *= e
+    return n
 
 
 def _check_budget(nbits: int, budget: int) -> None:
@@ -104,13 +140,100 @@ def _pack(bools: np.ndarray, nbits: int) -> np.ndarray:
     packed = np.packbits(bools, bitorder="little")
     out = np.zeros(_nwords(nbits) * 8, dtype=np.uint8)
     out[: packed.size] = packed
-    words = out.view(_WORD)
-    words.flags.writeable = False
-    return words
+    return out.view(_WORD)
 
 
 def _unpack(words: np.ndarray, nbits: int) -> np.ndarray:
-    return np.unpackbits(words.view(np.uint8), count=nbits, bitorder="little").astype(bool)
+    return np.unpackbits(words.view(np.uint8), count=nbits, bitorder="little").view(bool)
+
+
+def _pieces(n: int, step: int, tick: Tick, start: int = 0) -> Iterator[tuple[int, int]]:
+    """[lo, hi) pieces of range(start, n), `step` long, calling tick
+    before each."""
+    for lo in range(start, n, step):
+        if tick is not None:
+            tick()
+        yield lo, min(n, lo + step)
+
+
+def _get_bits(words: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Bits [start, start+count) of a packed word array, one bool each."""
+    lo, hi = start // 8, (start + count + 7) // 8
+    bits = np.unpackbits(words.view(np.uint8)[lo:hi], bitorder="little").view(bool)
+    off = start - 8 * lo
+    return bits[off : off + count]
+
+
+def _put_bits(out: np.ndarray, start: int, bits: np.ndarray) -> None:
+    """OR the bools `bits` (row-major) into the word array `out` from bit
+    `start` on.  The bits they land on must still be zero."""
+    n = bits.size
+    if not n:
+        return
+    packed = np.packbits(bits, axis=None, bitorder="little")
+    q, r = divmod(start, 64)
+    if r % 8 == 0:
+        lo = start // 8
+        out.view(np.uint8)[lo : lo + packed.size] |= packed
+        return
+    words = np.zeros(_nwords(n), dtype=_WORD)
+    words.view(np.uint8)[: packed.size] = packed
+    m = words.size
+    out[q : q + m] |= words << np.uint64(r)
+    k = min(m, out.size - q - 1)
+    out[q + 1 : q + 1 + k] |= words[:k] >> np.uint64(64 - r)
+
+
+def _get_runs(words: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """Bits [s, s+n) of a packed word array for every s in starts, as a
+    (starts.size, n) bool array."""
+    out = np.empty((starts.size, n), dtype=bool)
+    b8 = words.view(np.uint8)
+    if n < 8:
+        # a short run lies within two bytes: shift it down to bit 0; a
+        # few dozen bytes per run, so in batches of _CHUNK_BITS / 32 runs
+        for lo, hi in _pieces(starts.size, max(1, _CHUNK_BITS // 32), None):
+            idx = starts[lo:hi] >> 3
+            pair = b8[idx].astype(np.uint16)
+            pair |= b8[np.minimum(idx + 1, b8.size - 1)].astype(np.uint16) << 8
+            pair >>= (starts[lo:hi] & 7).astype(np.uint16)
+            for k in range(n):
+                out[lo:hi, k] = (pair >> np.uint16(k)) & np.uint16(1)
+        return out
+    # the bytes holding each run, plus one for runs that start mid-byte;
+    # a fetch past the end repeats the last byte, whose bits go unused
+    idx = (starts >> 3)[:, None] + np.arange((n + 7) // 8 + 1)
+    np.minimum(idx, b8.size - 1, out=idx)
+    bits = np.unpackbits(b8[idx], axis=1, bitorder="little").view(bool)
+    offsets = starts & 7
+    for r in range(8):
+        rows = offsets == r
+        if rows.any():
+            out[rows] = bits[rows, r : r + n]
+    return out
+
+
+def _tile_bits(
+    src: np.ndarray, s: int, n: int, out: np.ndarray, d: int, times: int, tick: Tick
+) -> None:
+    """Write bits [s, s+n) of src `times` times back to back into out from
+    bit d on, in pieces of about _CHUNK_BITS bits."""
+    reps = max(1, _CHUNK_BITS // n)
+    for off in range(0, n, _CHUNK_BITS):
+        m = min(_CHUNK_BITS, n - off)
+        block = np.tile(_get_bits(src, s + off, m), min(reps, times))
+        for lo, hi in _pieces(times, reps, tick):
+            _put_bits(out, d + lo * n + off, block[: (hi - lo) * m])
+
+
+def _fresh(shape: Shape, words: np.ndarray) -> "BitTensor":
+    """Wrap a word array a kernel has just allocated and hands over: no
+    defensive copy, unlike the public constructor."""
+    words.flags.writeable = False
+    t = object.__new__(BitTensor)
+    t.shape = shape
+    t.words = words
+    return t
 
 
 class BitTensor:
@@ -134,7 +257,7 @@ class BitTensor:
     @staticmethod
     def empty(shape: Shape, budget: int = DEFAULT_BIT_BUDGET) -> "BitTensor":
         _check_budget(shape.nbits, budget)
-        return BitTensor(shape, np.zeros(_nwords(shape.nbits), dtype=_WORD))
+        return _fresh(shape, np.zeros(_nwords(shape.nbits), dtype=_WORD))
 
     @staticmethod
     def full(shape: Shape, budget: int = DEFAULT_BIT_BUDGET) -> "BitTensor":
@@ -143,7 +266,7 @@ class BitTensor:
         words = np.full(_nwords(nbits), _FULL_WORD, dtype=_WORD)
         if nbits and words.size:
             words[-1] &= _last_mask(nbits)
-        return BitTensor(shape, words)
+        return _fresh(shape, words)
 
     @staticmethod
     def from_bools(shape: Shape, bools: np.ndarray, budget: int = DEFAULT_BIT_BUDGET) -> "BitTensor":
@@ -151,39 +274,42 @@ class BitTensor:
         flat = np.asarray(bools, dtype=bool).ravel()
         if flat.size != shape.nbits:
             raise ShapeMismatch("boolean data does not match shape")
-        return BitTensor(shape, _pack(flat, shape.nbits))
+        return _fresh(shape, _pack(flat, shape.nbits))
 
     @staticmethod
     def from_ones(
         shape: Shape, ones: Iterable[tuple[int, ...]], budget: int = DEFAULT_BIT_BUDGET
     ) -> "BitTensor":
         _check_budget(shape.nbits, budget)
-        flat = np.zeros(shape.nbits, dtype=bool)
+        words = np.zeros(_nwords(shape.nbits), dtype=_WORD)
         extents = shape.extents
-        tuples = list(ones)
-        if tuples:
-            idx = np.array(tuples, dtype=np.int64).reshape(len(tuples), len(extents))
-            flat[np.ravel_multi_index(tuple(idx.T), extents)] = True
-        return BitTensor(shape, _pack(flat, shape.nbits))
+        # a few int64 per tuple: take the tuples _CHUNK_BITS // 64 at a time
+        ones = iter(ones)
+        while batch := list(itertools.islice(ones, max(1, _CHUNK_BITS // 64))):
+            idx = np.array(batch, dtype=np.int64).reshape(len(batch), len(extents))
+            linear = np.asarray(np.ravel_multi_index(tuple(idx.T), extents))
+            bits = np.left_shift(np.uint64(1), (linear & 63).astype(_WORD))
+            np.bitwise_or.at(words, linear >> 6, bits)
+        return _fresh(shape, words)
 
     # -- word-level connectives --------------------------------------------
 
     def bit_and(self, other: "BitTensor") -> "BitTensor":
         if self.shape != other.shape:
             raise ShapeMismatch("bit_and over different shapes")
-        return BitTensor(self.shape, np.bitwise_and(self.words, other.words))
+        return _fresh(self.shape, np.bitwise_and(self.words, other.words))
 
     def bit_or(self, other: "BitTensor") -> "BitTensor":
         if self.shape != other.shape:
             raise ShapeMismatch("bit_or over different shapes")
-        return BitTensor(self.shape, np.bitwise_or(self.words, other.words))
+        return _fresh(self.shape, np.bitwise_or(self.words, other.words))
 
     def bit_not(self) -> "BitTensor":
         words = np.bitwise_not(self.words)
         nbits = self.shape.nbits
         if nbits and words.size:
             words[-1] &= _last_mask(nbits)
-        return BitTensor(self.shape, words)
+        return _fresh(self.shape, words)
 
     __and__ = bit_and
     __or__ = bit_or
@@ -200,39 +326,122 @@ class BitTensor:
     # -- structural kernels --------------------------------------------------
 
     def to_bools(self) -> np.ndarray:
+        """Every bit as one bool: a full-size array, for callers outside
+        the kernels (tests, `dump`)."""
         return _unpack(self.words, self.shape.nbits)
 
     def insert_axis(
-        self, pos: int, var: Variable, extent: int, budget: int = DEFAULT_BIT_BUDGET
+        self,
+        pos: int,
+        var: Variable,
+        extent: int,
+        budget: int = DEFAULT_BIT_BUDGET,
+        tick: Tick = None,
     ) -> "BitTensor":
-        """Replicate along a new axis at position pos (Cartesian product)."""
+        """Replicate along a new axis at position pos (Cartesian product):
+        each input row of the axes from pos on is written extent times."""
         shape = self.shape.insert(pos, var, extent)
         _check_budget(shape.nbits, budget)
-        nbits = self.shape.nbits
-        if pos == 0 and nbits % 64 == 0 and nbits:
-            return BitTensor(shape, np.tile(self.words, extent))
-        inner = 1
-        for _, e in self.shape.axes[pos:]:
-            inner *= e
-        bools = self.to_bools()
-        if inner:
-            out = np.repeat(bools.reshape(-1, inner), extent, axis=0).ravel()
-        else:
-            out = np.zeros(0, dtype=bool)
-        return BitTensor(shape, _pack(out, shape.nbits))
+        out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
+        if shape.nbits:
+            inner = _prod(self.shape.extents[pos:])
+            outer = self.shape.nbits // inner
+            row = extent * inner
+            k = 8 // math.gcd(inner, 8)
+            if extent % k == 0 and (k == 1 or k * inner <= _CHUNK_BITS):
+                # k copies of an input row fill whole bytes, so each output
+                # row is that k-copy block repeated extent/k times
+                nbytes, times = k * inner // 8, extent // k
+                dst = out.view(np.uint8)[: outer * row // 8].reshape(outer, times, nbytes)
+                per = max(1, _CHUNK_BITS // (k * inner))  # blocks per piece
+                for lo, hi in _pieces(outer, max(1, per // times), tick):
+                    if k == 1:
+                        blocks = self.words.view(np.uint8)[lo * nbytes : hi * nbytes]
+                    else:
+                        bits = _get_bits(self.words, lo * inner, (hi - lo) * inner)
+                        blocks = np.packbits(
+                            np.tile(bits.reshape(-1, inner), k), axis=1, bitorder="little"
+                        )
+                    blocks = blocks.reshape(hi - lo, 1, nbytes)
+                    for a, b in _pieces(times, per, tick if per < times else None):
+                        dst[lo:hi, a:b] = blocks
+            elif row <= _CHUNK_BITS:
+                first = 0
+                g = 8 // math.gcd(row, 8)
+                w = g * inner
+                if w <= 8 and (g * row << w) <= _CHUNK_BITS:
+                    # g rows hold w <= 8 input bits and fill whole output
+                    # bytes: look those bytes up by the w bits
+                    first = outer // g * g
+                    patterns = np.arange(1 << w, dtype=np.uint8)[:, None]
+                    rows = np.unpackbits(patterns, axis=1, count=w, bitorder="little")
+                    rows = np.broadcast_to(rows.reshape(-1, g, 1, inner), (1 << w, g, extent, inner))
+                    table = np.packbits(rows.reshape(1 << w, -1), axis=1, bitorder="little")
+                    dst = out.view(np.uint8)[: first * row // 8].reshape(-1, table.shape[1])
+                    for lo, hi in _pieces(first // g, max(1, _CHUNK_BITS // (g * row)), tick):
+                        bits = _get_bits(self.words, lo * w, (hi - lo) * w).reshape(-1, w)
+                        codes = np.packbits(bits, axis=1, bitorder="little").ravel()
+                        np.take(table, codes, axis=0, out=dst[lo:hi], mode="clip")
+                for lo, hi in _pieces(outer, _CHUNK_BITS // row, tick, first):
+                    bits = _get_bits(self.words, lo * inner, (hi - lo) * inner)
+                    _put_bits(out, lo * row, np.repeat(bits.reshape(-1, inner), extent, axis=0))
+            else:
+                for o in range(outer):
+                    _tile_bits(self.words, o * inner, inner, out, o * row, extent, tick)
+        return _fresh(shape, out)
 
-    def permute_axes(self, perm: tuple[int, ...]) -> "BitTensor":
+    def permute_axes(self, perm: tuple[int, ...], tick: Tick = None) -> "BitTensor":
+        """Reorder the axes: output axis k is input axis perm[k].
+
+        The output is built in pieces of consecutive output bits: output
+        axes before j are fixed within a piece and axis j-1 is cut into
+        ranges.  A piece's input bits lie in runs along the input's
+        trailing axes; they are unpacked run by run, transposed as bools
+        and packed into place.
+        """
         m = len(self.shape.axes)
         if sorted(perm) != list(range(m)):
             raise InvalidPermutation(f"{perm} is not a permutation of 0..{m - 1}")
         shape = Shape(tuple(self.shape.axes[p] for p in perm))
         if perm == tuple(range(m)):
             return self
-        bools = self.to_bools().reshape(self.shape.extents)
-        out = np.ascontiguousarray(bools.transpose(perm)).ravel()
-        return BitTensor(shape, _pack(out, shape.nbits))
+        out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
+        if not shape.nbits:
+            return _fresh(shape, out)
+        extents, out_ext = self.shape.extents, shape.extents
+        strides = [_prod(extents[k + 1 :]) for k in range(m)]
+        # a piece costs about four bytes per bit
+        target = max(1, _CHUNK_BITS // 4)
+        j = 1
+        while j < m and _prod(out_ext[j:]) > target:
+            j += 1
+        row = _prod(out_ext[j:])
+        ranged = perm[j - 1]
+        last = max(perm[:j])  # input axes after `last` are whole in every piece
+        for prefix in np.ndindex(*out_ext[: j - 1]):
+            base = first_row = 0
+            for k, i in enumerate(prefix):
+                base += i * strides[perm[k]]
+                first_row = first_row * out_ext[k] + i
+            for lo, hi in _pieces(out_ext[j - 1], max(1, target // row), tick):
+                piece = list(extents)
+                for k in perm[: j - 1]:
+                    piece[k] = 1
+                piece[ranged] = hi - lo
+                # runs cover the axes after `last`, and the range too when it is `last`
+                run = strides[last] * (hi - lo if ranged == last else 1)
+                grid = [k for k in range(last + (ranged != last)) if piece[k] > 1]
+                starts = np.full((1,) * len(grid), base + lo * strides[ranged], dtype=np.int64)
+                for d, k in enumerate(grid):
+                    axis = [1] * len(grid)
+                    axis[d] = piece[k]
+                    starts = starts + (np.arange(piece[k], dtype=np.int64) * strides[k]).reshape(axis)
+                bits = _get_runs(self.words, starts.ravel(), run)
+                moved = bits.reshape(piece).transpose(perm)
+                _put_bits(out, (first_row * out_ext[j - 1] + lo) * row, moved)
+        return _fresh(shape, out)
 
-    def _reduce(self, var: Variable, conj: bool) -> "BitTensor":
+    def _reduce(self, var: Variable, conj: bool, tick: Tick = None) -> "BitTensor":
         k = self.shape.axis_of(var)
         extents = self.shape.extents
         shape = self.shape.drop(k)
@@ -244,22 +453,40 @@ class BitTensor:
             value = self.popcount() == e if conj else self.any()
             scalar = BitTensor.full(shape) if value else BitTensor.empty(shape)
             return scalar
-        inner = 1
-        for x in extents[k + 1 :]:
-            inner *= x
+        inner = _prod(extents[k + 1 :])
         if inner and inner % 64 == 0:
             groups = self.words.reshape(-1, e, inner // 64)
             op = np.bitwise_and if conj else np.bitwise_or
-            return BitTensor(shape, op.reduce(groups, axis=1).ravel())
-        arr = self.to_bools().reshape(extents)
-        out = arr.all(axis=k) if conj else arr.any(axis=k)
-        return BitTensor(shape, _pack(out.ravel(), shape.nbits))
+            return _fresh(shape, op.reduce(groups, axis=1).ravel())
+        fold = np.logical_and if conj else np.logical_or
+        out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
+        if shape.nbits:
+            outer = shape.nbits // inner
+            if e * inner <= _CHUNK_BITS:
+                for lo, hi in _pieces(outer, _CHUNK_BITS // (e * inner), tick):
+                    bits = _get_bits(self.words, lo * e * inner, (hi - lo) * e * inner)
+                    _put_bits(out, lo * inner, fold.reduce(bits.reshape(-1, e, inner), axis=1))
+            else:
+                # one outer row at a time; a row longer than a piece is
+                # folded in column ranges of _CHUNK_BITS bits
+                slices = max(1, _CHUNK_BITS // inner)
+                for o in range(outer):
+                    for off in range(0, inner, _CHUNK_BITS):
+                        n = min(_CHUNK_BITS, inner - off)
+                        acc = None
+                        for lo, hi in _pieces(e, slices, tick):
+                            start = (o * e + lo) * inner + off
+                            bits = _get_bits(self.words, start, (hi - lo - 1) * inner + n)
+                            part = fold.reduce(bits.reshape(-1, n), axis=0)
+                            acc = part if acc is None else fold(acc, part)
+                        _put_bits(out, o * inner + off, acc)
+        return _fresh(shape, out)
 
-    def reduce_all(self, var: Variable) -> "BitTensor":
-        return self._reduce(var, conj=True)
+    def reduce_all(self, var: Variable, tick: Tick = None) -> "BitTensor":
+        return self._reduce(var, conj=True, tick=tick)
 
-    def reduce_any(self, var: Variable) -> "BitTensor":
-        return self._reduce(var, conj=False)
+    def reduce_any(self, var: Variable, tick: Tick = None) -> "BitTensor":
+        return self._reduce(var, conj=False, tick=tick)
 
     def iter_ones(self) -> Iterator[tuple[int, ...]]:
         """Index tuples whose bit is 1, in lexicographic order."""
@@ -270,12 +497,18 @@ class BitTensor:
             if self.words[0] & np.uint64(1):
                 yield ()
             return
-        flat = np.flatnonzero(self.to_bools())
-        if flat.size == 0:
-            return
-        coords = np.unravel_index(flat, self.shape.extents)
-        for row in zip(*(c.tolist() for c in coords)):
-            yield row
+        extents = self.shape.extents
+        words = self.words
+        # at most _CHUNK_BITS // 64 ones become Python tuples at a time
+        per = max(1, _CHUNK_BITS // 4096)
+        for lo, hi in _pieces(words.size, max(1, _CHUNK_BITS // 8), None):
+            nonzero = np.flatnonzero(words[lo:hi]) + lo
+            for a in range(0, nonzero.size, per):
+                sel = nonzero[a : a + per]
+                bits = np.unpackbits(words[sel].view(np.uint8), bitorder="little")
+                w, b = np.nonzero(bits.reshape(-1, 64))
+                coords = np.unravel_index(sel[w] * 64 + b, extents)
+                yield from zip(*(c.tolist() for c in coords))
 
     def get(self, idx: tuple[int, ...]) -> bool:
         if len(idx) != len(self.shape.axes):
@@ -319,8 +552,63 @@ class BitTensor:
         return f"BitTensor({names}; {self.popcount()}/{self.shape.nbits} ones)"
 
 
+def pack_pointwise(
+    shape: Shape,
+    fn: Callable[..., np.ndarray],
+    arrays: Sequence[np.ndarray],
+    budget: int = DEFAULT_BIT_BUDGET,
+    tick: Tick = None,
+) -> BitTensor:
+    """The tensor whose bit at index i is fn(*arrays) at i.
+
+    Each array has one axis per shape axis (or none, for a scalar shape)
+    and broadcasts against shape.extents.  fn must be elementwise: it runs
+    on pieces of leading-axis rows of about _CHUNK_BITS bits (at least one
+    row), so no full-size bool array is built.
+    """
+    _check_budget(shape.nbits, budget)
+    out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
+    extents = shape.extents or (1,)
+    arrays = [np.reshape(a, np.shape(a) or (1,)) for a in arrays]
+    if shape.nbits:
+        row = shape.nbits // extents[0]
+        for lo, hi in _pieces(extents[0], max(1, _CHUNK_BITS // row), tick):
+            parts = [a if a.shape[0] == 1 else a[lo:hi] for a in arrays]
+            _put_bits(out, lo * row, np.broadcast_to(fn(*parts), (hi - lo,) + extents[1:]))
+    return _fresh(shape, out)
+
+
+def checked_arith(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a op b over broadcasting int64 arrays; ArithmeticOverflow if any
+    entry wraps around."""
+    with np.errstate(over="ignore"):
+        if op == "+":
+            r = a + b
+            bad = ((b > 0) & (r < a)) | ((b < 0) & (r > a))
+        elif op == "-":
+            r = a - b
+            bad = ((b < 0) & (r < a)) | ((b > 0) & (r > a))
+        elif op == "*":
+            r = a * b
+            nz = b != 0
+            bad = nz & (r // np.where(nz, b, 1) != a)
+        else:
+            raise ValueError(f"unknown arithmetic op: {op}")
+    if bad.any():
+        raise ArithmeticOverflow(f"64-bit overflow in {op}")
+    return r
+
+
+def checked_gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """table[idx] for a 1-D table, bounds checked."""
+    table = np.asarray(table, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= table.size):
+        raise IndexOutOfRange("gather index outside table")
+    return table[idx]
+
+
 class ValueTensor:
-    """Immutable int64 tensor over a Shape; used for term evaluation."""
+    """Immutable int64 tensor over a Shape, one value per index tuple."""
 
     __slots__ = ("shape", "values")
 
@@ -353,52 +641,22 @@ class ValueTensor:
     def val_map2(self, op: str, other: "ValueTensor") -> "ValueTensor":
         if self.shape != other.shape:
             raise ShapeMismatch("val_map2 over different shapes")
-        a, b = self.values, other.values
-        with np.errstate(over="ignore"):
-            if op == "+":
-                r = a + b
-                bad = ((b > 0) & (r < a)) | ((b < 0) & (r > a))
-            elif op == "-":
-                r = a - b
-                bad = ((b < 0) & (r < a)) | ((b > 0) & (r > a))
-            elif op == "*":
-                r = a * b
-                nz = b != 0
-                bad = np.zeros(r.shape, dtype=bool)
-                bad[nz] = r[nz] // b[nz] != a[nz]
-            else:
-                raise ValueError(f"unknown arithmetic op: {op}")
-        if bad.any():
-            raise ArithmeticOverflow(f"64-bit overflow in {op}")
-        return ValueTensor(self.shape, r)
+        return ValueTensor(self.shape, checked_arith(op, self.values, other.values))
 
     def val_compare(self, op: str, other: "ValueTensor") -> BitTensor:
         if self.shape != other.shape:
             raise ShapeMismatch("val_compare over different shapes")
-        a, b = self.values, other.values
-        if op == "=":
-            r = a == b
-        elif op == "~=":
-            r = a != b
-        elif op == "<":
-            r = a < b
-        elif op == "=<":
-            r = a <= b
-        elif op == ">":
-            r = a > b
-        elif op == ">=":
-            r = a >= b
-        else:
+        fn = COMPARISONS.get(op)
+        if fn is None:
             raise ValueError(f"unknown comparison op: {op}")
-        return BitTensor(self.shape, _pack(r, self.shape.nbits))
+        extents = self.shape.extents
+        return pack_pointwise(
+            self.shape, fn, (self.values.reshape(extents), other.values.reshape(extents))
+        )
 
     def gather(self, table: np.ndarray) -> "ValueTensor":
         """Look self's entries up in a 1-D table (bounds checked)."""
-        table = np.asarray(table, dtype=np.int64)
-        idx = self.values
-        if idx.size and (idx.min() < 0 or idx.max() >= table.size):
-            raise IndexOutOfRange("gather index outside table")
-        return ValueTensor(self.shape, table[idx])
+        return ValueTensor(self.shape, checked_gather(table, self.values))
 
     def __eq__(self, other) -> bool:
         return (

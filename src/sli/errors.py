@@ -99,9 +99,5 @@ class InvalidSpec(SliError):
     pass
 
 
-class NameCollision(SliError):
-    pass
-
-
 class GroundingTimeout(SliError):
     """Cooperative deadline hit while grounding."""

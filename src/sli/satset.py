@@ -8,6 +8,14 @@ over exactly their own free variables and aligned pairwise at each
 connective; results are memoized per evaluator by formula identity, so
 re-used guards are computed once.
 
+Terms are evaluated by broadcasting: a term's value is an int64 array
+with one axis per variable of the shape, of size 1 along every variable
+the term does not mention, so `x` over (x, y) holds n values, not n*n.
+Arithmetic overflow and out-of-range function arguments are checked on
+these broadcast values, which hold exactly the values of the full
+tensor.  Only an atom's or comparison's final bits cover the whole
+shape, and those are computed and packed a piece at a time.
+
 Every symbol in a formula handed to this engine must be interpreted by
 the structure; quantified model expansion over uninterpreted symbols is
 the grounder's job, not this module's.
@@ -20,7 +28,15 @@ from typing import Callable
 
 import numpy as np
 
-from .bittensor import DEFAULT_BIT_BUDGET, BitTensor, Shape, ValueTensor
+from .bittensor import (
+    COMPARISONS,
+    DEFAULT_BIT_BUDGET,
+    BitTensor,
+    Shape,
+    checked_arith,
+    checked_gather,
+    pack_pointwise,
+)
 from .errors import IndexOutOfRange, UninterpretedSymbol, UnknownVariable
 from .logic import (
     And,
@@ -63,7 +79,8 @@ class SatSetEvaluator:
     """Evaluates satisfying sets against one fixed structure.
 
     Not thread-safe; create one per grounding task.  `tick`, when given,
-    is called once per node evaluation (cooperative deadline checks).
+    is called once per node evaluation and once per piece of a long
+    kernel (cooperative deadline checks).
     """
 
     def __init__(
@@ -145,7 +162,8 @@ class SatSetEvaluator:
                     blank = BitTensor.full if conj else BitTensor.empty
                     return self._track(blank(body.shape, self.budget))
                 return body
-            out = body.reduce_all(f.var) if conj else body.reduce_any(f.var)
+            reduce = body.reduce_all if conj else body.reduce_any
+            out = reduce(f.var, tick=self.tick)
             return self._track(out)
         raise TypeError(f"satisfying sets need the desugared core, got {f!r}")
 
@@ -158,14 +176,14 @@ class SatSetEvaluator:
         if len(order) != len(have):
             raise UnknownVariable("tensor has variables outside the target tuple")
         if order != sorted(order):
-            t = self._track(t.permute_axes(tuple(order)))
+            t = self._track(t.permute_axes(tuple(order), tick=self.tick))
         have = t.shape.vars
         pos = 0
         for v in target:
             if pos < len(have) and have[pos] == v:
                 pos += 1
                 continue
-            t = self._track(t.insert_axis(pos, v, self.extent(v), self.budget))
+            t = self._track(t.insert_axis(pos, v, self.extent(v), self.budget, self.tick))
             have = t.shape.vars
             pos += 1
         return t
@@ -181,16 +199,17 @@ class SatSetEvaluator:
     # -- atoms and terms ---------------------------------------------------------------
 
     def _rel_key_array(self, pred: str, sizes: tuple[int, ...]) -> np.ndarray:
+        """Sorted mixed-radix keys of a relation's tuples."""
         keys = self._rel_keys.get(pred)
         if keys is None:
             rel = self.s.relations[pred]
             arr = np.empty(len(rel), dtype=np.int64)
-            for i, tup in enumerate(sorted(rel)):
+            for i, tup in enumerate(rel):
                 k = 0
                 for idx, size in zip(tup, sizes):
                     k = k * size + idx
                 arr[i] = k
-            keys = arr
+            keys = np.sort(arr)
             self._rel_keys[pred] = keys
         return keys
 
@@ -236,30 +255,56 @@ class SatSetEvaluator:
             return self._track(
                 BitTensor.from_ones(shape, sorted(self.s.relations[f.pred]), self.budget)
             )
-        key = None
-        ok = np.ones(shape.nbits, dtype=bool)
-        for arg, t, size in zip(f.args, arg_types, sizes):
-            values = self._term(arg, shape).values
-            idx, in_range = self._arg_space(t, values)
-            ok &= in_range
-            idx = np.where(in_range, idx, 0)
-            key = idx if key is None else key * size + idx
-        members = np.isin(key, self._rel_key_array(f.pred, sizes)) & ok
-        return self._track(BitTensor.from_bools(shape, members, self.budget))
+        # argument indices, -1 where a value lies outside its type
+        cols = []
+        for arg, t in zip(f.args, arg_types):
+            idx, in_range = self._arg_space(t, self._term(arg, shape))
+            cols.append(np.where(in_range, idx, -1))
+        rel = self._rel_key_array(f.pred, sizes)
+
+        def members(*parts: np.ndarray) -> np.ndarray:
+            key, ok = parts[0], parts[0] >= 0
+            for col, size in zip(parts[1:], sizes[1:]):
+                key = key * size + col
+                ok = ok & (col >= 0)
+            if not rel.size:
+                return np.zeros(ok.shape, dtype=bool)
+            pos = np.minimum(np.searchsorted(rel, key), rel.size - 1)
+            return (rel[pos] == key) & ok
+
+        return self._track(pack_pointwise(shape, members, cols, self.budget, self.tick))
 
     def _compare(self, f: Compare) -> BitTensor:
-        vars = free_variables(f)
-        shape = self.shape_for(vars)
+        shape = self.shape_for(free_variables(f))
         left = self._term(f.left, shape)
         right = self._term(f.right, shape)
-        return self._track(left.val_compare(f.op, right))
+        fn = COMPARISONS[f.op]
+        return self._track(pack_pointwise(shape, fn, (left, right), self.budget, self.tick))
 
-    def _term(self, t: Term, shape: Shape) -> ValueTensor:
+    @staticmethod
+    def _unit(shape: Shape) -> tuple[int, ...]:
+        """Array shape of a value no variable of the shape varies: size 1
+        along every axis, except size 0 along the first empty axis when
+        the shape has no tuples, so that no check sees values the full
+        tensor does not hold."""
+        extents = shape.extents
+        if shape.nbits:
+            return (1,) * len(extents)
+        k = extents.index(0)
+        return tuple(0 if i == k else 1 for i in range(len(extents)))
+
+    def _term(self, t: Term, shape: Shape) -> np.ndarray:
         """Evaluate a term pointwise over the shape (indices for enum-typed
-        terms, integers otherwise)."""
+        terms, integers otherwise), as an int64 array that broadcasts
+        against shape.extents and has size 1 along the axes of variables
+        the term does not mention."""
         if isinstance(t, Variable):
             from .logic import IntervalType
 
+            k = shape.axis_of(t)
+            unit = self._unit(shape)
+            if not shape.nbits:
+                return np.zeros(unit, dtype=np.int64)
             decl = self.s.voc.type_decl(t.type)
             size = self.s.domain_size(t.type)
             base = (
@@ -267,19 +312,18 @@ class SatSetEvaluator:
                 if isinstance(decl, IntervalType)
                 else np.arange(size, dtype=np.int64)
             )
-            return ValueTensor.axis_values(shape, t, base)
+            return base.reshape(unit[:k] + (size,) + unit[k + 1 :])
         if isinstance(t, DomainConstant):
-            return ValueTensor.constant(shape, t.index)
+            return np.full(self._unit(shape), t.index, dtype=np.int64)
         if isinstance(t, IntConstant):
-            return ValueTensor.constant(shape, t.value)
+            return np.full(self._unit(shape), t.value, dtype=np.int64)
         if isinstance(t, FunctionApp):
             if not self.s.interprets(t.name):
                 raise UninterpretedSymbol(f"function {t.name} has no interpretation")
             sig = self.s.voc.functions[t.name]
             key = None
             for arg, want in zip(t.args, sig.args):
-                values = self._term(arg, shape).values
-                idx, ok = self._arg_space(want, values)
+                idx, ok = self._arg_space(want, self._term(arg, shape))
                 if not ok.all():
                     raise IndexOutOfRange(
                         f"argument of {t.name} outside the domain of {want}"
@@ -287,10 +331,10 @@ class SatSetEvaluator:
                 size = self.s.domain_size(want)
                 key = idx if key is None else key * size + idx
             if key is None:
-                key = np.zeros(shape.nbits, dtype=np.int64)
-            return ValueTensor(shape, key).gather(self._fun_table(t.name))
+                key = np.zeros(self._unit(shape), dtype=np.int64)
+            return checked_gather(self._fun_table(t.name), key)
         if isinstance(t, Arith):
-            return self._term(t.left, shape).val_map2(t.op, self._term(t.right, shape))
+            return checked_arith(t.op, self._term(t.left, shape), self._term(t.right, shape))
         raise TypeError(f"not a term: {t!r}")
 
 

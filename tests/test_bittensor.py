@@ -5,16 +5,20 @@ every operation by plain iteration, sharing nothing with the packed
 implementation.
 """
 
+import collections
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sli import bittensor
 from sli.bittensor import DEFAULT_BIT_BUDGET, BitTensor, Shape, ValueTensor
 from sli.errors import (
     ArithmeticOverflow,
     BitBudgetOverflow,
     DuplicateVariable,
+    GroundingTimeout,
     IndexOutOfRange,
     InvalidPermutation,
     ShapeMismatch,
@@ -272,3 +276,201 @@ def test_shape_and_kernel_errors():
         a.permute_axes((1,))
     with pytest.raises(UnknownVariable):
         a.reduce_all(v("q"))
+
+
+# -- differential tests against whole-tensor bool-array references ----------
+#
+# The references below are the straightforward algorithms: unpack every bit
+# to a bool, transform with numpy, pack again.  The kernels must agree with
+# them bit for bit while working piecewise on the packed words.
+
+
+def ref_insert(t, pos, extent):
+    bools = t.to_bools()
+    inner = int(np.prod(t.shape.extents[pos:], dtype=np.int64))
+    if inner and bools.size:
+        out = np.repeat(bools.reshape(-1, inner), extent, axis=0).ravel()
+    else:
+        out = np.zeros(0, dtype=bool)
+    return BitTensor.from_bools(t.shape.insert(pos, v("n"), extent), out)
+
+
+def ref_permute(t, perm):
+    out = t.to_bools().reshape(t.shape.extents).transpose(perm)
+    return BitTensor.from_bools(Shape(tuple(t.shape.axes[p] for p in perm)), out)
+
+
+def ref_reduce(t, k, conj):
+    arr = t.to_bools().reshape(t.shape.extents)
+    out = arr.all(axis=k) if conj else arr.any(axis=k)
+    return BitTensor.from_bools(t.shape.drop(k), out)
+
+
+def ref_iter_ones(t):
+    if not t.shape.axes:
+        return [()] if t.get(()) else []
+    flat = np.flatnonzero(t.to_bools())
+    return list(zip(*(c.tolist() for c in np.unravel_index(flat, t.shape.extents))))
+
+
+# extents that make the trailing block of a kernel word-aligned, byte-aligned
+# or unaligned, plus empty and singleton axes
+EXTENTS = (0, 1, 2, 3, 5, 7, 8, 13, 24, 64, 65, 100, 128)
+
+
+def random_kernel_shape(rng, max_bits=40000):
+    names = ["x", "y", "z", "w"]
+    while True:
+        m = int(rng.integers(0, 5))
+        extents = [int(rng.choice(EXTENTS)) for _ in range(m)]
+        if int(np.prod(extents, dtype=np.int64)) <= max_bits:
+            return Shape(tuple((v(names[i]), e) for i, e in enumerate(extents)))
+
+
+def random_density_tensor(rng, shape):
+    density = float(rng.choice((0.0, 0.02, 0.5, 1.0)))
+    return BitTensor.from_bools(shape, rng.random(shape.nbits) < density)
+
+
+@pytest.mark.parametrize("chunk_bits", [64, 100, 4096, 2**20])
+def test_kernels_match_bool_references(monkeypatch, chunk_bits):
+    """Random shapes, with small chunk sizes so that multi-piece loops,
+    piece boundaries inside rows and rows longer than a piece all run."""
+    monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk_bits)
+    rng = np.random.default_rng(chunk_bits)
+    for _ in range(120):
+        shape = random_kernel_shape(rng)
+        t = random_density_tensor(rng, shape)
+        m = len(shape.axes)
+        pos = int(rng.integers(0, m + 1))
+        extent = int(rng.choice((0, 1, 2, 3, 8, 9)))
+        assert t.insert_axis(pos, v("n"), extent) == ref_insert(t, pos, extent)
+        assert list(t.iter_ones()) == ref_iter_ones(t)
+        assert BitTensor.from_ones(shape, ref_iter_ones(t)) == t
+        if m:
+            perm = tuple(rng.permutation(m).tolist())
+            assert t.permute_axes(perm) == ref_permute(t, perm)
+            k = int(rng.integers(0, m))
+            assert t.reduce_all(shape.axes[k][0]) == ref_reduce(t, k, True)
+            assert t.reduce_any(shape.axes[k][0]) == ref_reduce(t, k, False)
+
+
+@pytest.mark.parametrize("chunk_bits", [64, 2**20])
+def test_kernel_paths_on_chosen_shapes(monkeypatch, chunk_bits):
+    """Each aligned and unaligned path on a shape picked to reach it."""
+    monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk_bits)
+    rng = np.random.default_rng(11)
+    cases = [
+        ((3, 64), 0),  # word-aligned inner
+        ((5, 24), 1),  # byte-aligned inner
+        ((7, 13), 1),  # unaligned inner
+        ((7, 13), 2),  # single-bit rows: byte patterns looked up
+        ((11, 3), 1),
+        ((2, 3, 5), 1),
+        ((300,), 0),  # rows longer than a 64-bit piece
+        ((3, 130), 1),
+        ((130, 3), 2),
+        ((0, 5), 1),
+        ((), 0),
+    ]
+    for extents, pos in cases:
+        shape = Shape(tuple((v(n), e) for n, e in zip("xyz", extents)))
+        for density in (0.0, 0.3, 1.0):
+            t = BitTensor.from_bools(shape, rng.random(shape.nbits) < density)
+            for extent in (1, 3, 8, 70):
+                assert t.insert_axis(pos, v("n"), extent) == ref_insert(t, pos, extent)
+            for perm in itertools.permutations(range(len(extents))):
+                assert t.permute_axes(perm) == ref_permute(t, perm)
+            for k in range(len(extents)):
+                for conj in (True, False):
+                    assert t._reduce(shape.axes[k][0], conj) == ref_reduce(t, k, conj)
+            assert list(t.iter_ones()) == ref_iter_ones(t)
+
+
+def test_from_ones_sets_repeated_and_edge_bits():
+    shape = Shape(((v("x"), 3), (v("y"), 43)))
+    ones = [(2, 42), (0, 0), (2, 42), (1, 20), (0, 63 - 43)]
+    want = np.zeros(shape.nbits, dtype=bool)
+    for i, j in ones:
+        want[i * 43 + j] = True
+    assert BitTensor.from_ones(shape, ones) == BitTensor.from_bools(shape, want)
+
+
+# -- memory bound --------------------------------------------------------------
+
+
+def _peak_bytes(fn):
+    """Peak bytes traced while fn runs, above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _packed(nbits):
+    return (nbits + 63) // 64 * 8
+
+
+def test_structural_kernels_allocate_packed_sizes(monkeypatch):
+    """On a tensor of about 2**22 bits, no kernel's scratch exceeds a few
+    times _CHUNK_BITS bytes: unpacking the tensor to one byte per bit
+    would cost 4 MiB, several times the bound."""
+    chunk = 2**16
+    monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk)
+    scratch = 4 * chunk
+    rng = np.random.default_rng(5)
+    x, y, z = v("x"), v("y"), v("z")
+    odd = BitTensor.from_bools(Shape(((x, 2048), (y, 2049))), rng.random(2048 * 2049) < 0.5)
+    even = BitTensor.from_bools(Shape(((x, 2048), (y, 2048))), rng.random(2048 * 2048) < 0.5)
+    cube = BitTensor.from_bools(
+        Shape(((x, 128), (y, 128), (z, 256))), rng.random(2**22) < 0.5
+    )
+    sparse = BitTensor.from_bools(odd.shape, rng.random(odd.shape.nbits) < 0.05)
+    kernels = [
+        (odd, lambda: odd.insert_axis(0, z, 3)),  # one row longer than a piece
+        (odd, lambda: odd.insert_axis(1, z, 3)),  # unaligned rows in pieces
+        (odd, lambda: odd.insert_axis(2, z, 3)),  # single-bit rows
+        (even, lambda: even.insert_axis(1, z, 3)),  # byte-aligned rows
+        (odd, lambda: odd.permute_axes((1, 0))),  # per-bit gather
+        (cube, lambda: cube.permute_axes((1, 0, 2))),  # byte blocks
+        (odd, lambda: odd.reduce_all(x)),  # slices longer than a piece
+        (odd, lambda: odd.reduce_any(y)),  # short slices in pieces
+        (cube, lambda: cube.reduce_all(y)),  # word-aligned
+        (sparse, lambda: collections.deque(sparse.iter_ones(), maxlen=0)),
+    ]
+    for t, run in kernels:
+        out = []
+        peak = _peak_bytes(lambda: out.append(run()))
+        result = out[0]
+        out_bytes = _packed(result.shape.nbits) if isinstance(result, BitTensor) else 0
+        assert peak <= _packed(t.shape.nbits) + out_bytes + scratch, (t, peak)
+    ones = list(sparse.iter_ones())
+    peak = _peak_bytes(lambda: BitTensor.from_ones(sparse.shape, ones))
+    assert peak <= _packed(sparse.shape.nbits) + scratch
+
+
+# -- deadline inside a kernel ------------------------------------------------------
+
+
+def test_tick_stops_a_multi_piece_insert_partway(monkeypatch):
+    monkeypatch.setattr(bittensor, "_CHUNK_BITS", 256)
+    rng = np.random.default_rng(2)
+    t = BitTensor.from_bools(Shape(((v("x"), 50), (v("y"), 7))), rng.random(350) < 0.5)
+    pieces = []
+    t.insert_axis(1, v("z"), 9, tick=lambda: pieces.append(1))
+    assert len(pieces) > 3
+
+    calls = []
+
+    def tick():
+        calls.append(1)
+        if len(calls) == 3:
+            raise GroundingTimeout("grounding exceeded its deadline")
+
+    with pytest.raises(GroundingTimeout):
+        t.insert_axis(1, v("z"), 9, tick=tick)
+    assert len(calls) == 3

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from randgen import enumerate_satset, random_formula, random_structure
-from sli.errors import IndexOutOfRange, UninterpretedSymbol, UnknownVariable
+from sli.errors import (
+    ArithmeticOverflow,
+    GroundingTimeout,
+    IndexOutOfRange,
+    UninterpretedSymbol,
+    UnknownVariable,
+)
 from sli.logic import (
     And,
     Arith,
@@ -263,3 +269,81 @@ def test_peak_bits_tracking():
     ev = SatSetEvaluator(s)
     ev.eval(And((Atom("p", (x,)), Atom("q", (y,)))))
     assert ev.peak_bits >= 9
+
+
+def interval_function_structure():
+    from sli.logic import IntervalType
+
+    voc = Vocabulary()
+    voc.types["N"] = IntervalType("N", 3, 6)
+    voc.types["T"] = EnumType("T")
+    voc.functions["h"] = FuncSig(("N",), Interval(0, 20))
+    return Structure(
+        voc,
+        {"T": ("a", "b")},
+        {},
+        {"h": FunctionTable((4,), {(0,): 9, (1,): 3, (2,): 4, (3,): 9})},
+    )
+
+
+def test_broadcast_terms_still_check_overflow():
+    # n varies along its own axis only; the product still overflows for
+    # every m, and the checks see those broadcast values
+    s = interval_function_structure()
+    n, m = Variable("n", "N"), Variable("m", "N")
+    big = Arith("*", n, IntConstant(2**61))
+    with pytest.raises(ArithmeticOverflow):
+        eval_sat_set(Compare("<", big, m), (n, m), s)
+    with pytest.raises(ArithmeticOverflow):
+        eval_sat_set(Compare("<", m, Arith("+", big, big)), (m, n), s)
+    fits = Arith("*", n, IntConstant(2**59))
+    got = eval_sat_set(Compare(">", fits, m), (n, m), s).tuples()
+    assert got == {(i, j) for i in range(4) for j in range(4)}
+
+
+def test_broadcast_terms_still_check_function_arguments():
+    # h is declared over N = 3..6; n + 1 reaches 7 at n = 6, for every m
+    s = interval_function_structure()
+    n, m = Variable("n", "N"), Variable("m", "N")
+    shifted = FunctionApp("h", (Arith("+", n, IntConstant(1)),))
+    with pytest.raises(IndexOutOfRange):
+        eval_sat_set(Compare("=", shifted, m), (m, n), s)
+    inside = FunctionApp("h", (Arith("-", n, IntConstant(0)),))
+    f = Compare("=", inside, Arith("+", m, IntConstant(6)))
+    assert eval_sat_set(f, (m, n), s).tuples() == enumerate_satset(f, (m, n), s)
+
+
+def test_empty_shape_skips_term_checks():
+    # over an empty domain no tuple exists, so no value can overflow
+    voc = Vocabulary()
+    voc.types["T"] = EnumType("T")
+    voc.types["E"] = EnumType("E")
+    voc.functions["f"] = FuncSig(("T",), Interval(0, 9))
+    s = Structure(voc, {"T": ("a",), "E": ()}, {}, {"f": FunctionTable((1,), {(0,): 9})})
+    x, e = Variable("x", "T"), Variable("e", "E")
+    big = Arith("*", FunctionApp("f", (x,)), IntConstant(2**62))
+    with pytest.raises(ArithmeticOverflow):
+        eval_sat_set(Compare("=", big, IntConstant(0)), (x,), s)
+    assert eval_sat_set(Compare("=", big, e), (x, e), s).tuples() == set()
+
+
+def test_evaluator_ticks_inside_long_kernels(monkeypatch):
+    from sli import bittensor
+
+    monkeypatch.setattr(bittensor, "_CHUNK_BITS", 64)
+    s = cover_structure()
+    x, y, z = Variable("x", "T"), Variable("y", "T"), Variable("z", "T")
+    f = And((Atom("p", (x,)), Atom("q", (y,)), Atom("p", (z,))))
+    calls = []
+    SatSetEvaluator(s, tick=lambda: calls.append(1)).eval(f)
+    nodes = 4
+    assert len(calls) > nodes
+
+    def tick():
+        calls.append(1)
+        if len(calls) > nodes:
+            raise GroundingTimeout("grounding exceeded its deadline")
+
+    calls.clear()
+    with pytest.raises(GroundingTimeout):
+        SatSetEvaluator(s, tick=tick).eval(f)
