@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,25 +310,17 @@ def run_bench(
     strategies,
     *,
     timeout: float = 600.0,
-    jobs: int = 1,
     emit: bool = True,
 ) -> list[RunRecord]:
-    """Ground every (instance, strategy) pair; timeouts become rows, not
-    errors.  Rows keep spec-major, strategy-minor order regardless of jobs."""
-    tasks = []
+    """Ground every (instance, strategy) pair, one after another in this
+    thread; timeouts become rows, not errors.  Rows are spec-major,
+    strategy-minor."""
+    records = []
     for spec in specs:
         problem = generate(spec)
         for strategy in strategies:
-            tasks.append((spec, problem, strategy))
-
-    def run(task):
-        spec, problem, strategy = task
-        return run_one(spec, problem, strategy, timeout=timeout, emit=emit)
-
-    if jobs <= 1:
-        return [run(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run, tasks))
+            records.append(run_one(spec, problem, strategy, timeout=timeout, emit=emit))
+    return records
 
 
 def records_to_csv(records) -> str:

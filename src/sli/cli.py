@@ -2,7 +2,7 @@
 instances, and check inputs.
 
 Exit codes: 0 success, 1 usage, 2 parse or type error in the input,
-3 resource exhaustion (bit budget, arithmetic overflow, timeout).
+3 resource exhaustion (bit budget, arithmetic overflow, timeout, memory).
 """
 
 from __future__ import annotations
@@ -29,7 +29,12 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
-_RESOURCE_ERRORS = (BitBudgetOverflow, ArithmeticOverflow, GroundingTimeout)
+_RESOURCE_ERRORS = (
+    BitBudgetOverflow,
+    ArithmeticOverflow,
+    GroundingTimeout,
+    MemoryError,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_GUARD_CAP,
-        help="guard count above which vec falls back to naive",
+        help="guard count above which vec grounds a quantifier block the naive"
+        " way; the --stats row of its sentence then reads naive(fallback)",
     )
 
     bench = sub.add_parser("bench", help="generate an instance and time strategies")
@@ -76,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategies", nargs="+", choices=STRATEGIES, default=list(STRATEGIES)
     )
     bench.add_argument("--timeout", type=float, default=600.0)
-    bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--no-emit", action="store_true", help="skip emission timing")
     bench.add_argument("--out", help="results CSV path (default: stdout)")
 
@@ -106,9 +111,11 @@ def _cmd_ground(args) -> int:
     _write(args.out, emit(gt))
     if args.stats:
         _write(args.stats, gt.stats.to_csv())
+    # the strategies the rows report, in order of first use
+    ran = dict.fromkeys(r.strategy for r in gt.stats.rows) or [args.strategy]
     print(
         f"{args.file}: verdict {gt.verdict}, {len(gt.assertions)} assertions"
-        f" ({args.strategy})",
+        f" ({', '.join(ran)})",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -123,7 +130,6 @@ def _cmd_bench(args) -> int:
         specs,
         args.strategies,
         timeout=args.timeout,
-        jobs=args.jobs,
         emit=not args.no_emit,
     )
     _write(args.out, records_to_csv(records))

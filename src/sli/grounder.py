@@ -2,15 +2,20 @@
 
 Given a theory over vocabulary sigma and a structure interpreting only a
 subset sigma0, each sentence is turned into a quantifier-free formula over
-ground atoms of the remaining symbols.  Three strategies:
+ground atoms of the remaining symbols.  One pipeline serves vec and naive:
+per quantifier block, the guards (maximal interpreted subformulas whose
+variables the block binds) are collected by one walk, each of the 2^m sign
+splits has one residual, and the block's ground parts are folded into a
+conjunction or disjunction that stops at the first deciding part.
 
-- vec: per quantifier block, lift the maximal interpreted subformulas whose
-  variables are all bound by the block, enumerate the 2^m sign splits, and
-  instantiate each split's residual only at the tuples of the split's
-  satisfying set (computed on bit tensors).
-- naive: one nested loop over the block's tuples; the interpreted part is
-  decided per tuple by recursive evaluation, skipping tuples whose residual
-  is vacuous and exiting early on a deciding tuple.
+- vec: instantiate each non-vacuous split's residual only at the tuples of
+  the split's satisfying set, computed on bit tensors by one evaluator
+  shared by all sentences of a problem.  A block with more guards than the
+  cap is grounded as naive grounds it, and its sentence's row reports
+  naive(fallback); the other blocks stay vectorized.
+- naive: one nested loop over the block's tuples; the guards are decided
+  per tuple by recursive evaluation, skipping tuples whose residual is
+  vacuous and exiting early on a deciding tuple.
 - noreduce: instantiate everything, fold nothing, and emit the interpreted
   symbols' tables as ground assertions alongside.
 
@@ -81,34 +86,22 @@ def _simp_not(child: Formula) -> Formula:
     return Not(child)
 
 
-def _simp_and(children: Iterable[Formula]) -> Formula:
+def _simp_junction(conj: bool, children: Iterable[Formula]) -> Formula:
+    """A conjunction (conj) or disjunction of children, dropping its unit
+    and stopping at its absorbing constant: no child after that one is
+    drawn, so a lazy iterable skips the work that would produce them."""
+    unit, absorbing = (TRUE, FALSE) if conj else (FALSE, TRUE)
     out: list[Formula] = []
     for c in children:
-        if c is FALSE:
-            return FALSE
-        if c is TRUE:
-            continue
-        out.append(c)
+        if c is absorbing:
+            return absorbing
+        if c is not unit:
+            out.append(c)
     if not out:
-        return TRUE
+        return unit
     if len(out) == 1:
         return out[0]
-    return And(tuple(out))
-
-
-def _simp_or(children: Iterable[Formula]) -> Formula:
-    out: list[Formula] = []
-    for c in children:
-        if c is TRUE:
-            return TRUE
-        if c is FALSE:
-            continue
-        out.append(c)
-    if not out:
-        return FALSE
-    if len(out) == 1:
-        return out[0]
-    return Or(tuple(out))
+    return (And if conj else Or)(tuple(out))
 
 
 def _simp_quant(forall: bool, var: Variable, body: Formula, s: Structure) -> Formula:
@@ -123,10 +116,10 @@ def boolean_simplify(f: Formula, s: Structure) -> Formula:
     """Bottom-up constant propagation; leaves atoms and comparisons alone."""
     if isinstance(f, Not):
         return _simp_not(boolean_simplify(f.child, s))
-    if isinstance(f, And):
-        return _simp_and(boolean_simplify(c, s) for c in f.children)
-    if isinstance(f, Or):
-        return _simp_or(boolean_simplify(c, s) for c in f.children)
+    if isinstance(f, (And, Or)):
+        return _simp_junction(
+            isinstance(f, And), (boolean_simplify(c, s) for c in f.children)
+        )
     if isinstance(f, (ForAll, Exists)):
         return _simp_quant(
             isinstance(f, ForAll), f.var, boolean_simplify(f.body, s), s
@@ -156,26 +149,7 @@ def maximal_interpreted_subformulas(
 
     Leading negations are peeled off before deduplication, so a condition
     and its desugared negation collapse onto the same core formula."""
-    out: list[Formula] = []
-
-    def walk(n: Formula) -> None:
-        if n is TRUE or n is FALSE:
-            return
-        if symbols_of(n) <= sigma0:
-            _, core = _strip_negations(n)
-            if core not in out and core is not TRUE and core is not FALSE:
-                out.append(core)
-            return
-        if isinstance(n, Not):
-            walk(n.child)
-        elif isinstance(n, (And, Or)):
-            for c in n.children:
-                walk(c)
-        elif isinstance(n, (ForAll, Exists)):
-            walk(n.body)
-
-    walk(f)
-    return out
+    return _collect_guards(f, sigma0, None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,20 +173,22 @@ def _block_of(f: Formula) -> tuple[bool, list[Variable], Formula]:
     return forall, vars, f
 
 
-def _liftable(n: Formula, sigma0, block: frozenset[Variable]) -> bool:
+def _liftable(n: Formula, sigma0, block: frozenset[Variable] | None) -> bool:
+    """Interpreted, and (unless block is None) over block variables only."""
     if n is TRUE or n is FALSE:
         return False
     if not symbols_of(n) <= sigma0:
         return False
-    return all(v in block for v in free_variables(n))
+    return block is None or all(v in block for v in free_variables(n))
 
 
 def _collect_guards(
-    body: Formula, sigma0, block: frozenset[Variable]
+    body: Formula, sigma0, block: frozenset[Variable] | None
 ) -> list[Formula]:
     """Negation-stripped, deduplicated guards of one block, in order of
-    first appearance.  Subformulas whose variables are bound deeper stay in
-    the residual and are lifted when the inner block is ground."""
+    first appearance; block None admits any variables.  Subformulas whose
+    variables are bound deeper stay in the residual and are lifted when the
+    inner block is ground."""
     out: list[Formula] = []
 
     def walk(n: Formula) -> None:
@@ -252,21 +228,34 @@ def _substitute_guards(
             return TRUE if value != flipped else FALSE
         if isinstance(n, Not):
             return Not(walk(n.child))
-        if isinstance(n, And):
-            return And(tuple(walk(c) for c in n.children))
-        if isinstance(n, Or):
-            return Or(tuple(walk(c) for c in n.children))
-        if isinstance(n, ForAll):
-            return ForAll(n.var, walk(n.body))
-        if isinstance(n, Exists):
-            return Exists(n.var, walk(n.body))
+        if isinstance(n, (And, Or)):
+            return type(n)(tuple(walk(c) for c in n.children))
+        if isinstance(n, (ForAll, Exists)):
+            return type(n)(n.var, walk(n.body))
         return n
 
     return walk(body)
 
 
+def _residual(body, guards, signs, sigma0, block, s: Structure) -> Formula:
+    """The block body under one sign vector, simplified."""
+    return boolean_simplify(_substitute_guards(body, guards, signs, sigma0, block), s)
+
+
+def _splits(forall: bool, body, guards, sigma0, block, s: Structure):
+    """(signs, residual) of every split whose residual is not vacuous (TRUE
+    under a forall block, FALSE under an exists block), lazily."""
+    vacuous = TRUE if forall else FALSE
+    for signs in itertools.product((True, False), repeat=len(guards)):
+        residual = _residual(body, guards, signs, sigma0, block, s)
+        if residual is not vacuous:
+            yield signs, residual
+
+
 def _guard_formula(guards: list[Formula], signs: tuple[bool, ...]) -> Formula:
-    return _simp_and(g if sign else Not(g) for g, sign in zip(guards, signs))
+    return _simp_junction(
+        True, (g if sign else Not(g) for g, sign in zip(guards, signs))
+    )
 
 
 def guard_split(
@@ -277,23 +266,16 @@ def guard_split(
         raise UnsupportedFormula("guard_split expects a quantified formula")
     forall, vars, body = _block_of(f)
     sigma0 = structure.interpreted_symbols
-    guards = _collect_guards(body, sigma0, frozenset(vars))
+    block = frozenset(vars)
+    guards = _collect_guards(body, sigma0, block)
     if len(guards) > cap:
         raise GuardCapExceeded(
             f"{len(guards)} guards exceed the split cap of {cap}"
         )
-    out: list[GuardSplit] = []
-    for signs in itertools.product((True, False), repeat=len(guards)):
-        residual = boolean_simplify(
-            _substitute_guards(body, guards, signs, sigma0, frozenset(vars)),
-            structure,
-        )
-        if (forall and residual is TRUE) or (not forall and residual is FALSE):
-            continue
-        out.append(
-            GuardSplit(tuple(guards), signs, _guard_formula(guards, signs), residual)
-        )
-    return out
+    return [
+        GuardSplit(tuple(guards), signs, _guard_formula(guards, signs), residual)
+        for signs, residual in _splits(forall, body, guards, sigma0, block, structure)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -316,30 +298,32 @@ def _is_constant_term(t: Term) -> bool:
     return isinstance(t, (DomainConstant, IntConstant))
 
 
+def _codomain_const(s: Structure, codomain, value: int) -> Term:
+    if isinstance(codomain, Interval):
+        return IntConstant(value)
+    return s.constant_for(codomain, value)
+
+
 class _SentenceGrounder:
-    """Grounds one closed formula against one structure."""
+    """Grounds one closed formula against one structure: the vec way when
+    given an evaluator, the naive way otherwise."""
 
     def __init__(
         self,
         structure: Structure,
-        strategy: str,
         cap: int = DEFAULT_GUARD_CAP,
-        budget: int = DEFAULT_BIT_BUDGET,
+        ev: SatSetEvaluator | None = None,
         tick: Callable[[], None] | None = None,
     ):
         self.s = structure
         self.sigma0 = structure.interpreted_symbols
-        self.strategy = strategy
         self.cap = cap
         self.tick = tick
-        self.ev = (
-            SatSetEvaluator(structure, budget=budget, tick=tick)
-            if strategy == "vec"
-            else None
-        )
+        self.ev = ev
         self.guards = 0
         self.splits_kept = 0
         self.instantiations = 0
+        self.fell_back = False
         self._at_top = True
         self._const_cache: dict[tuple[str, int], Term] = {}
 
@@ -357,34 +341,26 @@ class _SentenceGrounder:
             self._const_cache[key] = hit
         return hit
 
-    def _codomain_const(self, codomain, value: int) -> Term:
-        if isinstance(codomain, Interval):
-            return IntConstant(value)
-        return self.s.constant_for(codomain, value)
+    def _reject_nested(self, symbol: str, name: str, args: tuple[Term, ...]) -> None:
+        for a in args:
+            if _term_has_uninterpreted(a, self.sigma0):
+                raise UnsupportedFormula(
+                    f"{symbol} {name} applied to an argument containing an "
+                    "uninterpreted symbol"
+                )
 
     # -- folding ----------------------------------------------------------
 
     def _fold_term(self, t: Term) -> Term:
         if isinstance(t, FunctionApp):
             args = tuple(self._fold_term(a) for a in t.args)
-            if t.name in self.sigma0:
-                if all(_is_constant_term(a) for a in args):
-                    value = eval_term(FunctionApp(t.name, args), self.s, {})
-                    return self._codomain_const(
-                        self.s.voc.functions[t.name].codomain, value
-                    )
-                if any(_term_has_uninterpreted(a, self.sigma0) for a in args):
-                    raise UnsupportedFormula(
-                        f"interpreted function {t.name} applied to an argument "
-                        "containing an uninterpreted symbol"
-                    )
-                return FunctionApp(t.name, args)
-            for a in args:
-                if _term_has_uninterpreted(a, self.sigma0):
-                    raise UnsupportedFormula(
-                        f"uninterpreted function {t.name} applied to an argument "
-                        "containing an uninterpreted symbol"
-                    )
+            interpreted = t.name in self.sigma0
+            if interpreted and all(_is_constant_term(a) for a in args):
+                value = eval_term(FunctionApp(t.name, args), self.s, {})
+                codomain = self.s.voc.functions[t.name].codomain
+                return _codomain_const(self.s, codomain, value)
+            symbol = "interpreted function" if interpreted else "uninterpreted function"
+            self._reject_nested(symbol, t.name, args)
             return FunctionApp(t.name, args)
         if isinstance(t, Arith):
             left = self._fold_term(t.left)
@@ -418,8 +394,8 @@ class _SentenceGrounder:
                 else:
                     conj.append(Compare("=", arg, self._const(want, idx)))
             if match:
-                disjuncts.append(_simp_and(conj))
-        return _simp_or(disjuncts)
+                disjuncts.append(_simp_junction(True, conj))
+        return _simp_junction(False, disjuncts)
 
     def fold(self, f: Formula) -> Formula:
         """Evaluate ground interpreted leaves, fold interpreted terms, and
@@ -431,16 +407,11 @@ class _SentenceGrounder:
             args = tuple(self._fold_term(a) for a in f.args)
             g = Atom(f.pred, args)
             if f.pred not in self.sigma0:
-                for a in args:
-                    if _term_has_uninterpreted(a, self.sigma0):
-                        raise UnsupportedFormula(
-                            f"uninterpreted predicate {f.pred} applied to an "
-                            "argument containing an uninterpreted symbol"
-                        )
+                self._reject_nested("uninterpreted predicate", f.pred, args)
                 return g
             if all(_is_constant_term(a) for a in args):
                 return TRUE if eval_formula(g, self.s, {}) else FALSE
-            if all(not _term_variables_present(a) for a in args):
+            if not free_variables(g):
                 return self._expand_interpreted_atom(g)
             return g
         if isinstance(f, Compare):
@@ -453,10 +424,8 @@ class _SentenceGrounder:
             return Compare(f.op, left, right)
         if isinstance(f, Not):
             return _simp_not(self.fold(f.child))
-        if isinstance(f, And):
-            return _simp_and(self.fold(c) for c in f.children)
-        if isinstance(f, Or):
-            return _simp_or(self.fold(c) for c in f.children)
+        if isinstance(f, (And, Or)):
+            return _simp_junction(isinstance(f, And), (self.fold(c) for c in f.children))
         if isinstance(f, (ForAll, Exists)):
             return _simp_quant(
                 isinstance(f, ForAll), f.var, self.fold(f.body), self.s
@@ -474,24 +443,10 @@ class _SentenceGrounder:
             return self._ground_block(f)
         if isinstance(f, Not):
             return _simp_not(self.ground(f.child))
-        if isinstance(f, And):
-            out = []
-            for c in f.children:
-                g = self.ground(c)
-                if g is FALSE:
-                    return FALSE
-                if g is not TRUE:
-                    out.append(g)
-            return _simp_and(out)
-        if isinstance(f, Or):
-            out = []
-            for c in f.children:
-                g = self.ground(c)
-                if g is TRUE:
-                    return TRUE
-                if g is not FALSE:
-                    out.append(g)
-            return _simp_or(out)
+        if isinstance(f, (And, Or)):
+            return _simp_junction(
+                isinstance(f, And), (self.ground(c) for c in f.children)
+            )
         return f  # ground atom or comparison over uninterpreted symbols
 
     def _ground_block(self, f: Formula) -> Formula:
@@ -502,74 +457,39 @@ class _SentenceGrounder:
         self._at_top = False
         if at_top:
             self.guards = len(guards)
-        if self.strategy == "vec":
-            if len(guards) > self.cap:
-                raise GuardCapExceeded(
-                    f"{len(guards)} guards exceed the split cap of {self.cap}"
-                )
-            return self._block_vec(forall, vars, body, guards, block, at_top)
-        return self._block_naive(forall, vars, body, guards, block, at_top)
+        if self.ev is not None and len(guards) <= self.cap:
+            parts = self._block_vec(forall, vars, body, guards, block, at_top)
+        else:
+            self.fell_back |= self.ev is not None
+            parts = self._block_naive(vars, body, guards, block, at_top)
+        return _simp_junction(forall, parts)
 
-    def _instantiate(
-        self, residual: Formula, vars: list[Variable], idx_tuple: tuple[int, ...]
+    def _bind(
+        self, f: Formula, vars: list[Variable], idx_tuple: tuple[int, ...]
     ) -> Formula:
+        """One instantiation: f with the block's variables set to a tuple."""
         self.instantiations += 1
-        mapping = {v: self._const(v.type, i) for v, i in zip(vars, idx_tuple)}
-        return self.ground(substitute(residual, mapping))
+        return substitute(f, {v: self._const(v.type, i) for v, i in zip(vars, idx_tuple)})
 
-    def _block_vec(
-        self,
-        forall: bool,
-        vars: list[Variable],
-        body: Formula,
-        guards: list[Formula],
-        block: frozenset[Variable],
-        at_top: bool,
-    ) -> Formula:
-        out: list[Formula] = []
+    # The block generators yield the ground parts of a block, constants
+    # included; _ground_block's fold stops drawing at the first deciding
+    # one, so no later tensor is evaluated and no later tuple instantiated.
+
+    def _block_vec(self, forall, vars, body, guards, block, at_top):
         var_tuple = tuple(vars)
-        for signs in itertools.product((True, False), repeat=len(guards)):
-            residual = boolean_simplify(
-                _substitute_guards(body, guards, signs, self.sigma0, block), self.s
-            )
-            if (forall and residual is TRUE) or (not forall and residual is FALSE):
-                continue
+        for signs, residual in _splits(forall, body, guards, self.sigma0, block, self.s):
             if at_top:
                 self.splits_kept += 1
             tensor = self.ev.eval_over(_guard_formula(guards, signs), var_tuple)
-            if residual is FALSE:  # forall: a single match refutes the sentence
+            if residual is TRUE or residual is FALSE:  # decides the block
                 if tensor.any():
-                    return FALSE
-                continue
-            if residual is TRUE:  # exists: a single match settles it
-                if tensor.any():
-                    return TRUE
+                    yield residual
                 continue
             for idx_tuple in tensor.iter_ones():
                 self._tick()
-                g = self._instantiate(residual, vars, idx_tuple)
-                if forall:
-                    if g is FALSE:
-                        return FALSE
-                    if g is not TRUE:
-                        out.append(g)
-                else:
-                    if g is TRUE:
-                        return TRUE
-                    if g is not FALSE:
-                        out.append(g)
-        return _simp_and(out) if forall else _simp_or(out)
+                yield self.ground(self._bind(residual, vars, idx_tuple))
 
-    def _block_naive(
-        self,
-        forall: bool,
-        vars: list[Variable],
-        body: Formula,
-        guards: list[Formula],
-        block: frozenset[Variable],
-        at_top: bool,
-    ) -> Formula:
-        out: list[Formula] = []
+    def _block_naive(self, vars, body, guards, block, at_top):
         residuals: dict[tuple[bool, ...], Formula] = {}
         seen_kept: set[tuple[bool, ...]] = set()
         closed = [g for g in guards if not free_variables(g)]
@@ -591,34 +511,15 @@ class _SentenceGrounder:
             )
             residual = residuals.get(signs)
             if residual is None:
-                residual = boolean_simplify(
-                    _substitute_guards(body, guards, signs, self.sigma0, block),
-                    self.s,
-                )
+                residual = _residual(body, guards, signs, self.sigma0, block, self.s)
                 residuals[signs] = residual
-            if residual is TRUE:
-                if not forall:
-                    return TRUE
-                continue
-            if residual is FALSE:
-                if forall:
-                    return FALSE
+            if residual is TRUE or residual is FALSE:
+                yield residual
                 continue
             if at_top and signs not in seen_kept:
                 seen_kept.add(signs)
                 self.splits_kept += 1
-            g = self._instantiate(residual, vars, idx_tuple)
-            if forall:
-                if g is FALSE:
-                    return FALSE
-                if g is not TRUE:
-                    out.append(g)
-            else:
-                if g is TRUE:
-                    return TRUE
-                if g is not FALSE:
-                    out.append(g)
-        return _simp_and(out) if forall else _simp_or(out)
+            yield self.ground(self._bind(residual, vars, idx_tuple))
 
     # -- the non-reducing strategy -----------------------------------------
 
@@ -632,30 +533,16 @@ class _SentenceGrounder:
             out = []
             for idx_tuple in itertools.product(*(range(n) for n in sizes)):
                 self._tick()
-                self.instantiations += 1
-                mapping = {v: self._const(v.type, i) for v, i in zip(vars, idx_tuple)}
-                out.append(self.ground_noreduce(substitute(body, mapping)))
+                out.append(self.ground_noreduce(self._bind(body, vars, idx_tuple)))
             if not out:
                 # a block over an empty domain unfolds to its neutral constant
                 return TRUE if forall else FALSE
             return And(tuple(out)) if forall else Or(tuple(out))
         if isinstance(f, Not):
             return Not(self.ground_noreduce(f.child))
-        if isinstance(f, And):
-            return And(tuple(self.ground_noreduce(c) for c in f.children))
-        if isinstance(f, Or):
-            return Or(tuple(self.ground_noreduce(c) for c in f.children))
+        if isinstance(f, (And, Or)):
+            return type(f)(tuple(self.ground_noreduce(c) for c in f.children))
         return f
-
-
-def _term_variables_present(t: Term) -> bool:
-    if isinstance(t, Variable):
-        return True
-    if isinstance(t, FunctionApp):
-        return any(_term_variables_present(a) for a in t.args)
-    if isinstance(t, Arith):
-        return _term_variables_present(t.left) or _term_variables_present(t.right)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +552,7 @@ def _term_variables_present(t: Term) -> bool:
 @dataclass(frozen=True, slots=True)
 class SentenceGrounding:
     formula: Formula
-    strategy: str  # strategy actually used (vec may fall back to naive)
+    strategy: str  # naive(fallback) when some vec block fell back to naive
     guards: int
     splits_kept: int
     tensor_bits: int
@@ -681,32 +568,33 @@ def ground_sentence(
     budget: int = DEFAULT_BIT_BUDGET,
     tick: Callable[[], None] | None = None,
 ) -> SentenceGrounding:
-    """Ground one sentence.  vec falls back to naive past the guard cap."""
+    """Ground one sentence.  Under vec, a block past the guard cap is
+    grounded the naive way."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}")
+    ev = SatSetEvaluator(structure, budget, tick) if strategy == "vec" else None
+    return _ground_sentence(f, structure, strategy, cap, ev, tick)
+
+
+def _ground_sentence(f, structure, strategy, cap, ev, tick) -> SentenceGrounding:
+    """ground_sentence with the evaluator (None unless vec) supplied; its
+    peak_bits restarts here, so tensor_bits is this sentence's peak."""
     f = desugar(f)
+    g = _SentenceGrounder(structure, cap, ev, tick)
     if strategy == "noreduce":
-        g = _SentenceGrounder(structure, strategy, cap, budget, tick)
         out = g.ground_noreduce(f)
         return SentenceGrounding(out, strategy, 0, 0, 0, g.instantiations)
-    names = [strategy] if strategy == "naive" else ["vec", "naive(fallback)"]
-    for name in names:
-        g = _SentenceGrounder(structure, name.split("(")[0], cap, budget, tick)
-        try:
-            out = g.ground(f)
-        except GuardCapExceeded:
-            if name == "vec":
-                continue
-            raise
-        return SentenceGrounding(
-            out,
-            name,
-            g.guards,
-            g.splits_kept,
-            g.ev.peak_bits if g.ev is not None else 0,
-            g.instantiations,
-        )
-    raise AssertionError("unreachable")
+    if ev is not None:
+        ev.peak_bits = 0
+    out = g.ground(f)
+    return SentenceGrounding(
+        out,
+        "naive(fallback)" if g.fell_back else strategy,
+        g.guards,
+        g.splits_kept,
+        ev.peak_bits if ev is not None else 0,
+        g.instantiations,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -774,39 +662,25 @@ class GroundTheory:
         )
 
 
-def _structure_facts(structure: Structure, symbols: Iterable[str]) -> list[Formula]:
+def _structure_facts(s: Structure, symbols: Iterable[str]) -> list[Formula]:
     """The interpreted symbols' tables as ground assertions."""
-    s = structure
-    voc = s.voc
     out: list[Formula] = []
     for name in symbols:
-        if name in s.relations:
-            sig = voc.predicates[name]
-            rel = s.relations[name]
-            sizes = [s.domain_size(t) for t in sig]
-            for tup in itertools.product(*(range(n) for n in sizes)):
-                atom = Atom(
-                    name, tuple(s.constant_for(t, s.index_to_value(t, i)) for t, i in zip(sig, tup))
-                )
+        rel = s.relations.get(name)
+        sig = s.voc.functions.get(name)
+        arg_types = s.voc.predicates[name] if rel is not None else sig.args
+        for tup in itertools.product(*(range(s.domain_size(t)) for t in arg_types)):
+            args = tuple(
+                s.constant_for(t, s.index_to_value(t, i))
+                for t, i in zip(arg_types, tup)
+            )
+            if rel is not None:
+                atom = Atom(name, args)
                 out.append(atom if tup in rel else Not(atom))
-        elif name in s.functions:
-            sig = voc.functions[name]
-            table = s.functions[name]
-            sizes = [s.domain_size(t) for t in sig.args]
-            for tup in itertools.product(*(range(n) for n in sizes)):
-                app = FunctionApp(
-                    name,
-                    tuple(
-                        s.constant_for(t, s.index_to_value(t, i))
-                        for t, i in zip(sig.args, tup)
-                    ),
-                )
-                value = table.lookup(tup)
-                if isinstance(sig.codomain, Interval):
-                    const: Term = IntConstant(value)
-                else:
-                    const = s.constant_for(sig.codomain, value)
-                out.append(Compare("=", app, const))
+            else:
+                value = s.functions[name].lookup(tup)
+                const = _codomain_const(s, sig.codomain, value)
+                out.append(Compare("=", FunctionApp(name, args), const))
     return out
 
 
@@ -842,14 +716,14 @@ def ground_problem(
     deadline = None if timeout is None else time.monotonic() + timeout
     tick = make_tick(deadline)
     s = problem.structure
+    # one evaluator for all sentences: a guard they repeat is computed once
+    ev = SatSetEvaluator(s, budget, tick) if strategy == "vec" else None
     rows: list[SentenceStats] = []
     assertions: list[Formula] = []
     refuted = False
     for i, sentence in enumerate(problem.sentences):
         t0 = time.perf_counter()
-        sg = ground_sentence(
-            sentence, s, strategy, cap=cap, budget=budget, tick=tick
-        )
+        sg = _ground_sentence(sentence, s, strategy, cap, ev, tick)
         micros = int((time.perf_counter() - t0) * 1e6)
         rows.append(
             SentenceStats(

@@ -20,6 +20,9 @@ Formulas: ~ & | => <=> with precedence ~ > & > | > => > <=> and a
 right-associative =>; quantifiers `!x in T:` (universal) and `?x in T:`
 (existential) bind to the end of the sentence or enclosing parenthesis.
 Comparisons: = ~= < =< > >=.  Comments run from // to end of line.
+Formulas and terms may nest at most MAX_NESTING_DEPTH levels (each ~,
+parenthesis, quantifier, argument list and binary operator is a level);
+deeper input is a ParseError rather than a stack overflow.
 Implies/Equiv are desugared at parse time; parsed sentences are closed,
 type-checked, and contain only the negation/and/or core.
 """
@@ -67,6 +70,11 @@ from .logic import (
     check_sentence,
     desugar,
 )
+
+# Every later stage (type checking, desugaring, grounding, emission) recurses
+# over the formula tree, a few Python frames per level, so this stays well
+# inside the interpreter's default recursion limit of 1000 frames.
+MAX_NESTING_DEPTH = 100
 
 KEYWORDS = {
     "vocabulary",
@@ -177,6 +185,7 @@ class Parser:
         self.filename = filename
         self.tokens = tokenize(text, filename)
         self.pos = 0
+        self.depth = 0  # nesting of the formula or term being parsed
         self.voc = Vocabulary()
         self.domains: dict[str, tuple[str, ...]] = {}
         self.elements: dict[str, tuple[str, int]] = {}  # name -> (type, index)
@@ -214,6 +223,15 @@ class Parser:
         if t.kind != "ident":
             raise self.error(f"expected {what}, found {t.text!r}")
         return self.next()
+
+    def _deeper(self) -> int:
+        """Enter one more level of nesting; returns the depth before it.
+        Callers restore it when their construct ends (a ParseError ends the
+        whole parse, so it needs no restoring)."""
+        if self.depth == MAX_NESTING_DEPTH:
+            raise self.error(f"nesting deeper than {MAX_NESTING_DEPTH} levels")
+        self.depth += 1
+        return self.depth - 1
 
     def _declare(self, tok: Token) -> str:
         if tok.text in self.names:
@@ -332,15 +350,20 @@ class Parser:
     # -- formulas --------------------------------------------------------------
 
     def parse_formula(self, scope: _Scope) -> Formula:
+        depth = self.depth
         f = self.parse_implication(scope)
         while self.accept("<=>"):
+            self._deeper()
             f = Equiv(f, self.parse_implication(scope))
+        self.depth = depth
         return f
 
     def parse_implication(self, scope: _Scope) -> Formula:
         f = self.parse_disjunction(scope)
         if self.accept("=>"):
-            return Implies(f, self.parse_implication(scope))
+            depth = self._deeper()
+            f = Implies(f, self.parse_implication(scope))
+            self.depth = depth
         return f
 
     def parse_disjunction(self, scope: _Scope) -> Formula:
@@ -356,6 +379,12 @@ class Parser:
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_unary(self, scope: _Scope) -> Formula:
+        depth = self._deeper()
+        f = self._parse_unary(scope)
+        self.depth = depth
+        return f
+
+    def _parse_unary(self, scope: _Scope) -> Formula:
         t = self.peek()
         if t.text == "~":
             self.next()
@@ -428,20 +457,32 @@ class Parser:
     # -- terms -----------------------------------------------------------------
 
     def parse_term(self, scope: _Scope) -> Term:
+        depth = self.depth
         t = self.parse_mul(scope)
         while self.peek().text in ("+", "-") and self.peek().kind == "op":
             op = self.next().text
+            self._deeper()
             t = Arith(op, t, self.parse_mul(scope))
+        self.depth = depth
         return t
 
     def parse_mul(self, scope: _Scope) -> Term:
+        depth = self.depth
         t = self.parse_prim(scope)
         while self.peek().text == "*" and self.peek().kind == "op":
             self.next()
+            self._deeper()
             t = Arith("*", t, self.parse_prim(scope))
+        self.depth = depth
         return t
 
     def parse_prim(self, scope: _Scope) -> Term:
+        depth = self._deeper()
+        t = self._parse_prim(scope)
+        self.depth = depth
+        return t
+
+    def _parse_prim(self, scope: _Scope) -> Term:
         t = self.peek()
         if t.kind == "int":
             self.next()

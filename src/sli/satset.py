@@ -78,7 +78,8 @@ class SatSet:
 class SatSetEvaluator:
     """Evaluates satisfying sets against one fixed structure.
 
-    Not thread-safe; create one per grounding task.  `tick`, when given,
+    Not thread-safe; one serves all sentences of a grounding task, and
+    `peak_bits` may be reset between them.  `tick`, when given,
     is called once per node evaluation and once per piece of a long
     kernel (cooperative deadline checks).
     """
@@ -93,6 +94,7 @@ class SatSetEvaluator:
         self.budget = budget
         self.tick = tick
         self.memo: dict[Formula, BitTensor] = {}
+        self._memo_peak: dict[Formula, int] = {}  # peak bits of computing each entry
         self.peak_bits = 0
         self._rel_keys: dict[str, np.ndarray] = {}
         self._fun_flat: dict[str, np.ndarray] = {}
@@ -113,14 +115,19 @@ class SatSetEvaluator:
     # -- public entry points ----------------------------------------------------
 
     def eval(self, f: Formula) -> BitTensor:
-        """Tensor over free(f) in first-appearance order."""
+        """Tensor over free(f) in first-appearance order.  A memo hit
+        raises peak_bits as computing f afresh would have."""
         hit = self.memo.get(f)
         if hit is not None:
+            self.peak_bits = max(self.peak_bits, self._memo_peak[f])
             return hit
         if self.tick is not None:
             self.tick()
+        outer, self.peak_bits = self.peak_bits, 0
         t = self._eval(f)
         self.memo[f] = t
+        self._memo_peak[f] = self.peak_bits
+        self.peak_bits = max(outer, self.peak_bits)
         return t
 
     def eval_over(self, f: Formula, vars: tuple[Variable, ...]) -> BitTensor:

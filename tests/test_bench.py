@@ -222,16 +222,6 @@ def test_no_emit_skips_emission_timing():
     assert r.emit_us is None and r.ground_us is not None and r.timeout == 0
 
 
-def test_parallel_jobs_keep_row_order():
-    specs = [
-        BenchSpec("ci", 30, 0.2, s, "sat") for s in range(4)
-    ] + [BenchSpec("tg", 12, seed=s) for s in range(4)]
-    seq = run_bench(specs, ["vec", "naive"], jobs=1)
-    par = run_bench(specs, ["vec", "naive"], jobs=3)
-    fixed = lambda r: (r.benchmark, r.instance, r.strategy, r.verdict, r.assertions)
-    assert [fixed(r) for r in seq] == [fixed(r) for r in par]
-
-
 def test_run_one_matches_direct_grounding():
     spec = BenchSpec("tg", 30, seed=8)
     prob = generate(spec)

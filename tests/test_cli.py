@@ -1,10 +1,16 @@
 """CLI surface: subcommands, outputs, exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sli
+import sli.cli
 from sli.cli import main
+from sli.parser import MAX_NESTING_DEPTH
 
 DATA = Path(__file__).parent / "data"
 
@@ -164,7 +170,7 @@ def test_bench_invalid_spec_is_usage_error(capsys):
     assert "variant" in capsys.readouterr().err
 
 
-def test_bench_multiple_sizes_and_jobs(tmp_path):
+def test_bench_multiple_sizes(tmp_path):
     out = tmp_path / "r.csv"
     rc = main(
         [
@@ -178,8 +184,6 @@ def test_bench_multiple_sizes_and_jobs(tmp_path):
             "4",
             "--strategies",
             "vec",
-            "--jobs",
-            "2",
             "--no-emit",
             "--out",
             str(out),
@@ -204,3 +208,90 @@ def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 1
+
+
+def test_summary_names_the_strategies_that_ran(tmp_path, capsys):
+    preds = "\n".join(f"  pred p{i}(T)." for i in range(9))
+    rels = "\n".join(f"  p{i} := {{a}}." for i in range(9))
+    body = " | ".join(f"p{i}(x)" for i in range(9))
+    src = tmp_path / "cap.sli"
+    src.write_text(
+        f"""
+vocabulary {{
+  type T := {{a, b}}.
+{preds}
+  pred u(T).
+}}
+theory {{
+  !x in T: p0(x) | u(x).
+  !x in T: {body} | u(x).
+}}
+structure {{
+{rels}
+}}
+"""
+    )
+    assert main(["ground", str(src)]) == 0
+    assert "verdict open, 2 assertions (vec, naive(fallback))" in capsys.readouterr().err
+    assert main(["ground", str(src), "--cap", "9"]) == 0
+    assert "verdict open, 2 assertions (vec)" in capsys.readouterr().err
+
+
+DEEP_HEAD = "vocabulary {\n  type T := {a, b}.\n  pred p(T).\n  pred u(T).\n}\ntheory {\n"
+DEEP_TAIL = "\n}\nstructure {\n  p := {a}.\n}\n"
+
+
+@pytest.mark.parametrize(
+    "sentence",
+    [
+        "!x in T: " + "~" * 3000 + "u(x).",
+        "!x in T: " + "(" * 3000 + "u(x)" + ")" * 3000 + ".",
+    ],
+    ids=["negations", "parentheses"],
+)
+def test_deep_nesting_is_an_input_error(tmp_path, sentence):
+    src = tmp_path / "deep.sli"
+    src.write_text(DEEP_HEAD + sentence + DEEP_TAIL)
+    env = {**os.environ, "PYTHONPATH": str(Path(sli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sli.cli", "ground", str(src)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "nesting deeper than" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("strategy", ["vec", "noreduce"])
+def test_nesting_at_the_limit_grounds(tmp_path, capsys, strategy):
+    # the quantifier, the atom p(x) and its argument x take three levels
+    k = MAX_NESTING_DEPTH - 3
+    cases = [
+        ("!x in T: " + "~" * k + "p(x) | u(x).", 0),
+        ("!x in T: " + "(" * k + "p(x) | u(x)" + ")" * k + ".", 0),
+        ("!x in T: " + "~" * (k + 1) + "p(x) | u(x).", 2),
+        ("!x in T: " + "(" * (k + 1) + "p(x) | u(x)" + ")" * (k + 1) + ".", 2),
+    ]
+    src = tmp_path / "limit.sli"
+    out = tmp_path / "limit.smt2"
+    for sentence, code in cases:
+        src.write_text(DEEP_HEAD + sentence + DEEP_TAIL)
+        rc = main(["ground", str(src), "--strategy", strategy, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == code, err
+        assert "Traceback" not in err
+        if code == 0:
+            assert "(assert" in out.read_text()
+
+
+def test_memory_error_is_a_resource_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(sli.cli, "ground_problem", exhausted)
+    src = tmp_path / "cover.sli"
+    src.write_text(COVER_SRC)
+    assert main(["ground", str(src)]) == 3
+    assert "out of memory" in capsys.readouterr().err

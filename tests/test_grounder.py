@@ -49,6 +49,7 @@ from sli.logic import (
     eval_formula,
 )
 from sli.parser import Problem, parse_problem, print_formula
+from sli.satset import SatSetEvaluator
 
 STRATEGIES = ("vec", "naive", "noreduce")
 
@@ -558,3 +559,135 @@ def test_mx_preservation_randomized():
             assert got == truth, f"{[print_formula(f) for f in sentences]}"
         done += 1
     assert done >= 120
+
+
+def test_inner_block_past_cap_falls_back_alone():
+    # an outer forall block with one guard over an inner exists block with
+    # nine, each inner guard with its own uninterpreted conjunct
+    preds = "\n".join(f"  pred p{i}(T)." for i in range(9))
+    rels = "\n".join(f"  p{i} := {{{'abc'[i % 3]}}}." for i in range(9))
+    inner = " | ".join(f"(p{i}(y) & u(x, y))" for i in range(9))
+    prob = problem(
+        f"""
+vocabulary {{
+  type T := {{a, b, c}}.
+{preds}
+  pred q(T).
+  pred u(T, T).
+}}
+theory {{
+  !x in T: q(x) => ?y in T: {inner}.
+}}
+structure {{
+{rels}
+  q := {{a, c}}.
+}}
+"""
+    )
+    vec = ground_problem(prob, "vec")
+    naive = ground_problem(prob, "naive")
+    (row,) = vec.stats.rows
+    assert row.strategy == "naive(fallback)"
+    # the outer block stayed vectorized: its guard was evaluated on tensors
+    assert row.guards == 1 and row.tensor_bits == 3
+    assert vec.verdict == naive.verdict == "open"
+    checked = 0
+    for full in candidate_structures(prob.structure):
+        want = theory_holds(prob.sentences, full)
+        assert ground_theory_holds(vec, full) == ground_theory_holds(naive, full) == want
+        checked += 1
+    assert checked == 2**9
+
+
+def test_one_evaluator_per_problem(monkeypatch):
+    created, computed = [], []
+    init, evaluate = SatSetEvaluator.__init__, SatSetEvaluator._eval
+
+    def counting_init(self, *args, **kwargs):
+        created.append(self)
+        init(self, *args, **kwargs)
+
+    def recording_eval(self, f):
+        computed.append(f)
+        return evaluate(self, f)
+
+    monkeypatch.setattr(SatSetEvaluator, "__init__", counting_init)
+    monkeypatch.setattr(SatSetEvaluator, "_eval", recording_eval)
+    prob = problem(QUEENS.format(n=8))
+    gt = ground_problem(prob, "vec")
+    assert len(created) == 1
+    x, y = (Variable(v, "N") for v in "xy")
+    assert computed.count(Compare("~=", x, y)) == 1
+    assert [r.tensor_bits for r in gt.stats.rows] == [64, 64, 64]
+    assert [r.strategy for r in gt.stats.rows] == ["vec"] * 3
+
+
+def test_refuting_tuple_stops_the_block(monkeypatch):
+    src = """
+vocabulary {
+  type T := {a, b, c}.
+  pred p(T).
+  pred q(T).
+  pred r(T, T).
+  pred u(T).
+  pred w(T).
+}
+theory {
+  !x in T: (p(x) => !y in T: ~r(x, y) & w(y)) & (q(x) | u(x)).
+}
+structure {
+  p := {a, b}.
+  q := {a, b}.
+  r := {(a, b), (b, c)}.
+}
+"""
+    prob = problem(src)
+    splits = guard_split(prob.sentences[0], prob.structure)
+    assert [sp.sign_vector for sp in splits] == [
+        (True, True),
+        (True, False),
+        (False, False),
+    ]
+    seen = []
+    eval_over = SatSetEvaluator.eval_over
+
+    def recording_eval_over(self, f, vars):
+        seen.append(f)
+        return eval_over(self, f, vars)
+
+    monkeypatch.setattr(SatSetEvaluator, "eval_over", recording_eval_over)
+    gt = ground_problem(prob, "vec")
+    assert gt.verdict == "unsat-trivial"
+    # the first split's first tuple, x = a, grounds to FALSE, since r(a, b)
+    # refutes its inner block; the second tuple of that split (x = b) and
+    # the later splits are never reached
+    assert gt.stats.rows[0].instantiations == 1
+    assert splits[0].guard_formula in seen
+    assert not any(sp.guard_formula in seen for sp in splits[1:])
+
+
+def test_shared_evaluator_keeps_per_sentence_peaks():
+    # both sentences lift the guard ?z: r(x, z), whose r(x, z) tensor (16
+    # bits) is larger than the guard's own (4 bits); the second sentence
+    # finds the guard in the memo and must still report 16
+    src = """
+vocabulary {
+  type T := {a, b, c, d}.
+  pred r(T, T).
+  pred u(T).
+  pred w(T).
+}
+theory {
+  !x in T: (?z in T: r(x, z)) | u(x).
+  !x in T: (?z in T: r(x, z)) | w(x).
+}
+structure {
+  r := {(a, b), (c, c)}.
+}
+"""
+    prob = problem(src)
+    gt = ground_problem(prob, "vec")
+    alone = [
+        ground_sentence(f, prob.structure, "vec").tensor_bits for f in prob.sentences
+    ]
+    assert [r.tensor_bits for r in gt.stats.rows] == alone == [16, 16]
