@@ -22,6 +22,10 @@ conjunction or disjunction that stops at the first deciding part.
 vec and naive emit the same instantiations (each tuple realizes exactly one
 sign vector), differing only in conjunct order and in how the interpreted
 part is evaluated.
+
+One run object, _SentenceGrounder, serves a grounding call: it owns the
+deadline check (also the evaluator's tick), the evaluator, the constant
+cache and the SentenceStats row it fills in place.
 """
 
 from __future__ import annotations
@@ -149,7 +153,7 @@ def maximal_interpreted_subformulas(
 
     Leading negations are peeled off before deduplication, so a condition
     and its desugared negation collapse onto the same core formula."""
-    return _collect_guards(f, sigma0, None)
+    return _collect_guards(f, sigma0, None, lambda: None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,15 +187,16 @@ def _liftable(n: Formula, sigma0, block: frozenset[Variable] | None) -> bool:
 
 
 def _collect_guards(
-    body: Formula, sigma0, block: frozenset[Variable] | None
+    body: Formula, sigma0, block: frozenset[Variable] | None, check: Callable[[], None]
 ) -> list[Formula]:
     """Negation-stripped, deduplicated guards of one block, in order of
     first appearance; block None admits any variables.  Subformulas whose
     variables are bound deeper stay in the residual and are lifted when the
-    inner block is ground."""
+    inner block is ground.  check is called at every node visited."""
     out: list[Formula] = []
 
     def walk(n: Formula) -> None:
+        check()
         if _liftable(n, sigma0, block):
             _, core = _strip_negations(n)
             if core is not TRUE and core is not FALSE and core not in out:
@@ -215,10 +220,13 @@ def _substitute_guards(
     signs: tuple[bool, ...],
     sigma0,
     block: frozenset[Variable],
+    check: Callable[[], None],
 ) -> Formula:
-    """Replace every maximal liftable subformula by its sign's constant."""
+    """Replace every maximal liftable subformula by its sign's constant;
+    check is called at every node visited."""
 
     def walk(n: Formula) -> Formula:
+        check()
         if _liftable(n, sigma0, block):
             flipped, core = _strip_negations(n)
             if core is TRUE or core is FALSE:
@@ -237,21 +245,6 @@ def _substitute_guards(
     return walk(body)
 
 
-def _residual(body, guards, signs, sigma0, block, s: Structure) -> Formula:
-    """The block body under one sign vector, simplified."""
-    return boolean_simplify(_substitute_guards(body, guards, signs, sigma0, block), s)
-
-
-def _splits(forall: bool, body, guards, sigma0, block, s: Structure):
-    """(signs, residual) of every split whose residual is not vacuous (TRUE
-    under a forall block, FALSE under an exists block), lazily."""
-    vacuous = TRUE if forall else FALSE
-    for signs in itertools.product((True, False), repeat=len(guards)):
-        residual = _residual(body, guards, signs, sigma0, block, s)
-        if residual is not vacuous:
-            yield signs, residual
-
-
 def _guard_formula(guards: list[Formula], signs: tuple[bool, ...]) -> Formula:
     return _simp_junction(
         True, (g if sign else Not(g) for g, sign in zip(guards, signs))
@@ -265,16 +258,16 @@ def guard_split(
     if not isinstance(f, (ForAll, Exists)):
         raise UnsupportedFormula("guard_split expects a quantified formula")
     forall, vars, body = _block_of(f)
-    sigma0 = structure.interpreted_symbols
+    g = _SentenceGrounder(structure, "naive", cap)
     block = frozenset(vars)
-    guards = _collect_guards(body, sigma0, block)
+    guards = _collect_guards(body, g.sigma0, block, g.check)
     if len(guards) > cap:
         raise GuardCapExceeded(
             f"{len(guards)} guards exceed the split cap of {cap}"
         )
     return [
         GuardSplit(tuple(guards), signs, _guard_formula(guards, signs), residual)
-        for signs, residual in _splits(forall, body, guards, sigma0, block, structure)
+        for signs, residual in g._splits(forall, body, guards, block)
     ]
 
 
@@ -305,33 +298,57 @@ def _codomain_const(s: Structure, codomain, value: int) -> Term:
 
 
 class _SentenceGrounder:
-    """Grounds one closed formula against one structure: the vec way when
-    given an evaluator, the naive way otherwise."""
+    """The run object of one grounding call: strategy and guard cap, the
+    deadline `check`, the evaluator (vec only; shared by all sentences), the
+    constant cache, and the row of the sentence being ground."""
 
     def __init__(
         self,
         structure: Structure,
+        strategy: str,
         cap: int = DEFAULT_GUARD_CAP,
-        ev: SatSetEvaluator | None = None,
-        tick: Callable[[], None] | None = None,
+        budget: int = DEFAULT_BIT_BUDGET,
+        timeout: float | None = None,
     ):
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy: {strategy}")
         self.s = structure
         self.sigma0 = structure.interpreted_symbols
+        self.strategy = strategy
         self.cap = cap
-        self.tick = tick
-        self.ev = ev
-        self.guards = 0
-        self.splits_kept = 0
-        self.instantiations = 0
-        self.fell_back = False
-        self._at_top = True
+        deadline = None if timeout is None else time.monotonic() + timeout
+
+        def check() -> None:
+            """Raise GroundingTimeout past the deadline.  Not a method: the
+            evaluator keeps its tick, and a bound method would make a cycle
+            that keeps the evaluator's memo alive after the call."""
+            if deadline is not None and time.monotonic() > deadline:
+                raise GroundingTimeout("grounding exceeded its deadline")
+
+        self.check = check
+        self.ev = SatSetEvaluator(structure, budget, check) if strategy == "vec" else None
+        # blocks whose parts are being drawn; 1 while an outermost block's are
+        self._open_blocks = 0
         self._const_cache: dict[tuple[str, int], Term] = {}
 
-    # -- shared helpers ---------------------------------------------------
+    def sentence(self, f: Formula, sentence_id: int = 0) -> SentenceStats:
+        """Ground one sentence into a fresh row; tensor_bits is the peak of
+        this sentence alone."""
+        t0 = time.perf_counter()
+        self.row = row = SentenceStats(sentence_id, self.strategy)
+        f = desugar(f)
+        if self.strategy == "noreduce":
+            row.formula = self.ground_noreduce(f)
+        elif self.ev is None:
+            row.formula = self.ground(f)
+        else:
+            self.ev.peak_bits = 0
+            row.formula = self.ground(f)
+            row.tensor_bits = self.ev.peak_bits
+        row.micros = int((time.perf_counter() - t0) * 1e6)
+        return row
 
-    def _tick(self) -> None:
-        if self.tick is not None:
-            self.tick()
+    # -- shared helpers ---------------------------------------------------
 
     def _const(self, type_name: str, index: int) -> Term:
         key = (type_name, index)
@@ -348,6 +365,22 @@ class _SentenceGrounder:
                     f"{symbol} {name} applied to an argument containing an "
                     "uninterpreted symbol"
                 )
+
+    # -- sign splits ------------------------------------------------------
+
+    def _residual(self, body, guards, signs, block) -> Formula:
+        """The block body under one sign vector, simplified."""
+        subbed = _substitute_guards(body, guards, signs, self.sigma0, block, self.check)
+        return boolean_simplify(subbed, self.s)
+
+    def _splits(self, forall: bool, body, guards, block):
+        """(signs, residual) of every split whose residual is not vacuous
+        (TRUE under a forall block, FALSE under an exists block), lazily."""
+        vacuous = TRUE if forall else FALSE
+        for signs in itertools.product((True, False), repeat=len(guards)):
+            residual = self._residual(body, guards, signs, block)
+            if residual is not vacuous:
+                yield signs, residual
 
     # -- folding ----------------------------------------------------------
 
@@ -401,6 +434,7 @@ class _SentenceGrounder:
         """Evaluate ground interpreted leaves, fold interpreted terms, and
         propagate constants.  Quantified subformulas are never evaluated
         here; they are lifted as guards instead."""
+        self.check()
         if f is TRUE or f is FALSE:
             return f
         if isinstance(f, Atom):
@@ -435,7 +469,6 @@ class _SentenceGrounder:
     # -- grounding --------------------------------------------------------
 
     def ground(self, f: Formula) -> Formula:
-        self._tick()
         f = self.fold(f)
         if f is TRUE or f is FALSE:
             return f
@@ -452,53 +485,60 @@ class _SentenceGrounder:
     def _ground_block(self, f: Formula) -> Formula:
         forall, vars, body = _block_of(f)
         block = frozenset(vars)
-        guards = _collect_guards(body, self.sigma0, block)
-        at_top = self._at_top
-        self._at_top = False
-        if at_top:
-            self.guards = len(guards)
+        guards = _collect_guards(body, self.sigma0, block, self.check)
+        if not self._open_blocks:  # an outermost block
+            self.row.guards += len(guards)
         if self.ev is not None and len(guards) <= self.cap:
-            parts = self._block_vec(forall, vars, body, guards, block, at_top)
+            parts = self._block_vec(forall, vars, body, guards, block)
         else:
-            self.fell_back |= self.ev is not None
-            parts = self._block_naive(vars, body, guards, block, at_top)
-        return _simp_junction(forall, parts)
+            if self.ev is not None:
+                self.row.strategy = "naive(fallback)"
+            parts = self._block_naive(vars, body, guards, block)
+        self._open_blocks += 1
+        try:
+            return _simp_junction(forall, parts)
+        finally:
+            self._open_blocks -= 1
+
+    def _count_split(self) -> None:
+        """A kept split of the block being drawn, if that block is outermost."""
+        if self._open_blocks == 1:
+            self.row.splits_kept += 1
 
     def _bind(
         self, f: Formula, vars: list[Variable], idx_tuple: tuple[int, ...]
     ) -> Formula:
         """One instantiation: f with the block's variables set to a tuple."""
-        self.instantiations += 1
+        self.row.instantiations += 1
         return substitute(f, {v: self._const(v.type, i) for v, i in zip(vars, idx_tuple)})
 
     # The block generators yield the ground parts of a block, constants
     # included; _ground_block's fold stops drawing at the first deciding
     # one, so no later tensor is evaluated and no later tuple instantiated.
+    # Each instantiation is checked against the deadline by fold.
 
-    def _block_vec(self, forall, vars, body, guards, block, at_top):
+    def _block_vec(self, forall, vars, body, guards, block):
         var_tuple = tuple(vars)
-        for signs, residual in _splits(forall, body, guards, self.sigma0, block, self.s):
-            if at_top:
-                self.splits_kept += 1
+        for signs, residual in self._splits(forall, body, guards, block):
+            self._count_split()
             tensor = self.ev.eval_over(_guard_formula(guards, signs), var_tuple)
             if residual is TRUE or residual is FALSE:  # decides the block
                 if tensor.any():
                     yield residual
                 continue
             for idx_tuple in tensor.iter_ones():
-                self._tick()
                 yield self.ground(self._bind(residual, vars, idx_tuple))
 
-    def _block_naive(self, vars, body, guards, block, at_top):
+    def _block_naive(self, vars, body, guards, block):
         residuals: dict[tuple[bool, ...], Formula] = {}
-        seen_kept: set[tuple[bool, ...]] = set()
+        kept: set[tuple[bool, ...]] = set()
         closed = [g for g in guards if not free_variables(g)]
         closed_signs = {
             id(g): bool(eval_formula(g, self.s, {})) for g in closed
         }
         sizes = [self.s.domain_size(v.type) for v in vars]
         for idx_tuple in itertools.product(*(range(n) for n in sizes)):
-            self._tick()
+            self.check()  # vacuous tuples reach no fold
             env = {
                 v.name: self.s.index_to_value(v.type, i)
                 for v, i in zip(vars, idx_tuple)
@@ -511,29 +551,29 @@ class _SentenceGrounder:
             )
             residual = residuals.get(signs)
             if residual is None:
-                residual = _residual(body, guards, signs, self.sigma0, block, self.s)
+                residual = self._residual(body, guards, signs, block)
                 residuals[signs] = residual
             if residual is TRUE or residual is FALSE:
                 yield residual
                 continue
-            if at_top and signs not in seen_kept:
-                seen_kept.add(signs)
-                self.splits_kept += 1
+            if signs not in kept:
+                kept.add(signs)
+                self._count_split()
             yield self.ground(self._bind(residual, vars, idx_tuple))
 
     # -- the non-reducing strategy -----------------------------------------
 
     def ground_noreduce(self, f: Formula) -> Formula:
-        self._tick()
+        self.check()
         if f is TRUE or f is FALSE:
             return f
         if isinstance(f, (ForAll, Exists)):
             forall, vars, body = _block_of(f)
             sizes = [self.s.domain_size(v.type) for v in vars]
-            out = []
-            for idx_tuple in itertools.product(*(range(n) for n in sizes)):
-                self._tick()
-                out.append(self.ground_noreduce(self._bind(body, vars, idx_tuple)))
+            out = [
+                self.ground_noreduce(self._bind(body, vars, idx_tuple))
+                for idx_tuple in itertools.product(*(range(n) for n in sizes))
+            ]
             if not out:
                 # a block over an empty domain unfolds to its neutral constant
                 return TRUE if forall else FALSE
@@ -549,14 +589,19 @@ class _SentenceGrounder:
 # Sentence and problem entry points
 
 
-@dataclass(frozen=True, slots=True)
-class SentenceGrounding:
-    formula: Formula
-    strategy: str  # naive(fallback) when some vec block fell back to naive
-    guards: int
-    splits_kept: int
-    tensor_bits: int
-    instantiations: int
+@dataclass(slots=True)
+class SentenceStats:
+    """One sentence's ground formula and --stats row.  guards and
+    splits_kept count its outermost blocks, instantiations every block."""
+
+    sentence_id: int
+    strategy: str
+    guards: int = 0
+    splits_kept: int = 0
+    tensor_bits: int = 0
+    instantiations: int = 0
+    micros: int = 0
+    formula: Formula = TRUE
 
 
 def ground_sentence(
@@ -566,46 +611,10 @@ def ground_sentence(
     *,
     cap: int = DEFAULT_GUARD_CAP,
     budget: int = DEFAULT_BIT_BUDGET,
-    tick: Callable[[], None] | None = None,
-) -> SentenceGrounding:
-    """Ground one sentence.  Under vec, a block past the guard cap is
-    grounded the naive way."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy: {strategy}")
-    ev = SatSetEvaluator(structure, budget, tick) if strategy == "vec" else None
-    return _ground_sentence(f, structure, strategy, cap, ev, tick)
-
-
-def _ground_sentence(f, structure, strategy, cap, ev, tick) -> SentenceGrounding:
-    """ground_sentence with the evaluator (None unless vec) supplied; its
-    peak_bits restarts here, so tensor_bits is this sentence's peak."""
-    f = desugar(f)
-    g = _SentenceGrounder(structure, cap, ev, tick)
-    if strategy == "noreduce":
-        out = g.ground_noreduce(f)
-        return SentenceGrounding(out, strategy, 0, 0, 0, g.instantiations)
-    if ev is not None:
-        ev.peak_bits = 0
-    out = g.ground(f)
-    return SentenceGrounding(
-        out,
-        "naive(fallback)" if g.fell_back else strategy,
-        g.guards,
-        g.splits_kept,
-        ev.peak_bits if ev is not None else 0,
-        g.instantiations,
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class SentenceStats:
-    sentence_id: int
-    strategy: str
-    guards: int
-    splits_kept: int
-    tensor_bits: int
-    instantiations: int
-    micros: int
+) -> SentenceStats:
+    """Ground one sentence into its row, sentence_id 0, with no deadline.
+    Under vec, a block past the guard cap is grounded the naive way."""
+    return _SentenceGrounder(structure, strategy, cap, budget).sentence(f)
 
 
 STATS_HEADER = "sentence-id,strategy,guards,splits-kept,tensor-bits,instantiations,micros"
@@ -691,17 +700,6 @@ def _split_assertions(g: Formula) -> list[Formula]:
     return [g]
 
 
-def make_tick(deadline: float | None) -> Callable[[], None] | None:
-    if deadline is None:
-        return None
-
-    def tick() -> None:
-        if time.monotonic() > deadline:
-            raise GroundingTimeout("grounding exceeded its deadline")
-
-    return tick
-
-
 def ground_problem(
     problem: Problem,
     strategy: str,
@@ -711,36 +709,19 @@ def ground_problem(
     timeout: float | None = None,
 ) -> GroundTheory:
     """Ground every sentence, short-circuiting on a refuted one."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy: {strategy}")
-    deadline = None if timeout is None else time.monotonic() + timeout
-    tick = make_tick(deadline)
     s = problem.structure
-    # one evaluator for all sentences: a guard they repeat is computed once
-    ev = SatSetEvaluator(s, budget, tick) if strategy == "vec" else None
+    g = _SentenceGrounder(s, strategy, cap, budget, timeout)
     rows: list[SentenceStats] = []
     assertions: list[Formula] = []
     refuted = False
     for i, sentence in enumerate(problem.sentences):
-        t0 = time.perf_counter()
-        sg = _ground_sentence(sentence, s, strategy, cap, ev, tick)
-        micros = int((time.perf_counter() - t0) * 1e6)
-        rows.append(
-            SentenceStats(
-                i,
-                sg.strategy,
-                sg.guards,
-                sg.splits_kept,
-                sg.tensor_bits,
-                sg.instantiations,
-                micros,
-            )
-        )
-        if sg.formula is FALSE:
+        row = g.sentence(sentence, i)
+        rows.append(row)
+        if row.formula is FALSE:
             refuted = True
             break
-        if sg.formula is not TRUE:
-            assertions.extend(_split_assertions(sg.formula))
+        if row.formula is not TRUE:
+            assertions.extend(_split_assertions(row.formula))
     stats = GroundingStats(tuple(rows))
     mode = "unfolded" if strategy == "noreduce" else "reduced"
     if refuted:

@@ -295,25 +295,34 @@ def symbols_of(f: Formula) -> frozenset[str]:
 
 
 def desugar(f: Formula) -> Formula:
-    """Rewrite Implies/Equiv into the negation/and/or core."""
-    if isinstance(f, (TrueFormula, FalseFormula, Atom, Compare)):
-        return f
-    if isinstance(f, Not):
-        return Not(desugar(f.child))
-    if isinstance(f, And):
-        return And(tuple(desugar(c) for c in f.children))
-    if isinstance(f, Or):
-        return Or(tuple(desugar(c) for c in f.children))
-    if isinstance(f, Implies):
-        return Or((Not(desugar(f.left)), desugar(f.right)))
-    if isinstance(f, Equiv):
-        a, b = desugar(f.left), desugar(f.right)
-        return And((Or((Not(a), b)), Or((Not(b), a))))
-    if isinstance(f, ForAll):
-        return ForAll(f.var, desugar(f.body))
-    if isinstance(f, Exists):
-        return Exists(f.var, desugar(f.body))
-    raise TypeError(f"not a formula: {f!r}")
+    """Rewrite Implies/Equiv into the negation/and/or core.  `a <=> b`
+    holds each operand twice, so a chain of them is a DAG; each node is
+    rewritten once per call and its result shared, which keeps the DAG a
+    DAG instead of a tree that doubles with each link."""
+    done: dict[int, Formula] = {}  # id of an input node -> its rewrite
+
+    def walk(g: Formula) -> Formula:
+        if id(g) not in done:
+            done[id(g)] = rewrite(g)
+        return done[id(g)]
+
+    def rewrite(g: Formula) -> Formula:
+        if isinstance(g, (TrueFormula, FalseFormula, Atom, Compare)):
+            return g
+        if isinstance(g, Not):
+            return Not(walk(g.child))
+        if isinstance(g, (And, Or)):
+            return type(g)(tuple(walk(c) for c in g.children))
+        if isinstance(g, Implies):
+            return Or((Not(walk(g.left)), walk(g.right)))
+        if isinstance(g, Equiv):
+            a, b = walk(g.left), walk(g.right)
+            return And((Or((Not(a), b)), Or((Not(b), a))))
+        if isinstance(g, (ForAll, Exists)):
+            return type(g)(g.var, walk(g.body))
+        raise TypeError(f"not a formula: {g!r}")
+
+    return walk(f)
 
 
 def substitute_term(t: Term, mapping: Mapping[Variable, Term]) -> Term:

@@ -320,6 +320,8 @@ class Parser:
         self.expect("]")
         if hi < lo:
             raise self.error(f"empty interval Int[{lo}..{hi}]")
+        if lo < -(2**63) or hi >= 2**63:
+            raise self.error(f"interval Int[{lo}..{hi}] exceeds 64 bits")
         return lo, hi
 
     def parse_int_literal(self) -> int:

@@ -37,7 +37,7 @@ from .bittensor import (
     checked_gather,
     pack_pointwise,
 )
-from .errors import IndexOutOfRange, UninterpretedSymbol, UnknownVariable
+from .errors import ArithmeticOverflow, IndexOutOfRange, UninterpretedSymbol, UnknownVariable
 from .logic import (
     And,
     Arith,
@@ -59,6 +59,8 @@ from .logic import (
     free_variables,
 )
 
+_INT64 = np.iinfo(np.int64)
+
 
 @dataclass(frozen=True)
 class SatSet:
@@ -79,9 +81,10 @@ class SatSetEvaluator:
     """Evaluates satisfying sets against one fixed structure.
 
     Not thread-safe; one serves all sentences of a grounding task, and
-    `peak_bits` may be reset between them.  `tick`, when given,
-    is called once per node evaluation and once per piece of a long
-    kernel (cooperative deadline checks).
+    `peak_bits` may be reset between them.  `tick`, when given, is called
+    once per node evaluation and once per piece of a long kernel; the
+    grounder passes its run object's deadline check, which raises
+    GroundingTimeout once the deadline has passed.
     """
 
     def __init__(
@@ -323,6 +326,8 @@ class SatSetEvaluator:
         if isinstance(t, DomainConstant):
             return np.full(self._unit(shape), t.index, dtype=np.int64)
         if isinstance(t, IntConstant):
+            if not _INT64.min <= t.value <= _INT64.max:
+                raise ArithmeticOverflow(f"integer literal {t.value} exceeds 64 bits")
             return np.full(self._unit(shape), t.value, dtype=np.int64)
         if isinstance(t, FunctionApp):
             if not self.s.interprets(t.name):

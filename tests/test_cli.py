@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -295,3 +296,40 @@ def test_memory_error_is_a_resource_error(tmp_path, capsys, monkeypatch):
     src.write_text(COVER_SRC)
     assert main(["ground", str(src)]) == 3
     assert "out of memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", ["vec", "naive"])
+def test_timeout_holds_on_an_equivalence_chain(tmp_path, capsys, strategy):
+    # a <=> b holds a and b twice, so 30 links make a DAG whose tree has
+    # about 2^30 nodes; grounding must still stop at the deadline
+    chain = " <=> ".join(["u(x)"] * 31)
+    src = tmp_path / "chain.sli"
+    src.write_text(DEEP_HEAD + f"!x in T: {chain}." + DEEP_TAIL)
+    t0 = time.monotonic()
+    rc = main(["ground", str(src), "--strategy", strategy, "--timeout", "1"])
+    assert rc == 3
+    assert time.monotonic() - t0 < 5
+    assert "deadline" in capsys.readouterr().err
+
+
+HUGE_LITERAL_SRC = """\
+vocabulary {
+  type N := Int[1..3].
+  pred u(N, N).
+}
+theory {
+  !x, y in N: x ~= 99999999999999999999 => u(x, y).
+}
+structure {
+}
+"""
+
+
+def test_huge_integer_literal(tmp_path, capsys):
+    src = tmp_path / "huge.sli"
+    src.write_text(HUGE_LITERAL_SRC)
+    assert main(["ground", str(src)]) == 3
+    assert "exceeds 64 bits" in capsys.readouterr().err
+    for strategy in ("naive", "noreduce"):
+        assert main(["ground", str(src), "--strategy", strategy]) == 0
+        assert "verdict open, 9 assertions" in capsys.readouterr().err

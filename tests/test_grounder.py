@@ -534,6 +534,58 @@ def test_stats_csv_shape():
     assert gt.stats.total_instantiations == 18
 
 
+TWO_BLOCKS = """
+vocabulary {
+  type T := {a, b, c}.
+  pred p(T).
+  pred q(T).
+  pred u(T).
+}
+theory {
+  (!x in T: p(x) => u(x)) & (!y in T: q(y) => ~u(y)).
+}
+structure {
+  p := {a}.
+  q := {b, c}.
+}
+"""
+
+NESTED_BLOCKS = """
+vocabulary {
+  type T := {a, b, c}.
+  pred p(T).
+  pred r(T, T).
+  pred u(T, T).
+}
+theory {
+  !x in T: p(x) => (!y in T: r(x, y) => u(x, y)).
+}
+structure {
+  p := {a, b}.
+  r := {(a, b), (b, a), (b, c)}.
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "src, strategy, row",
+    [
+        # each block has one guard and one kept split; both count
+        (TWO_BLOCKS, "vec", "0,vec,2,2,3,3"),
+        (TWO_BLOCKS, "naive", "0,naive,2,2,0,3"),
+        # the inner block's guard and split are not the sentence's own,
+        # its instantiations are
+        (NESTED_BLOCKS, "vec", "0,vec,1,1,3,5"),
+        (NESTED_BLOCKS, "naive", "0,naive,1,1,0,5"),
+    ],
+    ids=["two-vec", "two-naive", "nested-vec", "nested-naive"],
+)
+def test_stats_count_the_outermost_blocks(src, strategy, row):
+    gt = ground_problem(problem(src), strategy)
+    line = gt.stats.to_csv().strip().split("\n")[1]
+    assert line.rsplit(",", 1)[0] == row
+
+
 def test_mx_preservation_randomized():
     rng = np.random.default_rng(20260815)
     done = 0

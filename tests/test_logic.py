@@ -82,6 +82,20 @@ def test_desugar_implication_and_equivalence():
     assert desugar(nested) == ForAll(X, Or((Not(a), Or((Not(b), a)))))
 
 
+def test_desugar_keeps_shared_subformulas_shared():
+    # desugaring a desugared chain again must not unshare its operands
+    f = Atom("p", (X, X))
+    for _ in range(12):
+        f = Equiv(f, Atom("q", (X, X)))
+    g = desugar(desugar(f))
+    for _ in range(12):
+        left = g.children[0].children[0].child  # in ~a | q
+        right = g.children[1].children[1]  # in ~q | a
+        assert left is right
+        g = left
+    assert g == Atom("p", (X, X))
+
+
 def test_substitute_respects_binding():
     c = DomainConstant("a", "T", 0)
     f = And((Atom("p", (X, Y)), Exists(Y, Atom("q", (X, Y)))))

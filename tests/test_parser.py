@@ -192,6 +192,24 @@ def test_parse_errors_carry_spans():
         )
 
 
+@pytest.mark.parametrize(
+    "interval, ok",
+    [
+        ("Int[-9223372036854775808..9223372036854775807]", True),
+        ("Int[1..9223372036854775808]", False),
+        ("Int[-9223372036854775809..1]", False),
+    ],
+)
+def test_interval_bounds_fit_64_bits(interval, ok):
+    for decl in (f"type N := {interval}.", f"type T := {{a}}. func f(T) -> {interval}."):
+        src = f"vocabulary {{ {decl} }}"
+        if ok:
+            parse_problem(src)
+        else:
+            with pytest.raises(ParseError, match="exceeds 64 bits"):
+                parse_problem(src)
+
+
 def test_print_formula_example():
     x = Variable("x", "T")
     f = ForAll(x, Implies(Not(Atom("p", (x,))), Atom("q", (x,))))
