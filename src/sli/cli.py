@@ -158,7 +158,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, TypeCheckError) as e:
         return _fail(EXIT_INPUT, str(e))
     except _RESOURCE_ERRORS as e:
-        return _fail(EXIT_RESOURCE, str(e))
+        # a MemoryError raised by the interpreter carries no message
+        return _fail(EXIT_RESOURCE, str(e) or "out of memory")
     except SliError as e:
         return _fail(EXIT_INPUT, str(e))
 

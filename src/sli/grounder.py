@@ -8,20 +8,30 @@ variables the block binds) are collected by one walk, each of the 2^m sign
 splits has one residual, and the block's ground parts are folded into a
 conjunction or disjunction that stops at the first deciding part.
 
-- vec: instantiate each non-vacuous split's residual only at the tuples of
-  the split's satisfying set, computed on bit tensors by one evaluator
-  shared by all sentences of a problem.  A block with more guards than the
-  cap is grounded as naive grounds it, and its sentence's row reports
-  naive(fallback); the other blocks stay vectorized.
+- vec: compile each non-vacuous split's residual once and instantiate it
+  only at the tuples of the split's satisfying set, computed on bit tensors
+  by one evaluator shared by all sentences of a problem.  A block with more
+  guards than the cap is grounded as naive grounds it, and its sentence's
+  row reports naive(fallback); the other blocks stay vectorized.
 - naive: one nested loop over the block's tuples; the guards are decided
   per tuple by recursive evaluation, skipping tuples whose residual is
-  vacuous and exiting early on a deciding tuple.
+  vacuous and exiting early on a deciding tuple.  Each split's residual is
+  compiled on its first tuple and reused for the rest.
 - noreduce: instantiate everything, fold nothing, and emit the interpreted
   symbols' tables as ground assertions alongside.
 
 vec and naive emit the same instantiations (each tuple realizes exactly one
 sign vector), differing only in conjunct order and in how the interpreted
-part is evaluated.
+part is evaluated.  Both instantiate through one per-tuple path: the
+compiled instantiator of the split (_compile), which returns what
+substituting the tuple's constants and folding would, errors included.  It
+folds each node of the residual once per value of the block variables the
+node mentions: a part over none of them is folded once, colouring's
+colour(x) once per x rather than once per (x, y), and only the nodes over
+all of them are built per tuple.  Those shared parts are immutable and
+appear as one object in every instantiation that holds them.  A nested
+quantifier is substituted and folded whole, and its block is ground per
+tuple as before.
 
 One run object, _SentenceGrounder, serves a grounding call: it owns the
 deadline check (also the evaluator's tick), the evaluator, the constant
@@ -33,6 +43,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .bittensor import DEFAULT_BIT_BUDGET
@@ -68,6 +79,9 @@ from .parser import Problem
 from .satset import SatSetEvaluator
 
 DEFAULT_GUARD_CAP = 8
+
+# a compiled residual: block-variable indices -> the folded instantiation
+Instantiator = Callable[[tuple[int, ...]], Formula]
 
 STRATEGIES = ("vec", "naive", "noreduce")
 
@@ -297,6 +311,27 @@ def _codomain_const(s: Structure, codomain, value: int) -> Term:
     return s.constant_for(codomain, value)
 
 
+def _shared(
+    mentions: frozenset[int], build: Instantiator, every: frozenset[int]
+) -> Instantiator:
+    """build, memoized per value of the block variables it mentions, unless
+    it mentions every one of them."""
+    if mentions == every:
+        return build
+    key = itemgetter(*sorted(mentions)) if mentions else lambda idx: ()
+    table: dict = {}
+
+    def lookup(idx: tuple[int, ...]):
+        k = key(idx)
+        try:
+            return table[k]
+        except KeyError:
+            hit = table[k] = build(idx)
+            return hit
+
+    return lookup
+
+
 class _SentenceGrounder:
     """The run object of one grounding call: strategy and guard cap, the
     deadline `check`, the evaluator (vec only; shared by all sentences), the
@@ -384,27 +419,51 @@ class _SentenceGrounder:
 
     # -- folding ----------------------------------------------------------
 
+    # Each _fold_* step folds one node whose children are already folded;
+    # fold and the compiled instantiators share them.
+
+    def _fold_app(self, name: str, args: tuple[Term, ...]) -> Term:
+        interpreted = name in self.sigma0
+        if interpreted and all(_is_constant_term(a) for a in args):
+            value = eval_term(FunctionApp(name, args), self.s, {})
+            codomain = self.s.voc.functions[name].codomain
+            return _codomain_const(self.s, codomain, value)
+        symbol = "interpreted function" if interpreted else "uninterpreted function"
+        self._reject_nested(symbol, name, args)
+        return FunctionApp(name, args)
+
+    @staticmethod
+    def _fold_arith(op: str, left: Term, right: Term) -> Term:
+        if isinstance(left, IntConstant) and isinstance(right, IntConstant):
+            a, b = left.value, right.value
+            return IntConstant(a + b if op == "+" else a - b if op == "-" else a * b)
+        return Arith(op, left, right)
+
     def _fold_term(self, t: Term) -> Term:
         if isinstance(t, FunctionApp):
-            args = tuple(self._fold_term(a) for a in t.args)
-            interpreted = t.name in self.sigma0
-            if interpreted and all(_is_constant_term(a) for a in args):
-                value = eval_term(FunctionApp(t.name, args), self.s, {})
-                codomain = self.s.voc.functions[t.name].codomain
-                return _codomain_const(self.s, codomain, value)
-            symbol = "interpreted function" if interpreted else "uninterpreted function"
-            self._reject_nested(symbol, t.name, args)
-            return FunctionApp(t.name, args)
+            return self._fold_app(t.name, tuple(self._fold_term(a) for a in t.args))
         if isinstance(t, Arith):
-            left = self._fold_term(t.left)
-            right = self._fold_term(t.right)
-            if isinstance(left, IntConstant) and isinstance(right, IntConstant):
-                a, b = left.value, right.value
-                return IntConstant(
-                    a + b if t.op == "+" else a - b if t.op == "-" else a * b
-                )
-            return Arith(t.op, left, right)
+            return self._fold_arith(t.op, self._fold_term(t.left), self._fold_term(t.right))
         return t
+
+    def _fold_atom(self, pred: str, args: tuple[Term, ...]) -> Formula:
+        g = Atom(pred, args)
+        if pred not in self.sigma0:
+            self._reject_nested("uninterpreted predicate", pred, args)
+            return g
+        if all(_is_constant_term(a) for a in args):
+            return TRUE if eval_formula(g, self.s, {}) else FALSE
+        if not free_variables(g):
+            return self._expand_interpreted_atom(g)
+        return g
+
+    @staticmethod
+    def _fold_compare(op: str, left: Term, right: Term) -> Formula:
+        if _is_constant_term(left) and _is_constant_term(right):
+            lv = left.index if isinstance(left, DomainConstant) else left.value
+            rv = right.index if isinstance(right, DomainConstant) else right.value
+            return TRUE if _compare(op, lv, rv) else FALSE
+        return Compare(op, left, right)
 
     def _expand_interpreted_atom(self, f: Atom) -> Formula:
         """An interpreted predicate over ground arguments that embed
@@ -438,24 +497,9 @@ class _SentenceGrounder:
         if f is TRUE or f is FALSE:
             return f
         if isinstance(f, Atom):
-            args = tuple(self._fold_term(a) for a in f.args)
-            g = Atom(f.pred, args)
-            if f.pred not in self.sigma0:
-                self._reject_nested("uninterpreted predicate", f.pred, args)
-                return g
-            if all(_is_constant_term(a) for a in args):
-                return TRUE if eval_formula(g, self.s, {}) else FALSE
-            if not free_variables(g):
-                return self._expand_interpreted_atom(g)
-            return g
+            return self._fold_atom(f.pred, tuple(self._fold_term(a) for a in f.args))
         if isinstance(f, Compare):
-            left = self._fold_term(f.left)
-            right = self._fold_term(f.right)
-            if _is_constant_term(left) and _is_constant_term(right):
-                lv = left.index if isinstance(left, DomainConstant) else left.value
-                rv = right.index if isinstance(right, DomainConstant) else right.value
-                return TRUE if _compare(f.op, lv, rv) else FALSE
-            return Compare(f.op, left, right)
+            return self._fold_compare(f.op, self._fold_term(f.left), self._fold_term(f.right))
         if isinstance(f, Not):
             return _simp_not(self.fold(f.child))
         if isinstance(f, (And, Or)):
@@ -469,18 +513,26 @@ class _SentenceGrounder:
     # -- grounding --------------------------------------------------------
 
     def ground(self, f: Formula) -> Formula:
-        f = self.fold(f)
-        if f is TRUE or f is FALSE:
-            return f
+        return self._ground_folded(self.fold(f))
+
+    def _ground_folded(self, f: Formula) -> Formula:
+        """Ground the quantifier blocks left in a folded formula.  Folding
+        again would change nothing, so nothing is refolded, and a part with
+        no block in it is returned as it is, still shared."""
         if isinstance(f, (ForAll, Exists)):
             return self._ground_block(f)
         if isinstance(f, Not):
-            return _simp_not(self.ground(f.child))
+            child = self._ground_folded(f.child)
+            return f if child is f.child else _simp_not(child)
         if isinstance(f, (And, Or)):
-            return _simp_junction(
-                isinstance(f, And), (self.ground(c) for c in f.children)
-            )
-        return f  # ground atom or comparison over uninterpreted symbols
+            for i, c in enumerate(f.children):
+                g = self._ground_folded(c)
+                if g is not c:  # from the first part that changed on, lazily
+                    rest = (self._ground_folded(d) for d in f.children[i + 1 :])
+                    return _simp_junction(
+                        isinstance(f, And), itertools.chain(f.children[:i], (g,), rest)
+                    )
+        return f  # a constant, a ground atom or comparison, or no block inside
 
     def _ground_block(self, f: Formula) -> Formula:
         forall, vars, body = _block_of(f)
@@ -508,14 +560,82 @@ class _SentenceGrounder:
     def _bind(
         self, f: Formula, vars: list[Variable], idx_tuple: tuple[int, ...]
     ) -> Formula:
-        """One instantiation: f with the block's variables set to a tuple."""
+        """One noreduce instantiation: f with the block's variables set to a
+        tuple."""
         self.row.instantiations += 1
         return substitute(f, {v: self._const(v.type, i) for v, i in zip(vars, idx_tuple)})
+
+    def _compile(self, residual: Formula, vars: list[Variable]) -> Instantiator:
+        """The instantiator of one kept split: maps a tuple of the block
+        variables' indices to fold(substitute(residual, those constants)).
+
+        Each node of the residual is compiled once.  A node that mentions
+        fewer block variables than its parent is folded once per value of
+        the variables it mentions, on first use, and that object is shared
+        by every tuple with those values; the nodes over all of them are
+        built per tuple from those parts.  A nested quantifier is a leaf
+        that is substituted and folded whole, so the block under it is
+        ground per tuple as before.  Junctions stay lazy: a part after the
+        deciding one is neither built nor checked for errors.
+
+        The compiler is methods, not nested functions: a recursive nested
+        function is a reference cycle, which would keep this grounder, and
+        with it the evaluator's memo, alive until a cycle collection."""
+        pos = {v: i for i, v in enumerate(vars)}  # a repeated name binds last
+        every = frozenset(pos.values())
+        return _shared(*self._compile_node(residual, pos, every), every)
+
+    def _compile_parts(self, nodes, pos, every) -> tuple[frozenset[int], list[Instantiator]]:
+        """The block-variable positions a node over these children mentions,
+        and the children's builds, shared where they mention fewer."""
+        compiled = [self._compile_node(n, pos, every) for n in nodes]
+        mentions = frozenset().union(*(m for m, _ in compiled))
+        return mentions, [b if m == mentions else _shared(m, b, every) for m, b in compiled]
+
+    def _compile_node(self, n, pos, every) -> tuple[frozenset[int], Instantiator]:
+        """The block-variable positions node n mentions, and its build."""
+        if isinstance(n, (FunctionApp, Atom)):
+            mentions, args = self._compile_parts(n.args, pos, every)
+            if isinstance(n, FunctionApp):
+                name, step = n.name, self._fold_app
+            else:
+                name, step = n.pred, self._fold_atom
+            return mentions, lambda idx: step(name, tuple([a(idx) for a in args]))
+        if isinstance(n, (Arith, Compare)):
+            mentions, (left, right) = self._compile_parts((n.left, n.right), pos, every)
+            op, step = n.op, self._fold_arith if isinstance(n, Arith) else self._fold_compare
+            return mentions, lambda idx: step(op, left(idx), right(idx))
+        if isinstance(n, Not):
+            mentions, (child,) = self._compile_parts((n.child,), pos, every)
+            return mentions, lambda idx: _simp_not(child(idx))
+        if isinstance(n, (And, Or)):
+            mentions, children = self._compile_parts(n.children, pos, every)
+            conj = isinstance(n, And)
+            return mentions, lambda idx: _simp_junction(conj, (c(idx) for c in children))
+        if isinstance(n, (ForAll, Exists)):
+            free = [v for v in free_variables(n) if v in pos]
+
+            def bind(idx: tuple[int, ...]) -> Formula:
+                return self.fold(
+                    substitute(n, {v: self._const(v.type, idx[pos[v]]) for v in free})
+                )
+
+            return frozenset(pos[v] for v in free), bind
+        if isinstance(n, Variable) and n in pos:
+            p, type_name = pos[n], n.type
+            return frozenset((p,)), lambda idx: self._const(type_name, idx[p])
+        return frozenset(), lambda idx: n  # a constant, or a variable not of the block
+
+    def _instance(self, form: Instantiator, idx_tuple: tuple[int, ...]) -> Formula:
+        """One instantiation of a kept split, ground; checked against the
+        deadline."""
+        self.row.instantiations += 1
+        self.check()
+        return self._ground_folded(form(idx_tuple))
 
     # The block generators yield the ground parts of a block, constants
     # included; _ground_block's fold stops drawing at the first deciding
     # one, so no later tensor is evaluated and no later tuple instantiated.
-    # Each instantiation is checked against the deadline by fold.
 
     def _block_vec(self, forall, vars, body, guards, block):
         var_tuple = tuple(vars)
@@ -526,19 +646,20 @@ class _SentenceGrounder:
                 if tensor.any():
                     yield residual
                 continue
+            form = self._compile(residual, vars)
             for idx_tuple in tensor.iter_ones():
-                yield self.ground(self._bind(residual, vars, idx_tuple))
+                yield self._instance(form, idx_tuple)
 
     def _block_naive(self, vars, body, guards, block):
         residuals: dict[tuple[bool, ...], Formula] = {}
-        kept: set[tuple[bool, ...]] = set()
+        kept: dict[tuple[bool, ...], Instantiator] = {}
         closed = [g for g in guards if not free_variables(g)]
         closed_signs = {
             id(g): bool(eval_formula(g, self.s, {})) for g in closed
         }
         sizes = [self.s.domain_size(v.type) for v in vars]
         for idx_tuple in itertools.product(*(range(n) for n in sizes)):
-            self.check()  # vacuous tuples reach no fold
+            self.check()  # vacuous tuples reach no instantiation
             env = {
                 v.name: self.s.index_to_value(v.type, i)
                 for v, i in zip(vars, idx_tuple)
@@ -556,10 +677,11 @@ class _SentenceGrounder:
             if residual is TRUE or residual is FALSE:
                 yield residual
                 continue
-            if signs not in kept:
-                kept.add(signs)
+            form = kept.get(signs)
+            if form is None:
+                form = kept[signs] = self._compile(residual, vars)
                 self._count_split()
-            yield self.ground(self._bind(residual, vars, idx_tuple))
+            yield self._instance(form, idx_tuple)
 
     # -- the non-reducing strategy -----------------------------------------
 

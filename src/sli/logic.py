@@ -338,30 +338,53 @@ def substitute_term(t: Term, mapping: Mapping[Variable, Term]) -> Term:
 def substitute(f: Formula, mapping: Mapping[Variable, Term]) -> Formula:
     """Replace free variables by terms.  Quantified sentences never rebind
     a name in this package, so no capture handling is needed beyond
-    dropping the bound variable from the mapping."""
+    dropping the bound variable from the mapping.  As in `desugar`, each
+    node is rewritten once per call and its result shared, so a DAG stays
+    a DAG."""
     if not mapping:
         return f
-    if isinstance(f, (TrueFormula, FalseFormula)):
-        return f
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(substitute_term(a, mapping) for a in f.args))
-    if isinstance(f, Compare):
-        return Compare(f.op, substitute_term(f.left, mapping), substitute_term(f.right, mapping))
-    if isinstance(f, Not):
-        return Not(substitute(f.child, mapping))
-    if isinstance(f, And):
-        return And(tuple(substitute(c, mapping) for c in f.children))
-    if isinstance(f, Or):
-        return Or(tuple(substitute(c, mapping) for c in f.children))
-    if isinstance(f, Implies):
-        return Implies(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, Equiv):
-        return Equiv(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, (ForAll, Exists)):
-        inner = {k: v for k, v in mapping.items() if k != f.var}
-        body = substitute(f.body, inner) if inner else f.body
-        return type(f)(f.var, body)
-    raise TypeError(f"not a formula: {f!r}")
+    # mappings keeps every mapping alive, so that its id stays its own
+    return _substitute(f, mapping, {}, [mapping])
+
+
+def _substitute(
+    g: Formula,
+    m: Mapping[Variable, Term],
+    done: dict[tuple[int, int], Formula],
+    mappings: list[Mapping[Variable, Term]],
+) -> Formula:
+    """One node of `substitute`; done maps (node id, mapping id) to the
+    node's rewrite.  A module function, not a closure: a recursive closure
+    is a reference cycle, left for the cycle collector on every call."""
+    key = (id(g), id(m))
+    out = done.get(key)
+    if out is not None:
+        return out
+    if isinstance(g, (TrueFormula, FalseFormula)):
+        out = g
+    elif isinstance(g, Atom):
+        out = Atom(g.pred, tuple(substitute_term(a, m) for a in g.args))
+    elif isinstance(g, Compare):
+        out = Compare(g.op, substitute_term(g.left, m), substitute_term(g.right, m))
+    elif isinstance(g, Not):
+        out = Not(_substitute(g.child, m, done, mappings))
+    elif isinstance(g, (And, Or)):
+        out = type(g)(tuple(_substitute(c, m, done, mappings) for c in g.children))
+    elif isinstance(g, (Implies, Equiv)):
+        out = type(g)(
+            _substitute(g.left, m, done, mappings), _substitute(g.right, m, done, mappings)
+        )
+    elif isinstance(g, (ForAll, Exists)):
+        inner = {k: v for k, v in m.items() if k != g.var}
+        if inner:
+            mappings.append(inner)
+            out = type(g)(g.var, _substitute(g.body, inner, done, mappings))
+        else:
+            out = type(g)(g.var, g.body)
+    else:
+        raise TypeError(f"not a formula: {g!r}")
+    done[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

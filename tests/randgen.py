@@ -226,8 +226,10 @@ def random_formula(
     *,
     uninterpreted_ok=False,
     fresh_names=("x", "y", "z"),
+    term_depth=1,
 ):
-    """Random formula in the desugared core with free variables from scope."""
+    """Random formula in the desugared core with free variables from scope;
+    term_depth bounds the nesting of the terms under atoms and comparisons."""
     voc = structure.voc
     leafs = ["true", "false"]
     preds = [
@@ -258,7 +260,7 @@ def random_formula(
     if kind == "atom":
         p = preds[int(rng.integers(0, len(preds)))]
         args = tuple(
-            random_term(rng, structure, scope, _kind_of(structure, t), 1)
+            random_term(rng, structure, scope, _kind_of(structure, t), term_depth)
             for t in voc.predicates[p]
         )
         return Atom(p, args)
@@ -269,23 +271,23 @@ def random_formula(
             op = "=" if rng.random() < 0.5 else "~="
             return Compare(
                 op,
-                random_term(rng, structure, scope, ("enum", t), 1),
-                random_term(rng, structure, scope, ("enum", t), 1),
+                random_term(rng, structure, scope, ("enum", t), term_depth),
+                random_term(rng, structure, scope, ("enum", t), term_depth),
             )
         op = ("=", "~=", "<", "=<", ">", ">=")[int(rng.integers(0, 6))]
         return Compare(
             op,
-            random_term(rng, structure, scope, ("int",), 1),
-            random_term(rng, structure, scope, ("int",), 1),
+            random_term(rng, structure, scope, ("int",), term_depth),
+            random_term(rng, structure, scope, ("int",), term_depth),
         )
     if kind == "not":
-        return Not(random_formula(rng, structure, scope, depth - 1, uninterpreted_ok=uninterpreted_ok, fresh_names=fresh_names))
+        return Not(random_formula(rng, structure, scope, depth - 1, uninterpreted_ok=uninterpreted_ok, fresh_names=fresh_names, term_depth=term_depth))
     if kind in ("and", "or"):
         n = int(rng.integers(2, 4))
         cls = And if kind == "and" else Or
         return cls(
             tuple(
-                random_formula(rng, structure, scope, depth - 1, uninterpreted_ok=uninterpreted_ok, fresh_names=fresh_names)
+                random_formula(rng, structure, scope, depth - 1, uninterpreted_ok=uninterpreted_ok, fresh_names=fresh_names, term_depth=term_depth)
                 for _ in range(n)
             )
         )
@@ -294,7 +296,7 @@ def random_formula(
     t = qt[int(rng.integers(0, len(qt)))]
     var = Variable(unused[0], t)
     body = random_formula(
-        rng, structure, scope + [var], depth - 1, uninterpreted_ok=uninterpreted_ok, fresh_names=fresh_names
+        rng, structure, scope + [var], depth - 1, uninterpreted_ok=uninterpreted_ok, fresh_names=fresh_names, term_depth=term_depth
     )
     return (ForAll if kind == "forall" else Exists)(var, body)
 

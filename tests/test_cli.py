@@ -298,7 +298,20 @@ def test_memory_error_is_a_resource_error(tmp_path, capsys, monkeypatch):
     assert "out of memory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("strategy", ["vec", "naive"])
+def test_bare_memory_error_has_a_message(tmp_path, capsys, monkeypatch):
+    # a MemoryError raised by the interpreter itself carries no message
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(sli.cli, "ground_problem", exhausted)
+    src = tmp_path / "cover.sli"
+    src.write_text(COVER_SRC)
+    assert main(["ground", str(src)]) == 3
+    message = capsys.readouterr().err.strip().removeprefix("sli: error:").strip()
+    assert message
+
+
+@pytest.mark.parametrize("strategy", ["vec", "naive", "noreduce"])
 def test_timeout_holds_on_an_equivalence_chain(tmp_path, capsys, strategy):
     # a <=> b holds a and b twice, so 30 links make a DAG whose tree has
     # about 2^30 nodes; grounding must still stop at the deadline

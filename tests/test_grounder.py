@@ -6,20 +6,34 @@ the theory under the full structure iff it satisfies the ground theory.
 """
 
 import itertools
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import sli.grounder
+
 from randgen import (
+    _quantifiable_types,
     candidate_structures,
     ground_theory_holds,
+    random_formula,
     random_mx_problem,
+    random_structure,
     theory_holds,
 )
-from sli.errors import GuardCapExceeded, IndexOutOfRange, UnsupportedFormula
+from sli.errors import (
+    ArithmeticOverflow,
+    GroundingTimeout,
+    GuardCapExceeded,
+    IndexOutOfRange,
+    UnsupportedFormula,
+)
 from sli.grounder import (
     GroundTheory,
     GroundingStats,
+    _SentenceGrounder,
     boolean_simplify,
     ground_problem,
     ground_sentence,
@@ -47,6 +61,7 @@ from sli.logic import (
     Variable,
     Vocabulary,
     eval_formula,
+    substitute,
 )
 from sli.parser import Problem, parse_problem, print_formula
 from sli.satset import SatSetEvaluator
@@ -743,3 +758,217 @@ structure {
         ground_sentence(f, prob.structure, "vec").tensor_bits for f in prob.sentences
     ]
     assert [r.tensor_bits for r in gt.stats.rows] == alone == [16, 16]
+
+
+# ---------------------------------------------------------------------------
+# The compiled instantiator against substitute + fold
+
+INSTANCE_ERRORS = (UnsupportedFormula, IndexOutOfRange, ArithmeticOverflow)
+
+
+def _reference_compile(g, residual, vars):
+    """The per-tuple path the compiled instantiator replaces."""
+
+    def form(idx):
+        return g.fold(
+            substitute(residual, {v: g._const(v.type, i) for v, i in zip(vars, idx)})
+        )
+
+    return form
+
+
+def _outcome(form, idx):
+    try:
+        return form(idx)
+    except INSTANCE_ERRORS as e:
+        return type(e)
+
+
+def _grounding(prob, strategy, cap):
+    """Verdict, assertions and --stats rows but micros, or the error class."""
+    try:
+        gt = ground_problem(prob, strategy, cap=cap)
+    except INSTANCE_ERRORS as e:
+        return type(e)
+    rows = [
+        (r.sentence_id, r.strategy, r.guards, r.splits_kept, r.tensor_bits, r.instantiations)
+        for r in gt.stats.rows
+    ]
+    return gt.verdict, gt.assertions, rows
+
+
+@pytest.mark.parametrize(
+    "strategy, cap", [("vec", 8), ("vec", 1), ("vec", 0), ("naive", 8)]
+)
+def test_compiled_instantiation_matches_substitute_and_fold(monkeypatch, strategy, cap):
+    compile_ = _SentenceGrounder._compile
+    expand = _SentenceGrounder._expand_interpreted_atom
+    seen = Counter()
+
+    def checking_compile(g, residual, vars):
+        # check a fresh instantiator on every tuple of the block; the
+        # grounding gets another, whose tables fill in its own tuple order
+        form = compile_(g, residual, vars)
+        reference = _reference_compile(g, residual, vars)
+        sizes = [g.s.domain_size(v.type) for v in vars]
+        for idx in itertools.product(*(range(n) for n in sizes)):
+            got = _outcome(form, idx)
+            assert got == _outcome(reference, idx), print_formula(residual)
+            seen[got.__name__ if isinstance(got, type) else "formula"] += 1
+        return compile_(g, residual, vars)
+
+    def counting_expand(g, f):
+        seen["expanded"] += 1
+        return expand(g, f)
+
+    def compare(prob):
+        monkeypatch.setattr(_SentenceGrounder, "_compile", checking_compile)
+        got = _grounding(prob, strategy, cap)
+        monkeypatch.setattr(_SentenceGrounder, "_compile", _reference_compile)
+        assert got == _grounding(prob, strategy, cap), print_formula(prob.sentences[0])
+
+    monkeypatch.setattr(_SentenceGrounder, "_expand_interpreted_atom", counting_expand)
+    rng = np.random.default_rng(20261018)
+    for _ in range(400):
+        s = random_structure(rng, max_size=4, n_preds=(1, 2), n_funcs=(1, 3), uninterpreted=2)
+        types = _quantifiable_types(s)
+        x, y = (Variable(n, types[int(rng.integers(len(types)))]) for n in "xy")
+        body = random_formula(
+            rng, s, [x, y], 3, uninterpreted_ok=True, fresh_names=("z",), term_depth=2
+        )
+        kind = ForAll if rng.random() < 0.5 else Exists
+        sentence = kind(x, kind(y, body))
+        # with the first function table dropped, its terms are uninterpreted:
+        # interpreted atoms over them expand
+        opened = Structure(s.voc, s.domains, s.relations, dict(list(s.functions.items())[1:]))
+        for structure in (s, opened):
+            compare(Problem(s.voc, (sentence,), structure))
+    # the shapes of the colouring and queens workloads, over 70 values
+    compare(_colour_like(70, 3))
+    compare(problem(QUEENS.format(n=70)))
+    assert seen["formula"] > 1000
+    # UnsupportedFormula is raised by the sentence's own fold, before any
+    # block is ground, so only IndexOutOfRange reaches an instantiator
+    assert seen["IndexOutOfRange"] and seen["expanded"]
+
+
+NESTED_RESIDUAL = """
+vocabulary {
+  type T := {a, b, c}.
+  pred p(T).
+  pred q(T).
+  pred u(T, T).
+}
+theory {
+  !x in T: p(x) => ?y in T: q(y) & u(x, y).
+}
+structure {
+  p := {a, b}.
+  q := {b, c}.
+}
+"""
+
+
+@pytest.mark.parametrize("strategy", ["vec", "naive"])
+def test_nested_quantifier_in_a_residual(strategy):
+    # the residual ?y in T: q(y) & u(x, y) is ground once per x in p, and
+    # the inner block's q(y) guard keeps its y in {b, c}
+    gt = ground_problem(problem(NESTED_RESIDUAL), strategy)
+    assert [print_formula(a) for a in gt.assertions] == [
+        "u(a, b) | u(a, c)",
+        "u(b, b) | u(b, c)",
+    ]
+    (row,) = gt.stats.rows
+    # the inner guard and split are not the sentence's own; its two
+    # instantiations per x are
+    assert (row.guards, row.splits_kept, row.instantiations) == (1, 1, 2 + 2 * 2)
+
+
+EXPANDED_RESIDUAL = """
+vocabulary {
+  type T := {a, b, c}.
+  pred r(T, T).
+  pred nice(T).
+  func pick(T) -> T.
+  pred u(T, T).
+}
+theory {
+  !x, y in T: r(x, y) => nice(pick(x)) | u(x, y).
+}
+structure {
+  r := {(a, b), (a, c), (b, a)}.
+  nice := {a, c}.
+}
+"""
+
+
+@pytest.mark.parametrize("strategy", ["vec", "naive"])
+def test_interpreted_atom_over_an_uninterpreted_term_in_a_residual(strategy):
+    gt = ground_problem(problem(EXPANDED_RESIDUAL), strategy)
+    got = [print_formula(a) for a in gt.assertions]
+    assert got == [
+        "(pick(a) = a | pick(a) = c) | u(a, b)",
+        "(pick(a) = a | pick(a) = c) | u(a, c)",
+        "(pick(b) = a | pick(b) = c) | u(b, a)",
+    ]
+    # nice(pick(x)) mentions x alone: it is expanded once per x and shared
+    first, second, _ = gt.assertions
+    assert first.children[0] is second.children[0]
+
+
+def _colour_like(n, k):
+    """Colouring of a circulant graph: vertex i borders i+1 .. i+k mod n."""
+    vertices = ", ".join(f"v{i}" for i in range(n))
+    border = ", ".join(
+        f"(v{i}, v{(i + d) % n})" for i in range(n) for d in range(1, k + 1)
+    )
+    return problem(
+        f"""
+vocabulary {{
+  type V := {{{vertices}}}.
+  type C := {{c0, c1, c2}}.
+  pred border(V, V).
+  func colour(V) -> C.
+}}
+theory {{
+  !x, y in V: x ~= y & border(x, y) => colour(x) ~= colour(y).
+}}
+structure {{
+  border := {{{border}}}.
+}}
+"""
+    )
+
+
+@pytest.mark.parametrize("strategy", ["vec", "naive"])
+def test_each_instantiation_checks_the_deadline(strategy):
+    prob = _colour_like(30, 4)
+    g = _SentenceGrounder(prob.structure, strategy)
+    check, calls = g.check, []
+
+    def counting_check():
+        calls.append(None)
+        check()
+
+    g.check = counting_check
+    row = g.sentence(prob.sentences[0])
+    assert row.instantiations == 30 * 4
+    assert len(calls) >= row.instantiations
+
+
+@pytest.mark.parametrize("strategy", ["vec", "naive"])
+def test_timeout_stops_a_block_partway(monkeypatch, strategy):
+    prob = _colour_like(100, 20)
+    total = ground_problem(prob, strategy).stats.rows[0].instantiations
+    assert total == 100 * 20
+    # a clock that advances 1 ms per reading: the 1 s deadline passes at
+    # the thousandth deadline check, whatever the machine's speed
+    ticks = itertools.count()
+    fake_time = SimpleNamespace(
+        monotonic=lambda: next(ticks) * 1e-3, perf_counter=sli.grounder.time.perf_counter
+    )
+    monkeypatch.setattr(sli.grounder, "time", fake_time)
+    g = _SentenceGrounder(prob.structure, strategy, timeout=1.0)
+    with pytest.raises(GroundingTimeout):
+        g.sentence(prob.sentences[0])
+    assert 0 < g.row.instantiations < total

@@ -96,6 +96,22 @@ def test_desugar_keeps_shared_subformulas_shared():
     assert g == Atom("p", (X, X))
 
 
+def test_substitute_keeps_shared_subformulas_shared():
+    # 40 links: walked as a tree, the chain would have about 2^40 nodes
+    c = DomainConstant("a", "T", 0)
+    f = Atom("p", (X, X))
+    for _ in range(40):
+        f = Equiv(f, Exists(Y, Atom("q", (X, Y))))
+    g = substitute(desugar(f), {X: c})
+    for _ in range(40):
+        left = g.children[0].children[0].child  # in ~a | q
+        right = g.children[1].children[1]  # in ~q | a
+        assert left is right
+        assert g.children[0].children[1] == Exists(Y, Atom("q", (c, Y)))
+        g = left
+    assert g == Atom("p", (c, c))
+
+
 def test_substitute_respects_binding():
     c = DomainConstant("a", "T", 0)
     f = And((Atom("p", (X, Y)), Exists(Y, Atom("q", (X, Y)))))
