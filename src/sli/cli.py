@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .bench import BenchSpec, records_to_csv, run_bench
 from .errors import (
@@ -91,8 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(
+            f"{path}: byte {data[e.start]:#04x} at offset {e.start} is not UTF-8"
+        ) from e
+    # the universal newlines that reading in text mode gives
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -104,18 +113,25 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _cmd_ground(args) -> int:
-    problem = parse_problem(_read(args.file), filename=args.file)
+    text = _read(args.file)
+    t0 = time.perf_counter()
+    problem = parse_problem(text, filename=args.file)
+    t1 = time.perf_counter()
     gt = ground_problem(
         problem, args.strategy, cap=args.cap, timeout=args.timeout
     )
-    _write(args.out, emit(gt))
+    t2 = time.perf_counter()
+    smt_text = emit(gt)
+    t3 = time.perf_counter()
+    _write(args.out, smt_text)
     if args.stats:
         _write(args.stats, gt.stats.to_csv())
     # the strategies the rows report, in order of first use
     ran = dict.fromkeys(r.strategy for r in gt.stats.rows) or [args.strategy]
     print(
         f"{args.file}: verdict {gt.verdict}, {len(gt.assertions)} assertions"
-        f" ({', '.join(ran)})",
+        f" ({', '.join(ran)}); parse {t1 - t0:.3f} s, ground {t2 - t1:.3f} s,"
+        f" emit {t3 - t2:.3f} s",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -208,28 +208,36 @@ def _collect_guards(
     variables are bound deeper stay in the residual and are lifted when the
     inner block is ground.  check is called at every node visited."""
     out: list[Formula] = []
-
-    def walk(n: Formula) -> None:
-        check()
-        if _liftable(n, sigma0, block):
-            _, core = _strip_negations(n)
-            if core is not TRUE and core is not FALSE and core not in out:
-                out.append(core)
-            return
-        if isinstance(n, Not):
-            walk(n.child)
-        elif isinstance(n, (And, Or)):
-            for c in n.children:
-                walk(c)
-        elif isinstance(n, (ForAll, Exists)):
-            walk(n.body)
-
-    walk(body)
+    _find_guards(body, sigma0, block, check, out)
     return out
 
 
+def _find_guards(
+    n: Formula,
+    sigma0,
+    block: frozenset[Variable] | None,
+    check: Callable[[], None],
+    out: list[Formula],
+) -> None:
+    """One node of `_collect_guards`: appends to out the guards under n
+    that it does not hold yet."""
+    check()
+    if _liftable(n, sigma0, block):
+        _, core = _strip_negations(n)
+        if core is not TRUE and core is not FALSE and core not in out:
+            out.append(core)
+        return
+    if isinstance(n, Not):
+        _find_guards(n.child, sigma0, block, check, out)
+    elif isinstance(n, (And, Or)):
+        for c in n.children:
+            _find_guards(c, sigma0, block, check, out)
+    elif isinstance(n, (ForAll, Exists)):
+        _find_guards(n.body, sigma0, block, check, out)
+
+
 def _substitute_guards(
-    body: Formula,
+    n: Formula,
     guards: list[Formula],
     signs: tuple[bool, ...],
     sigma0,
@@ -238,25 +246,28 @@ def _substitute_guards(
 ) -> Formula:
     """Replace every maximal liftable subformula by its sign's constant;
     check is called at every node visited."""
-
-    def walk(n: Formula) -> Formula:
-        check()
-        if _liftable(n, sigma0, block):
-            flipped, core = _strip_negations(n)
-            if core is TRUE or core is FALSE:
-                value = core is TRUE
-            else:
-                value = signs[guards.index(core)]
-            return TRUE if value != flipped else FALSE
-        if isinstance(n, Not):
-            return Not(walk(n.child))
-        if isinstance(n, (And, Or)):
-            return type(n)(tuple(walk(c) for c in n.children))
-        if isinstance(n, (ForAll, Exists)):
-            return type(n)(n.var, walk(n.body))
-        return n
-
-    return walk(body)
+    check()
+    if _liftable(n, sigma0, block):
+        flipped, core = _strip_negations(n)
+        if core is TRUE or core is FALSE:
+            value = core is TRUE
+        else:
+            value = signs[guards.index(core)]
+        return TRUE if value != flipped else FALSE
+    if isinstance(n, Not):
+        return Not(_substitute_guards(n.child, guards, signs, sigma0, block, check))
+    if isinstance(n, (And, Or)):
+        return type(n)(
+            tuple(
+                _substitute_guards(c, guards, signs, sigma0, block, check)
+                for c in n.children
+            )
+        )
+    if isinstance(n, (ForAll, Exists)):
+        return type(n)(
+            n.var, _substitute_guards(n.body, guards, signs, sigma0, block, check)
+        )
+    return n
 
 
 def _guard_formula(guards: list[Formula], signs: tuple[bool, ...]) -> Formula:

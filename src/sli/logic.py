@@ -220,39 +220,41 @@ def term_variables(t: Term, out: list[Variable]) -> None:
 def free_variables(f: Formula) -> tuple[Variable, ...]:
     """Free variables of f, ordered by first appearance, left to right."""
     out: list[Variable] = []
-
-    def walk(g: Formula, bound: frozenset[Variable]) -> None:
-        if isinstance(g, (TrueFormula, FalseFormula)):
-            return
-        if isinstance(g, Atom):
-            found: list[Variable] = []
-            for a in g.args:
-                term_variables(a, found)
-            for v in found:
-                if v not in bound and v not in out:
-                    out.append(v)
-        elif isinstance(g, Compare):
-            found = []
-            term_variables(g.left, found)
-            term_variables(g.right, found)
-            for v in found:
-                if v not in bound and v not in out:
-                    out.append(v)
-        elif isinstance(g, Not):
-            walk(g.child, bound)
-        elif isinstance(g, (And, Or)):
-            for c in g.children:
-                walk(c, bound)
-        elif isinstance(g, (Implies, Equiv)):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, (ForAll, Exists)):
-            walk(g.body, bound | {g.var})
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-
-    walk(f, frozenset())
+    _free_variables(f, frozenset(), out)
     return tuple(out)
+
+
+def _free_variables(g: Formula, bound: frozenset[Variable], out: list[Variable]) -> None:
+    """One node of `free_variables`: appends to out, in order, the
+    variables of g outside bound that it does not hold yet."""
+    if isinstance(g, (TrueFormula, FalseFormula)):
+        return
+    if isinstance(g, Atom):
+        found: list[Variable] = []
+        for a in g.args:
+            term_variables(a, found)
+        for v in found:
+            if v not in bound and v not in out:
+                out.append(v)
+    elif isinstance(g, Compare):
+        found = []
+        term_variables(g.left, found)
+        term_variables(g.right, found)
+        for v in found:
+            if v not in bound and v not in out:
+                out.append(v)
+    elif isinstance(g, Not):
+        _free_variables(g.child, bound, out)
+    elif isinstance(g, (And, Or)):
+        for c in g.children:
+            _free_variables(c, bound, out)
+    elif isinstance(g, (Implies, Equiv)):
+        _free_variables(g.left, bound, out)
+        _free_variables(g.right, bound, out)
+    elif isinstance(g, (ForAll, Exists)):
+        _free_variables(g.body, bound | {g.var}, out)
+    else:
+        raise TypeError(f"not a formula: {g!r}")
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -273,25 +275,26 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 def symbols_of(f: Formula) -> frozenset[str]:
     """Predicate and function names occurring in f."""
     out: set[str] = set()
-
-    def walk_term(t: Term) -> None:
-        if isinstance(t, FunctionApp):
-            out.add(t.name)
-            for a in t.args:
-                walk_term(a)
-        elif isinstance(t, Arith):
-            walk_term(t.left)
-            walk_term(t.right)
-
     for g in subformulas(f):
         if isinstance(g, Atom):
             out.add(g.pred)
             for a in g.args:
-                walk_term(a)
+                _term_symbols(a, out)
         elif isinstance(g, Compare):
-            walk_term(g.left)
-            walk_term(g.right)
+            _term_symbols(g.left, out)
+            _term_symbols(g.right, out)
     return frozenset(out)
+
+
+def _term_symbols(t: Term, out: set[str]) -> None:
+    """Add the function names occurring in t to out."""
+    if isinstance(t, FunctionApp):
+        out.add(t.name)
+        for a in t.args:
+            _term_symbols(a, out)
+    elif isinstance(t, Arith):
+        _term_symbols(t.left, out)
+        _term_symbols(t.right, out)
 
 
 def desugar(f: Formula) -> Formula:
@@ -299,30 +302,34 @@ def desugar(f: Formula) -> Formula:
     holds each operand twice, so a chain of them is a DAG; each node is
     rewritten once per call and its result shared, which keeps the DAG a
     DAG instead of a tree that doubles with each link."""
-    done: dict[int, Formula] = {}  # id of an input node -> its rewrite
+    return _desugar(f, {})
 
-    def walk(g: Formula) -> Formula:
-        if id(g) not in done:
-            done[id(g)] = rewrite(g)
-        return done[id(g)]
 
-    def rewrite(g: Formula) -> Formula:
-        if isinstance(g, (TrueFormula, FalseFormula, Atom, Compare)):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.child))
-        if isinstance(g, (And, Or)):
-            return type(g)(tuple(walk(c) for c in g.children))
-        if isinstance(g, Implies):
-            return Or((Not(walk(g.left)), walk(g.right)))
-        if isinstance(g, Equiv):
-            a, b = walk(g.left), walk(g.right)
-            return And((Or((Not(a), b)), Or((Not(b), a))))
-        if isinstance(g, (ForAll, Exists)):
-            return type(g)(g.var, walk(g.body))
+def _desugar(g: Formula, done: dict[int, Formula]) -> Formula:
+    """One node of `desugar`; done maps the id of an input node to its
+    rewrite.  Like every recursive walk in this package, a module function
+    and not a closure: a recursive closure is a reference cycle, left for
+    the cycle collector on every call."""
+    out = done.get(id(g))
+    if out is not None:
+        return out
+    if isinstance(g, (TrueFormula, FalseFormula, Atom, Compare)):
+        out = g
+    elif isinstance(g, Not):
+        out = Not(_desugar(g.child, done))
+    elif isinstance(g, (And, Or)):
+        out = type(g)(tuple(_desugar(c, done) for c in g.children))
+    elif isinstance(g, Implies):
+        out = Or((Not(_desugar(g.left, done)), _desugar(g.right, done)))
+    elif isinstance(g, Equiv):
+        a, b = _desugar(g.left, done), _desugar(g.right, done)
+        out = And((Or((Not(a), b)), Or((Not(b), a))))
+    elif isinstance(g, (ForAll, Exists)):
+        out = type(g)(g.var, _desugar(g.body, done))
+    else:
         raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f)
+    done[id(g)] = out
+    return out
 
 
 def substitute_term(t: Term, mapping: Mapping[Variable, Term]) -> Term:
@@ -354,8 +361,7 @@ def _substitute(
     mappings: list[Mapping[Variable, Term]],
 ) -> Formula:
     """One node of `substitute`; done maps (node id, mapping id) to the
-    node's rewrite.  A module function, not a closure: a recursive closure
-    is a reference cycle, left for the cycle collector on every call."""
+    node's rewrite."""
     key = (id(g), id(m))
     out = done.get(key)
     if out is not None:

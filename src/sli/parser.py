@@ -25,12 +25,28 @@ parenthesis, quantifier, argument list and binary operator is a level);
 deeper input is a ParseError rather than a stack overflow.
 Implies/Equiv are desugared at parse time; parsed sentences are closed,
 type-checked, and contain only the negation/and/or core.
+
+The parser pulls its tokens on demand from one regex scanner over the
+text.  A token records only its offset; an error turns that into a line
+and a column.  One pass over the whole text first finds any character no
+token can start with, so that character is reported before any syntax
+error, wherever it stands.  Relation literals are most of a large input,
+so each one starts with a bulk loop: one compiled regex takes the leading
+run of simple tuples straight from the text, each with its comma.  A
+tuple is simple when it is `(name, ..., name)` or, for a unary symbol, a
+bare name, with only whitespace between, each name an element of its
+declared type and the tuple not seen before.  The loop stops before the
+first tuple that is not simple and re-seats the scanner there; the token
+path parses the rest of the literal and raises every error, with the
+message and span it has without the loop.  Function tables and integer
+values always take the token path.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 from .errors import (
     DuplicateDefinition,
@@ -120,49 +136,76 @@ _OPS = (
     "*",
 )
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+
+# A token is one of these, after any whitespace and comments; the eof
+# group matches only at the end of the text
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<comment>//[^\n]*)|(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>" + "|".join(re.escape(o) for o in _OPS) + r")"
+    r"\s*(?://[^\n]*\s*)*"
+    rf"(?:(?P<int>\d+)|(?P<ident>{_IDENT})"
+    r"|(?P<op>" + "|".join(re.escape(o) for o in _OPS) + r")|(?P<eof>\Z))"
+)
+# The longest prefix made of characters some token starts with (a "/"
+# only as the start of a comment); what follows it is a bad character
+_CLEAN_RE = re.compile(
+    r"(?:[\s\dA-Za-z_" + re.escape("".join(sorted({o[0] for o in _OPS}))) + r"]+|//[^\n]*)*"
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'int', 'ident', 'keyword', 'op', 'eof'
     text: str
-    line: int
-    col: int
+    pos: int  # offset of its first character in the source text
 
-    def span(self, filename: str) -> SourceSpan:
-        return SourceSpan(filename, self.line, self.col, self.col + max(1, len(self.text)))
+
+def _span(text: str, filename: str, pos: int, width: int) -> SourceSpan:
+    """The span of width characters at offset pos: lines count newlines,
+    columns count characters after the last one, from 1."""
+    line = text.count("\n", 0, pos) + 1
+    col = pos - text.rfind("\n", 0, pos)
+    return SourceSpan(filename, line, col, col + width)
+
+
+def _check_characters(text: str, filename: str) -> None:
+    """Raise on the first character outside a comment that no token can
+    start with, before any token is parsed."""
+    pos = _CLEAN_RE.match(text).end()
+    if pos < len(text):
+        raise ParseError(
+            f"unexpected character {text[pos]!r}", _span(text, filename, pos, 1)
+        )
+
+
+def _scan(text: str, pos: int = 0) -> Iterator[Token]:
+    """The tokens of text from offset pos on, ending with one eof token.
+    The text must have passed _check_characters."""
+    for m in _TOKEN_RE.finditer(text, pos):
+        kind = m.lastgroup
+        lexeme = m[kind]
+        yield Token(
+            "keyword" if kind == "ident" and lexeme in KEYWORDS else kind,
+            lexeme,
+            m.start(kind),
+        )
+        if kind == "eof":
+            return
 
 
 def tokenize(text: str, filename: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}",
-                SourceSpan(filename, line, col, col + 1),
-            )
-        lexeme = m.group(0)
-        kind = m.lastgroup
-        if kind == "ident" and lexeme in KEYWORDS:
-            kind = "keyword"
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+    """All tokens of text, ending with an eof token."""
+    _check_characters(text, filename)
+    return list(_scan(text))
+
+
+def _tuple_item_re(arity: int) -> re.Pattern:
+    """One tuple of a relation literal in its simple form, with the comma
+    after it: a parenthesised list of arity names and, for a unary symbol,
+    also a bare name, with whitespace only between them."""
+    name = f"({_IDENT})"
+    item = r"\(\s*" + r"\s*,\s*".join([name] * arity) + r"\s*\)"
+    if arity == 1:
+        item = f"(?:{item}|{name})"
+    return re.compile(item + r"\s*,\s*")
 
 
 @dataclass
@@ -181,10 +224,17 @@ class _Scope:
 
 
 class Parser:
+    """Recursive descent over the one token in hand, self.tok, pulled on
+    demand from a scanner over self.text.  parse_relation first lets
+    _bulk_tuples take the leading run of simple tuples from the text and
+    re-seat the scanner after it; the token path parses the rest and
+    raises every error (see the module docstring)."""
+
     def __init__(self, text: str, filename: str = "<string>"):
+        _check_characters(text, filename)
+        self.text = text
         self.filename = filename
-        self.tokens = tokenize(text, filename)
-        self.pos = 0
+        self._seat(0)
         self.depth = 0  # nesting of the formula or term being parsed
         self.voc = Vocabulary()
         self.domains: dict[str, tuple[str, ...]] = {}
@@ -193,33 +243,37 @@ class Parser:
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def _seat(self, pos: int) -> None:
+        """Scan on from offset pos, which starts a token or whitespace."""
+        self._tokens = _scan(self.text, pos)
+        self.tok = next(self._tokens)
 
     def next(self) -> Token:
-        t = self.tokens[self.pos]
+        t = self.tok
         if t.kind != "eof":
-            self.pos += 1
+            self.tok = next(self._tokens)
         return t
 
+    def span(self, tok: Token) -> SourceSpan:
+        return _span(self.text, self.filename, tok.pos, max(1, len(tok.text)))
+
     def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.span(self.filename))
+        return ParseError(message, self.span(self.tok if tok is None else tok))
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
+        t = self.tok
         if t.text != text or t.kind == "eof":
             raise self.error(f"expected {text!r}, found {t.text!r}")
         return self.next()
 
     def accept(self, text: str) -> bool:
-        if self.peek().text == text and self.peek().kind != "eof":
+        if self.tok.text == text and self.tok.kind != "eof":
             self.next()
             return True
         return False
 
     def ident(self, what: str) -> Token:
-        t = self.peek()
+        t = self.tok
         if t.kind != "ident":
             raise self.error(f"expected {what}, found {t.text!r}")
         return self.next()
@@ -235,7 +289,7 @@ class Parser:
 
     def _declare(self, tok: Token) -> str:
         if tok.text in self.names:
-            raise DuplicateDefinition(f"name {tok.text} already declared", tok.span(self.filename))
+            raise DuplicateDefinition(f"name {tok.text} already declared", self.span(tok))
         self.names.add(tok.text)
         return tok.text
 
@@ -263,7 +317,7 @@ class Parser:
             self.expect("{")
             while not self.accept("}"):
                 self.parse_interpretation(relations, functions)
-        t = self.peek()
+        t = self.tok
         if t.kind != "eof":
             raise self.error(f"unexpected {t.text!r} after structure block")
         structure = Structure(self.voc, self.domains, relations, functions)
@@ -301,7 +355,7 @@ class Parser:
             params = self.parse_param_list()
             self.expect("->")
             cod: str | Interval
-            if self.peek().text == "Int":
+            if self.tok.text == "Int":
                 lo, hi = self.parse_interval_literal()
                 cod = Interval(lo, hi)
             else:
@@ -326,7 +380,7 @@ class Parser:
 
     def parse_int_literal(self) -> int:
         neg = self.accept("-")
-        t = self.peek()
+        t = self.tok
         if t.kind != "int":
             raise self.error(f"expected integer, found {t.text!r}")
         self.next()
@@ -387,7 +441,7 @@ class Parser:
         return f
 
     def _parse_unary(self, scope: _Scope) -> Formula:
-        t = self.peek()
+        t = self.tok
         if t.text == "~":
             self.next()
             return Not(self.parse_unary(scope))
@@ -431,7 +485,7 @@ class Parser:
         return body
 
     def parse_atomic(self, scope: _Scope) -> Formula:
-        t = self.peek()
+        t = self.tok
         if t.kind == "ident" and t.text in self.voc.predicates:
             self.next()
             args: tuple[Term, ...] = ()
@@ -444,12 +498,12 @@ class Parser:
                             break
                     self.expect(")")
                 args = tuple(parts)
-            nxt = self.peek()
+            nxt = self.tok
             if nxt.kind == "op" and nxt.text in ("=", "~=", "<", "=<", ">", ">="):
                 raise self.error(f"predicate {t.text} used as a term", nxt)
             return Atom(t.text, args)
         left = self.parse_term(scope)
-        op = self.peek()
+        op = self.tok
         if op.kind == "op" and op.text in ("=", "~=", "<", "=<", ">", ">="):
             self.next()
             right = self.parse_term(scope)
@@ -461,7 +515,7 @@ class Parser:
     def parse_term(self, scope: _Scope) -> Term:
         depth = self.depth
         t = self.parse_mul(scope)
-        while self.peek().text in ("+", "-") and self.peek().kind == "op":
+        while self.tok.text in ("+", "-") and self.tok.kind == "op":
             op = self.next().text
             self._deeper()
             t = Arith(op, t, self.parse_mul(scope))
@@ -471,7 +525,7 @@ class Parser:
     def parse_mul(self, scope: _Scope) -> Term:
         depth = self.depth
         t = self.parse_prim(scope)
-        while self.peek().text == "*" and self.peek().kind == "op":
+        while self.tok.text == "*" and self.tok.kind == "op":
             self.next()
             self._deeper()
             t = Arith("*", t, self.parse_prim(scope))
@@ -485,13 +539,13 @@ class Parser:
         return t
 
     def _parse_prim(self, scope: _Scope) -> Term:
-        t = self.peek()
+        t = self.tok
         if t.kind == "int":
             self.next()
             return IntConstant(int(t.text))
         if t.text == "-":
             self.next()
-            tok = self.peek()
+            tok = self.tok
             if tok.kind != "int":
                 raise self.error("expected integer after unary -")
             self.next()
@@ -521,7 +575,7 @@ class Parser:
             if t.text in self.voc.predicates:
                 raise self.error(f"predicate {t.text} used as a term", t)
             raise UnknownElement(
-                f"unknown variable or element: {t.text}", t.span(self.filename)
+                f"unknown variable or element: {t.text}", self.span(t)
             )
         raise self.error(f"expected a term, found {t.text!r}")
 
@@ -534,13 +588,13 @@ class Parser:
         if name in self.voc.predicates:
             if name in relations:
                 raise DuplicateDefinition(
-                    f"{name} interpreted twice", name_tok.span(self.filename)
+                    f"{name} interpreted twice", self.span(name_tok)
                 )
             relations[name] = self.parse_relation(self.voc.predicates[name])
         elif name in self.voc.functions:
             if name in functions:
                 raise DuplicateDefinition(
-                    f"{name} interpreted twice", name_tok.span(self.filename)
+                    f"{name} interpreted twice", self.span(name_tok)
                 )
             functions[name] = self.parse_function(self.voc.functions[name])
         else:
@@ -549,7 +603,7 @@ class Parser:
 
     def parse_value(self, type_name: str) -> int:
         """One element/integer, normalized to index space of type_name."""
-        t = self.peek()
+        t = self.tok
         if t.kind == "int" or t.text == "-":
             value = self.parse_int_literal()
             decl = self.voc.types[type_name]
@@ -563,7 +617,7 @@ class Parser:
         tok = self.ident("element name")
         info = self.elements.get(tok.text)
         if info is None:
-            raise UnknownElement(f"unknown element: {tok.text}", tok.span(self.filename))
+            raise UnknownElement(f"unknown element: {tok.text}", self.span(tok))
         etype, index = info
         if etype != type_name:
             raise self.error(
@@ -572,7 +626,7 @@ class Parser:
         return index
 
     def parse_tuple(self, arg_types: tuple[str, ...]) -> tuple[int, ...]:
-        if self.peek().text == "(":
+        if self.tok.text == "(":
             self.next()
             vals: list[int] = []
             if not self.accept(")"):
@@ -595,7 +649,7 @@ class Parser:
         return (self.parse_value(arg_types[0]),)
 
     def parse_relation(self, arg_types: tuple[str, ...]) -> frozenset:
-        t = self.peek()
+        t = self.tok
         if t.kind == "keyword" and t.text in ("true", "false"):
             if arg_types:
                 raise self.error("true/false shorthand only for 0-ary predicates", t)
@@ -603,7 +657,8 @@ class Parser:
             return frozenset({()} if t.text == "true" else set())
         self.expect("{")
         tuples: set[tuple[int, ...]] = set()
-        if not self.accept("}"):
+        # after a bulk run the next token must start a tuple, even a "}"
+        if self._bulk_tuples(arg_types, tuples) or not self.accept("}"):
             while True:
                 tup = self.parse_tuple(arg_types)
                 if tup in tuples:
@@ -614,17 +669,42 @@ class Parser:
             self.expect("}")
         return frozenset(tuples)
 
+    def _bulk_tuples(self, arg_types: tuple[str, ...], tuples: set) -> bool:
+        """Add the leading run of simple tuples of a relation literal, each
+        with its comma, read straight from the text from the current token
+        on, and re-seat the scanner after the run; returns whether it took
+        any.  A tuple is simple when _tuple_item_re matches it, each name
+        is an element of its declared type, and it is not in tuples yet.
+        The run stops before the first tuple that is not simple, so the
+        token path parses that one and raises any error it holds."""
+        if not arg_types:
+            return False
+        item = _tuple_item_re(len(arg_types)).match  # anchored: no search ahead
+        text, elements = self.text, self.elements
+        start = pos = self.tok.pos
+        while m := item(text, pos):
+            # a unary item holds its name in one of two groups
+            tup = _element_indices(elements, filter(None, m.groups()), arg_types)
+            if tup is None or tup in tuples:
+                break
+            tuples.add(tup)
+            pos = m.end()
+        if pos == start:
+            return False
+        self._seat(pos)
+        return True
+
     def _codomain_value(self, cod) -> int:
         """Parse a function value (index for enum codomain, value otherwise)."""
         if isinstance(cod, Interval):
-            t = self.peek()
+            t = self.tok
             value = self.parse_int_literal()
             if not cod.lo <= value <= cod.hi:
                 raise self.error(f"value {value} outside Int[{cod.lo}..{cod.hi}]", t)
             return value
         decl = self.voc.types[cod]
         if isinstance(decl, IntervalType):
-            t = self.peek()
+            t = self.tok
             value = self.parse_int_literal()
             if not decl.lo <= value <= decl.hi:
                 raise self.error(f"value {value} outside Int[{decl.lo}..{decl.hi}]", t)
@@ -632,7 +712,7 @@ class Parser:
         tok = self.ident("element name")
         info = self.elements.get(tok.text)
         if info is None:
-            raise UnknownElement(f"unknown element: {tok.text}", tok.span(self.filename))
+            raise UnknownElement(f"unknown element: {tok.text}", self.span(tok))
         etype, index = info
         if etype != cod:
             raise self.error(f"element {tok.text} has type {etype}, expected {cod}", tok)
@@ -640,7 +720,7 @@ class Parser:
 
     def parse_function(self, sig: FuncSig) -> FunctionTable:
         arg_sizes = tuple(self._type_size(t) for t in sig.args)
-        if self.peek().text != "{":
+        if self.tok.text != "{":
             # 0-ary shorthand: f := value.
             if sig.args:
                 raise self.error("bare value only allowed for 0-ary functions")
@@ -668,6 +748,19 @@ class Parser:
         if isinstance(decl, IntervalType):
             return decl.hi - decl.lo + 1
         return len(self.domains[name])
+
+
+def _element_indices(
+    elements: dict[str, tuple[str, int]], names, arg_types: tuple[str, ...]
+) -> tuple[int, ...] | None:
+    """The indices of names, or None unless each is an element of its type."""
+    out = []
+    for name, want in zip(names, arg_types):
+        info = elements.get(name)
+        if info is None or info[0] != want:
+            return None
+        out.append(info[1])
+    return tuple(out)
 
 
 def parse_problem(text: str, filename: str = "<string>") -> Problem:

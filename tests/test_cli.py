@@ -1,6 +1,7 @@
 """CLI surface: subcommands, outputs, exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -346,3 +347,29 @@ def test_huge_integer_literal(tmp_path, capsys):
     for strategy in ("naive", "noreduce"):
         assert main(["ground", str(src), "--strategy", strategy]) == 0
         assert "verdict open, 9 assertions" in capsys.readouterr().err
+
+
+def test_summary_reports_phase_times(capsys):
+    assert main(["ground", str(DATA / "mapcolour3.sli")]) == 0
+    err = capsys.readouterr().err
+    assert re.search(
+        r"assertions \(vec\); parse \d+\.\d{3} s, ground \d+\.\d{3} s, emit \d+\.\d{3} s$",
+        err.strip(),
+    ), err
+
+
+@pytest.mark.parametrize("command", ["check", "ground"])
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys, command):
+    src = tmp_path / "bad.sli"
+    src.write_bytes(b"vocabulary {\n  type T := {a\xff}.\n}\n")
+    assert main([command, str(src)]) == 2
+    err = capsys.readouterr().err
+    assert f"{src}: byte 0xff at offset 27 is not UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_crlf_file_gives_the_spans_of_a_lf_file(tmp_path, capsys):
+    src = tmp_path / "crlf.sli"
+    src.write_bytes(COVER_SRC.replace("P := {a}", "P := {zz}").replace("\n", "\r\n").encode())
+    assert main(["check", str(src)]) == 2
+    assert f"{src}:10:9-11: unknown element: zz" in capsys.readouterr().err

@@ -5,6 +5,7 @@ enumeration: a candidate interpretation of the open predicates satisfies
 the theory under the full structure iff it satisfies the ground theory.
 """
 
+import gc
 import itertools
 from collections import Counter
 from types import SimpleNamespace
@@ -65,6 +66,7 @@ from sli.logic import (
 )
 from sli.parser import Problem, parse_problem, print_formula
 from sli.satset import SatSetEvaluator
+from sli.smt import emit
 
 STRATEGIES = ("vec", "naive", "noreduce")
 
@@ -972,3 +974,34 @@ def test_timeout_stops_a_block_partway(monkeypatch, strategy):
     with pytest.raises(GroundingTimeout):
         g.sentence(prob.sentences[0])
     assert 0 < g.row.instantiations < total
+
+
+def _queens(n):
+    return problem(
+        f"""
+vocabulary {{
+  type N := Int[1..{n}].
+  func queen(N) -> Int[1..{n}].
+}}
+theory {{
+  !x, y in N: x ~= y => queen(x) ~= queen(y).
+  !x, y in N: x ~= y => queen(x) + x ~= queen(y) + y.
+  !x, y in N: x ~= y => queen(x) - x ~= queen(y) - y.
+}}
+"""
+    )
+
+
+@pytest.mark.parametrize("make", [lambda: _colour_like(40, 5), lambda: _queens(6)],
+                         ids=["colour", "queens"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_pipeline_leaves_no_cyclic_garbage(make, strategy):
+    """Parsing, grounding and emitting free every object they make by
+    reference counting alone: no walk leaves a reference cycle behind."""
+    gc.collect()
+    gc.disable()
+    try:
+        emit(ground_problem(make(), strategy))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
