@@ -521,6 +521,11 @@ class FunctionTable:
         self.arg_sizes = arg_sizes
         self.entries = dict(entries)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FunctionTable):
+            return NotImplemented
+        return self.arg_sizes == other.arg_sizes and self.entries == other.entries
+
     def lookup(self, key: tuple[int, ...]) -> int:
         return self.entries[key]
 
@@ -551,6 +556,18 @@ class Structure:
             k: frozenset(v) for k, v in (relations or {}).items()
         }
         self.functions: dict[str, FunctionTable] = dict(functions or {})
+
+    def __eq__(self, other: object) -> bool:
+        """Structures are equal when their vocabularies, domains and tables
+        are; like the dicts they hold, they are not hashable."""
+        if not isinstance(other, Structure):
+            return NotImplemented
+        return (
+            self.voc == other.voc
+            and self.domains == other.domains
+            and self.relations == other.relations
+            and self.functions == other.functions
+        )
 
     @property
     def interpreted_symbols(self) -> frozenset[str]:

@@ -57,29 +57,22 @@ def _sanitize(name: str) -> str:
     return out
 
 
-class _NameRegistry:
-    """Deterministic key -> simple-symbol mapping; collisions get numeric
-    suffixes in first-use order."""
+class _Names:
+    """One namespace of simple symbols: a base is sanitized, and a name
+    already in use gets the first free numeric suffix, in first-use order."""
 
-    def __init__(self):
-        self._by_key: dict[object, str] = {}
-        self._used: set[str] = set(_RESERVED)
+    def __init__(self, taken: frozenset[str] = frozenset()):
+        self.used: set[str] = set(_RESERVED) | taken
 
-    def assign(self, key: object, base: str) -> str:
-        if key in self._by_key:
-            return self._by_key[key]
+    def fresh(self, base: str) -> str:
         name = _sanitize(base)
-        if name in self._used:
+        if name in self.used:
             k = 2
-            while f"{name}!{k}" in self._used:
+            while f"{name}!{k}" in self.used:
                 k += 1
             name = f"{name}!{k}"
-        self._used.add(name)
-        self._by_key[key] = name
+        self.used.add(name)
         return name
-
-    def get(self, key: object) -> str:
-        return self._by_key[key]
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,103 +94,6 @@ class SmtDocument:
         return "\n".join(lines) + "\n"
 
 
-class _Collector:
-    """First pass: discover sorts, constants, and funs in emission order."""
-
-    def __init__(self, gt: GroundTheory):
-        self.gt = gt
-        self.voc: Vocabulary = gt.structure.voc
-        self.unfolded = gt.mode == "unfolded"
-        self.sorts: dict[str, None] = {}
-        # key -> (base name, sort spec); spec is "Bool", ("Int", lo, hi) or ("Sort", T)
-        self.consts: dict[object, tuple[str, object]] = {}
-        self.funs: dict[str, None] = {}
-        self.bound_apps: dict[FunctionApp, None] = {}
-        self.ints_used = False
-
-    def run(self):
-        for a in self.gt.assertions:
-            self._formula(a)
-        return self
-
-    # -- sort handling ------------------------------------------------
-
-    def _sort_of(self, type_name: str) -> object:
-        decl = self.voc.type_decl(type_name)
-        if isinstance(decl, EnumType):
-            self.sorts.setdefault(type_name)
-            return ("Sort", type_name)
-        self.ints_used = True
-        return ("Int", decl.lo, decl.hi)
-
-    def _codomain_sort(self, fname: str) -> object:
-        cod = self.voc.functions[fname].codomain
-        if isinstance(cod, Interval):
-            self.ints_used = True
-            return ("Int", cod.lo, cod.hi)
-        return self._sort_of(cod)
-
-    # -- walk ----------------------------------------------------------
-
-    def _formula(self, f: Formula) -> None:
-        if f is TRUE or f is FALSE:
-            return
-        if isinstance(f, Atom):
-            if self.unfolded:
-                self.funs.setdefault(f.pred)
-                for t in self.voc.predicates[f.pred]:
-                    self._sort_of(t)
-                for a in f.args:
-                    self._term(a)
-            else:
-                key = ("atom", f.pred, f.args)
-                if key not in self.consts:
-                    base = _mangle(f.pred, f.args)
-                    self.consts[key] = (base, "Bool")
-        elif isinstance(f, Compare):
-            self._term(f.left)
-            self._term(f.right)
-        elif isinstance(f, Not):
-            self._formula(f.child)
-        elif isinstance(f, (And, Or)):
-            for c in f.children:
-                self._formula(c)
-        else:  # pragma: no cover - quantifiers cannot reach the emitter
-            raise TypeError(f"non-ground formula in emission: {f!r}")
-
-    def _term(self, t: Term) -> None:
-        if isinstance(t, IntConstant):
-            self.ints_used = True
-        elif isinstance(t, DomainConstant):
-            self._sort_of(t.type)
-        elif isinstance(t, Arith):
-            self.ints_used = True
-            self._term(t.left)
-            self._term(t.right)
-        elif isinstance(t, FunctionApp):
-            if self.unfolded:
-                self.funs.setdefault(t.name)
-                sig = self.voc.functions[t.name]
-                for a in sig.args:
-                    self._sort_of(a)
-                cod = self._codomain_sort(t.name)
-                for a in t.args:
-                    self._term(a)
-                if (
-                    cod[0] == "Int"
-                    and t.name not in self.gt.structure.functions
-                    and t not in self.bound_apps
-                ):
-                    self.bound_apps.setdefault(t)
-            else:
-                key = ("app", t.name, t.args)
-                if key not in self.consts:
-                    base = _mangle(t.name, t.args)
-                    self.consts[key] = (base, self._codomain_sort(t.name))
-        else:  # pragma: no cover - variables cannot reach the emitter
-            raise TypeError(f"non-ground term in emission: {t!r}")
-
-
 def _mangle(symbol: str, args: tuple[Term, ...]) -> str:
     parts = [symbol]
     for a in args:
@@ -210,127 +106,212 @@ def _mangle(symbol: str, args: tuple[Term, ...]) -> str:
     return "!".join(parts)
 
 
-class _Renderer:
-    def __init__(self, col: _Collector, names: _NameRegistry, sorts: _NameRegistry):
-        self.col = col
-        self.names = names
-        self.sorts = sorts
-        self.unfolded = col.unfolded
+class _Emitter:
+    """One walk over a ground theory's assertions.  It renders each one
+    and declares the sorts, constants and functions it mentions on first
+    use, so declarations come out in first-use order.
+
+    In reduced mode each term and atom node is rendered once and its text
+    is keyed by id(node): the compiled instantiator hands the same
+    FunctionApp/Arith object to every tuple that shares it, and
+    gt.assertions keeps every node, so every id, alive for the walk.
+    Unfolded mode keeps no memo: the noreduce grounder shares few nodes,
+    and a memo there was measured to slow emission down.
+
+    Constructor names are assigned before constant names, so a constant
+    never takes a constructor's plain name.  The walk names constants as it
+    finds them, avoiding `taken`; `document` walks again, with every
+    constructor name taken, in the rare case that one clashed."""
+
+    def __init__(self, gt: GroundTheory, taken: frozenset[str]):
+        s = gt.structure
+        self.voc: Vocabulary = s.voc
+        self.domains = s.domains
+        self.interpreted = s.functions
+        self.unfolded = gt.mode == "unfolded"
+        self.sort_names = _Names()
+        self.ctor_names = _Names()
+        self.names = _Names(taken)
+        self.sorts: dict[str, str] = {}  # type name -> sort name
+        self.ctors: dict[tuple[str, str], str] = {}  # (type, element) -> name
+        # reduced: ("atom"|"app", symbol, args) -> constant; unfolded: symbol -> fun
+        self.symbols: dict[object, str] = {}
+        self.bounded: dict[str, tuple[int, int]] = {}  # unfolded: fun -> range
+        self.bound_apps: set[FunctionApp] = set()
+        self.memo: dict[int, str] = {}
+        self.ints_used = False
+        self.sort_decls: list[str] = []
+        self.const_decls: list[str] = []
+        self.bounds: list[str] = []
+
+    # -- declarations, on first use ------------------------------------
+
+    def _sort(self, type_name: str) -> tuple[str, tuple[int, int] | None]:
+        """The sort text of a declared type and, for an interval, its range.
+        An enumerated type is declared, with its constructors, on first use."""
+        decl = self.voc.type_decl(type_name)
+        if not isinstance(decl, EnumType):
+            self.ints_used = True
+            return "Int", (decl.lo, decl.hi)
+        name = self.sorts.get(type_name)
+        if name is None:
+            name = self.sorts[type_name] = self.sort_names.fresh(type_name)
+            ctors = []
+            for e in self.domains[type_name]:
+                ctor = self.ctor_names.fresh(f"{type_name}!{e}")
+                self.ctors[type_name, e] = ctor
+                ctors.append(f"({ctor})")
+            self.sort_decls.append(
+                f"(declare-datatypes (({name} 0)) (({' '.join(ctors)})))"
+            )
+        return name, None
+
+    def _codomain(self, fname: str) -> tuple[str, tuple[int, int] | None]:
+        cod = self.voc.functions[fname].codomain
+        if isinstance(cod, Interval):
+            self.ints_used = True
+            return "Int", (cod.lo, cod.hi)
+        return self._sort(cod)
+
+    def _constant(
+        self, key: tuple, base: str, sort: str, bounds: tuple[int, int] | None
+    ) -> str:
+        """Reduced mode: declare the constant for a new ground atom or
+        application, with its range if it is an integer."""
+        name = self.symbols[key] = self.names.fresh(base)
+        self.const_decls.append(f"(declare-const {name} {sort})")
+        if bounds is not None:
+            lo, hi = bounds
+            self.bounds.append(f"(assert (<= {_int(lo)} {name}))")
+            self.bounds.append(f"(assert (<= {name} {_int(hi)}))")
+        return name
+
+    def _fun(self, symbol: str) -> str:
+        """Unfolded mode: the name of a predicate or function, declared on
+        first use together with the sorts of its signature."""
+        name = self.symbols.get(symbol)
+        if name is not None:
+            return name
+        if symbol in self.voc.predicates:
+            args = [self._sort(t)[0] for t in self.voc.predicates[symbol]]
+            cod = "Bool"
+        else:
+            args = [self._sort(t)[0] for t in self.voc.functions[symbol].args]
+            cod, bounds = self._codomain(symbol)
+            if bounds is not None and symbol not in self.interpreted:
+                self.bounded[symbol] = bounds
+        name = self.symbols[symbol] = self.names.fresh(symbol)
+        self.const_decls.append(f"(declare-fun {name} ({' '.join(args)}) {cod})")
+        return name
+
+    # -- the walk --------------------------------------------------------
 
     def formula(self, f: Formula) -> str:
+        tf = type(f)
+        if tf is Compare:
+            return f"({_COMPARE_OPS[f.op]} {self.term(f.left)} {self.term(f.right)})"
+        if tf is Atom:
+            return self._atom(f)
+        if tf is Or or tf is And:
+            kids = f.children
+            if len(kids) > 1:
+                word = "and" if tf is And else "or"
+                return f"({word} {' '.join([self.formula(c) for c in kids])})"
+            if kids:
+                return self.formula(kids[0])
+            return "true" if tf is And else "false"
+        if tf is Not:
+            return f"(not {self.formula(f.child)})"
         if f is TRUE:
             return "true"
         if f is FALSE:
             return "false"
-        if isinstance(f, Atom):
-            if not self.unfolded:
-                return self.names.get(("atom", f.pred, f.args))
+        raise TypeError(f"non-ground formula in emission: {f!r}")  # pragma: no cover
+
+    def _atom(self, f: Atom) -> str:
+        if self.unfolded:
+            name = self._fun(f.pred)
             if not f.args:
-                return self.names.get(("fun", f.pred))
-            args = " ".join(self.term(a) for a in f.args)
-            return f"({self.names.get(('fun', f.pred))} {args})"
-        if isinstance(f, Compare):
-            return f"({_COMPARE_OPS[f.op]} {self.term(f.left)} {self.term(f.right)})"
-        if isinstance(f, Not):
-            return f"(not {self.formula(f.child)})"
-        if isinstance(f, (And, Or)):
-            word = "and" if isinstance(f, And) else "or"
-            if not f.children:
-                return "true" if isinstance(f, And) else "false"
-            if len(f.children) == 1:
-                return self.formula(f.children[0])
-            return f"({word} {' '.join(self.formula(c) for c in f.children)})"
-        raise TypeError(f"non-ground formula in emission: {f!r}")
+                return name
+            return f"({name} {' '.join([self.term(a) for a in f.args])})"
+        name = self.memo.get(id(f))
+        if name is None:
+            key = ("atom", f.pred, f.args)
+            name = self.symbols.get(key)
+            if name is None:
+                name = self._constant(key, _mangle(f.pred, f.args), "Bool", None)
+            self.memo[id(f)] = name
+        return name
 
     def term(self, t: Term) -> str:
-        if isinstance(t, IntConstant):
-            return _int(t.value)
-        if isinstance(t, DomainConstant):
-            return self.names.get(("ctor", t.type, t.name))
-        if isinstance(t, Arith):
-            return f"({t.op} {self.term(t.left)} {self.term(t.right)})"
-        if isinstance(t, FunctionApp):
-            if not self.unfolded:
-                return self.names.get(("app", t.name, t.args))
-            if not t.args:
-                return self.names.get(("fun", t.name))
-            args = " ".join(self.term(a) for a in t.args)
-            return f"({self.names.get(('fun', t.name))} {args})"
-        raise TypeError(f"non-ground term in emission: {t!r}")
+        text = self.memo.get(id(t))  # the memo stays empty in unfolded mode
+        if text is not None:
+            return text
+        tt = type(t)
+        if tt is FunctionApp:
+            text = self._app(t)
+        elif tt is Arith:
+            self.ints_used = True
+            text = f"({t.op} {self.term(t.left)} {self.term(t.right)})"
+        elif tt is IntConstant:
+            self.ints_used = True
+            text = _int(t.value)
+        elif tt is DomainConstant:
+            text = self.ctors.get((t.type, t.name))
+            if text is None:
+                self._sort(t.type)
+                text = self.ctors[t.type, t.name]
+        else:  # pragma: no cover - variables cannot reach the emitter
+            raise TypeError(f"non-ground term in emission: {t!r}")
+        if not self.unfolded:
+            self.memo[id(t)] = text
+        return text
+
+    def _app(self, t: FunctionApp) -> str:
+        if not self.unfolded:
+            key = ("app", t.name, t.args)
+            name = self.symbols.get(key)
+            if name is None:
+                base = _mangle(t.name, t.args)
+                name = self._constant(key, base, *self._codomain(t.name))
+            return name
+        name = self._fun(t.name)
+        if not t.args:
+            text = name
+        else:
+            text = f"({name} {' '.join([self.term(a) for a in t.args])})"
+        bounds = self.bounded.get(t.name)
+        if bounds is not None:
+            seen = len(self.bound_apps)
+            self.bound_apps.add(t)
+            if len(self.bound_apps) > seen:
+                lo, hi = bounds
+                self.bounds.append(f"(assert (<= {_int(lo)} {text}))")
+                self.bounds.append(f"(assert (<= {text} {_int(hi)}))")
+        return text
+
+
+def _walk(gt: GroundTheory, taken: frozenset[str]) -> tuple[_Emitter, list[str]]:
+    em = _Emitter(gt, taken)
+    return em, [f"(assert {em.formula(a)})" for a in gt.assertions]
 
 
 def document(gt: GroundTheory) -> SmtDocument:
     """Lay out a ground theory as an SMT-LIB 2 script."""
-    col = _Collector(gt).run()
-    names = _NameRegistry()
-    sorts = _NameRegistry()
-    domains = gt.structure.domains
-
-    sort_decls = []
-    for type_name in col.sorts:
-        sname = sorts.assign(("sort", type_name), type_name)
-        ctors = " ".join(
-            f"({names.assign(('ctor', type_name, e), f'{type_name}!{e}')})"
-            for e in domains[type_name]
-        )
-        sort_decls.append(f"(declare-datatypes (({sname} 0)) (({ctors})))")
-
-    const_decls = []
-    bounds = []
-
-    def sort_text(spec) -> str:
-        if spec == "Bool":
-            return "Bool"
-        if spec[0] == "Int":
-            return "Int"
-        return sorts.get(("sort", spec[1]))
-
-    if col.unfolded:
-        for fname in col.funs:
-            name = names.assign(("fun", fname), fname)
-            if fname in col.voc.predicates:
-                args = " ".join(
-                    sort_text(col._sort_of(t)) for t in col.voc.predicates[fname]
-                )
-                const_decls.append(f"(declare-fun {name} ({args}) Bool)")
-            else:
-                sig = col.voc.functions[fname]
-                args = " ".join(sort_text(col._sort_of(t)) for t in sig.args)
-                cod = col._codomain_sort(fname)
-                const_decls.append(f"(declare-fun {name} ({args}) {sort_text(cod)})")
-    else:
-        for key, (base, spec) in col.consts.items():
-            name = names.assign(key, base)
-            const_decls.append(f"(declare-const {name} {sort_text(spec)})")
-            if spec != "Bool" and spec[0] == "Int":
-                _, lo, hi = spec
-                bounds.append(f"(assert (<= {_int(lo)} {name}))")
-                bounds.append(f"(assert (<= {name} {_int(hi)}))")
-
-    rend = _Renderer(col, names, sorts)
-
-    if col.unfolded:
-        for app in col.bound_apps:
-            cod = col.voc.functions[app.name].codomain
-            if isinstance(cod, Interval):
-                lo, hi = cod.lo, cod.hi
-            else:
-                decl = col.voc.type_decl(cod)
-                lo, hi = decl.lo, decl.hi
-            text = rend.term(app)
-            bounds.append(f"(assert (<= {_int(lo)} {text}))")
-            bounds.append(f"(assert (<= {text} {_int(hi)}))")
-
-    assertions = list(bounds)
+    em, body = _walk(gt, frozenset())
+    ctor_names = em.ctor_names.used - _RESERVED
+    if not ctor_names.isdisjoint(em.names.used):
+        # a constant took a constructor's name: walk again with every
+        # constructor name taken, as though the constructors came first
+        em, body = _walk(gt, frozenset(ctor_names))
     if gt.verdict == VERDICT_OPEN:
-        assertions += [f"(assert {rend.formula(a)})" for a in gt.assertions]
+        assertions = em.bounds + body
     else:
-        assertions.append(
-            "(assert true)" if gt.verdict == VERDICT_SAT else "(assert false)"
-        )
-
-    logic = "QF_UFDTLIA" if col.ints_used else "QF_UFDT"
-    return SmtDocument(logic, tuple(sort_decls), tuple(const_decls), tuple(assertions))
+        assertions = ["(assert true)" if gt.verdict == VERDICT_SAT else "(assert false)"]
+    logic = "QF_UFDTLIA" if em.ints_used else "QF_UFDT"
+    return SmtDocument(
+        logic, tuple(em.sort_decls), tuple(em.const_decls), tuple(assertions)
+    )
 
 
 def emit(gt: GroundTheory) -> str:

@@ -10,22 +10,17 @@ import pytest
 
 from randgen import random_sentence, random_structure
 from sli.errors import ParseError, SliError, SourceSpan
-from sli.logic import Vocabulary
 from sli.parser import Parser, Problem, parse_problem, print_problem, tokenize
 
 DATA = Path(__file__).parent / "data"
 
 
 def _outcome(text: str):
-    """What parsing text gives, in a form that compares by value
-    (Structure compares by identity)."""
+    """The problem parsed from text, or its error's class, message and span."""
     try:
-        p = parse_problem(text, "in.sli")
+        return parse_problem(text, "in.sli")
     except SliError as e:
         return type(e), str(e), getattr(e, "span", None)
-    s = p.structure
-    tables = {name: t.entries for name, t in s.functions.items()}
-    return p.voc, p.sentences, s.domains, s.relations, tables
 
 
 def _both(monkeypatch, text: str):
@@ -107,7 +102,7 @@ def test_hand_case_matches_the_token_path(monkeypatch, case):
     assert bulk == tokens
     assert bool(took) == takes
     if error is None:
-        assert isinstance(bulk[0], Vocabulary), bulk
+        assert isinstance(bulk, Problem), bulk
     else:
         assert issubclass(bulk[0], ParseError) and bulk[1].endswith(error), bulk
 
@@ -115,6 +110,19 @@ def test_hand_case_matches_the_token_path(monkeypatch, case):
 def test_trailing_comma_fails_at_the_closing_brace(monkeypatch):
     text = HEAD + "  e := {(a, a), }.\n}\n"
     assert _both(monkeypatch, text)[0][2] == SourceSpan("in.sli", 12, 17, 18)
+
+
+def test_problems_compare_by_value():
+    text = (DATA / "mapcolour3.sli").read_text()
+    assert parse_problem(text) == parse_problem(text)
+    # one relation tuple differs
+    moved = text.replace("(USA, Mexico)}", "(Mexico, USA)}")
+    assert moved != text and parse_problem(moved) != parse_problem(text)
+    # one function table entry differs
+    table = "}.\n  colour := {USA -> red, Canada -> green, Mexico -> %s}.\n}"
+    red, blue = (text.replace("}.\n}", table % c) for c in ("red", "blue"))
+    assert parse_problem(red) == parse_problem(red)
+    assert parse_problem(red) != parse_problem(blue)
 
 
 def _random_problem(rng) -> Problem:
