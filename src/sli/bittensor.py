@@ -18,8 +18,9 @@ packed input and output:
   pieces: each piece unpacks or computes about `_CHUNK_BITS` bits at
   most, one byte each, and is packed and shifted into place before the
   next begins.
-* `from_ones` sets bits in the words directly, and `iter_ones` expands
-  only nonzero words.
+* `from_ones` sets bits in the words directly, and `iter_ones_chunks`
+  expands only nonzero words, into coordinate arrays of a bounded number
+  of tuples; `iter_ones` is their flattening.
 
 So the bit budget bounds the memory the kernels really use.  The piece
 loops call an optional `tick` once per piece, so a cooperative deadline
@@ -490,25 +491,28 @@ class BitTensor:
 
     def iter_ones(self) -> Iterator[tuple[int, ...]]:
         """Index tuples whose bit is 1, in lexicographic order."""
-        nbits = self.shape.nbits
-        if not nbits:
-            return
-        if not self.shape.axes:
-            if self.words[0] & np.uint64(1):
-                yield ()
-            return
-        extents = self.shape.extents
+        for coords in self.iter_ones_chunks():
+            yield from map(tuple, coords.T.tolist())
+
+    def iter_ones_chunks(self) -> Iterator[np.ndarray]:
+        """The index tuples whose bit is 1, in lexicographic order, in
+        chunks of at most _CHUNK_BITS // 64 tuples: each chunk is an int
+        array with one row of coordinates per axis and one column per
+        tuple (shape (0, 1) for the set bit of a tensor with no axes)."""
         words = self.words
-        # at most _CHUNK_BITS // 64 ones become Python tuples at a time
-        per = max(1, _CHUNK_BITS // 4096)
+        extents = self.shape.extents
+        if not extents:
+            if words[0] & np.uint64(1):
+                yield np.zeros((0, 1), dtype=np.intp)
+            return
+        per = max(1, _CHUNK_BITS // 4096)  # nonzero words per chunk
         for lo, hi in _pieces(words.size, max(1, _CHUNK_BITS // 8), None):
             nonzero = np.flatnonzero(words[lo:hi]) + lo
             for a in range(0, nonzero.size, per):
                 sel = nonzero[a : a + per]
                 bits = np.unpackbits(words[sel].view(np.uint8), bitorder="little")
                 w, b = np.nonzero(bits.reshape(-1, 64))
-                coords = np.unravel_index(sel[w] * 64 + b, extents)
-                yield from zip(*(c.tolist() for c in coords))
+                yield np.array(np.unravel_index(sel[w] * 64 + b, extents))
 
     def get(self, idx: tuple[int, ...]) -> bool:
         if len(idx) != len(self.shape.axes):

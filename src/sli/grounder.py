@@ -10,28 +10,42 @@ conjunction or disjunction that stops at the first deciding part.
 
 - vec: compile each non-vacuous split's residual once and instantiate it
   only at the tuples of the split's satisfying set, computed on bit tensors
-  by one evaluator shared by all sentences of a problem.  A block with more
-  guards than the cap is grounded as naive grounds it, and its sentence's
-  row reports naive(fallback); the other blocks stay vectorized.
+  by one evaluator shared by all sentences of a problem and taken from the
+  tensor in chunks (BitTensor.iter_ones_chunks).  A block with more guards
+  than the cap is grounded as naive grounds it, and its sentence's row
+  reports naive(fallback); the other blocks stay vectorized.
 - naive: one nested loop over the block's tuples; the guards are decided
   per tuple by recursive evaluation, skipping tuples whose residual is
   vacuous and exiting early on a deciding tuple.  Each split's residual is
-  compiled on its first tuple and reused for the rest.
+  compiled on its first tuple, and each kept tuple is a one-row chunk.
 - noreduce: instantiate everything, fold nothing, and emit the interpreted
   symbols' tables as ground assertions alongside.
 
 vec and naive emit the same instantiations (each tuple realizes exactly one
 sign vector), differing only in conjunct order and in how the interpreted
-part is evaluated.  Both instantiate through one per-tuple path: the
-compiled instantiator of the split (_compile), which returns what
-substituting the tuple's constants and folding would, errors included.  It
-folds each node of the residual once per value of the block variables the
-node mentions: a part over none of them is folded once, colouring's
-colour(x) once per x rather than once per (x, y), and only the nodes over
-all of them are built per tuple.  Those shared parts are immutable and
-appear as one object in every instantiation that holds them.  A nested
-quantifier is substituted and folded whole, and its block is ground per
-tuple as before.
+part is evaluated.  Both instantiate through one path, the column
+instantiator of the split (_columns).  Called on a chunk of tuples, given
+as one index list per block variable, it returns what substituting each
+row's constants and folding would, in row order:
+
+- a node that mentions only some of the block variables is folded once
+  per value of those variables seen, on the first chunk holding that
+  value, and gathered for the chunk by value: a part over none of them is folded
+  once, colouring's colour(x) once per x rather than once per (x, y).
+  Those shared parts are immutable and appear as one object in every
+  instantiation that holds them.
+- only the nodes over all of them are built per row, each in one list
+  comprehension over the chunk.
+- a junction stays lazy by row selection: its k-th part is built only for
+  the rows that its earlier parts left undecided.
+- a nested quantifier is substituted and folded whole per row, and its
+  block is ground when the row's part is drawn.
+
+The block's parts are drawn one at a time, each counted and checked
+against the deadline, and drawing stops at the first deciding one.  A
+chunk in which some row raises is instantiated again one row at a time,
+so the error raised, or the deciding part that leaves it unreached, is the
+one that instantiating tuple by tuple gives.
 
 One run object, _SentenceGrounder, serves a grounding call: it owns the
 deadline check (also the evaluator's tick), the evaluator, the constant
@@ -43,11 +57,10 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterable
 
 from .bittensor import DEFAULT_BIT_BUDGET
-from .errors import GroundingTimeout, GuardCapExceeded, UnsupportedFormula
+from .errors import GroundingTimeout, GuardCapExceeded, SliError, UnsupportedFormula
 from .logic import (
     FALSE,
     TRUE,
@@ -80,8 +93,11 @@ from .satset import SatSetEvaluator
 
 DEFAULT_GUARD_CAP = 8
 
-# a compiled residual: block-variable indices -> the folded instantiation
-Instantiator = Callable[[tuple[int, ...]], Formula]
+# A chunk of a block's tuples: one list of indices per block variable, all
+# of one length, one entry per row.
+Columns = list[list[int]]
+# a compiled residual node: a chunk -> the node's folded value at each row
+Instantiator = Callable[[Columns], list]
 
 STRATEGIES = ("vec", "naive", "noreduce")
 
@@ -322,25 +338,92 @@ def _codomain_const(s: Structure, codomain, value: int) -> Term:
     return s.constant_for(codomain, value)
 
 
-def _shared(
+_CONSTANT_TYPES = frozenset((DomainConstant, IntConstant))
+
+
+def _select(cols: Columns, rows: list[int]) -> Columns:
+    """The given rows of a chunk."""
+    return [[c[r] for r in rows] for c in cols]
+
+
+def _per_value(
     mentions: frozenset[int], build: Instantiator, every: frozenset[int]
 ) -> Instantiator:
-    """build, memoized per value of the block variables it mentions, unless
-    it mentions every one of them."""
+    """build, unless it mentions every block variable: then folded once per
+    value of the variables it mentions, on the chunk that first holds that
+    value, and gathered for each row.  Its table holds only the values
+    seen."""
     if mentions == every:
         return build
-    key = itemgetter(*sorted(mentions)) if mentions else lambda idx: ()
+    ps = sorted(mentions)
     table: dict = {}
 
-    def lookup(idx: tuple[int, ...]):
-        k = key(idx)
-        try:
-            return table[k]
-        except KeyError:
-            hit = table[k] = build(idx)
-            return hit
+    def gather(cols: Columns) -> list:
+        if not ps:
+            if not table:
+                table[()] = build(_select(cols, [0]))[0]
+            return [table[()]] * len(cols[0])
+        keys = cols[ps[0]] if len(ps) == 1 else list(zip(*[cols[p] for p in ps]))
+        if len(keys) == 1:  # a one-row chunk, as naive draws them
+            hit = table.get(keys[0])
+            if hit is None:
+                hit = table[keys[0]] = build(cols)[0]
+            return [hit]
+        # one row per value not in the table yet (the last row holding it)
+        new = [r for k, r in dict(zip(keys, range(len(keys)))).items() if k not in table]
+        if new:
+            table.update(zip([keys[r] for r in new], build(_select(cols, new))))
+        return [table[k] for k in keys]
 
-    return lookup
+    return gather
+
+
+def _compare_column(op: str, lefts: list, rights: list) -> list[Formula]:
+    """The folded comparisons of a chunk's rows.  Only a comparison of two
+    constants folds, so a side holding no constant makes every row a
+    Compare."""
+    if _CONSTANT_TYPES.isdisjoint(map(type, lefts)) or _CONSTANT_TYPES.isdisjoint(
+        map(type, rights)
+    ):
+        return [Compare(op, l, r) for l, r in zip(lefts, rights)]
+    fold = _SentenceGrounder._fold_compare
+    return [fold(op, l, r) for l, r in zip(lefts, rights)]
+
+
+def _junction_column(conj: bool, children: list[Instantiator]) -> Instantiator:
+    """A conjunction (conj) or disjunction, lazy by row selection: child k
+    is built only for the rows that children 0..k-1 left undecided."""
+    absorbing = FALSE if conj else TRUE
+
+    def build(cols: Columns) -> list[Formula]:
+        parts: list = [[] for _ in cols[0]]  # a decided row's is None
+        rows, sub = range(len(parts)), cols
+        for child in children:
+            undecided = []
+            for r, v in zip(rows, child(sub)):
+                if v is absorbing:
+                    parts[r] = None
+                else:
+                    undecided.append(r)
+                    parts[r].append(v)
+            if not undecided:
+                break
+            if len(undecided) < len(rows):
+                rows, sub = undecided, _select(cols, undecided)
+        return [absorbing if p is None else _simp_junction(conj, p) for p in parts]
+
+    return build
+
+
+def _holds_block(f: Formula) -> bool:
+    """Whether a folded formula holds a quantifier block."""
+    if isinstance(f, (ForAll, Exists)):
+        return True
+    if isinstance(f, Not):
+        return _holds_block(f.child)
+    if isinstance(f, (And, Or)):
+        return any(_holds_block(c) for c in f.children)
+    return False
 
 
 class _SentenceGrounder:
@@ -431,7 +514,7 @@ class _SentenceGrounder:
     # -- folding ----------------------------------------------------------
 
     # Each _fold_* step folds one node whose children are already folded;
-    # fold and the compiled instantiators share them.
+    # fold and the column instantiators share them.
 
     def _fold_app(self, name: str, args: tuple[Term, ...]) -> Term:
         interpreted = name in self.sigma0
@@ -576,77 +659,107 @@ class _SentenceGrounder:
         self.row.instantiations += 1
         return substitute(f, {v: self._const(v.type, i) for v, i in zip(vars, idx_tuple)})
 
-    def _compile(self, residual: Formula, vars: list[Variable]) -> Instantiator:
-        """The instantiator of one kept split: maps a tuple of the block
-        variables' indices to fold(substitute(residual, those constants)).
+    def _columns(self, residual: Formula, vars: list[Variable]) -> Instantiator:
+        """The column instantiator of one kept split: maps a chunk of the
+        block variables' indices to fold(substitute(residual, constants))
+        at each row, in row order.  A chunk raises if one of its rows
+        would, and a one-row chunk raises what that row would.
 
         Each node of the residual is compiled once.  A node that mentions
         fewer block variables than its parent is folded once per value of
-        the variables it mentions, on first use, and that object is shared
-        by every tuple with those values; the nodes over all of them are
-        built per tuple from those parts.  A nested quantifier is a leaf
-        that is substituted and folded whole, so the block under it is
-        ground per tuple as before.  Junctions stay lazy: a part after the
-        deciding one is neither built nor checked for errors.
+        the variables it mentions, on the first chunk holding that value,
+        and that object is gathered for every row with those values; only
+        the nodes over all of them are built per row, each by one list
+        comprehension over the chunk.  Junctions stay lazy by row
+        selection: a part after a row's deciding one is neither built nor
+        checked for errors.  A nested quantifier is a leaf that is
+        substituted and folded whole per row, and left for _instances to
+        ground.
 
         The compiler is methods, not nested functions: a recursive nested
         function is a reference cycle, which would keep this grounder, and
         with it the evaluator's memo, alive until a cycle collection."""
         pos = {v: i for i, v in enumerate(vars)}  # a repeated name binds last
         every = frozenset(pos.values())
-        return _shared(*self._compile_node(residual, pos, every), every)
+        return _per_value(*self._column_node(residual, pos, every), every)
 
-    def _compile_parts(self, nodes, pos, every) -> tuple[frozenset[int], list[Instantiator]]:
+    def _column_parts(self, nodes, pos, every) -> tuple[frozenset[int], list[Instantiator]]:
         """The block-variable positions a node over these children mentions,
-        and the children's builds, shared where they mention fewer."""
-        compiled = [self._compile_node(n, pos, every) for n in nodes]
+        and the children's builds, per value where they mention fewer."""
+        compiled = [self._column_node(n, pos, every) for n in nodes]
         mentions = frozenset().union(*(m for m, _ in compiled))
-        return mentions, [b if m == mentions else _shared(m, b, every) for m, b in compiled]
+        return mentions, [b if m == mentions else _per_value(m, b, every) for m, b in compiled]
 
-    def _compile_node(self, n, pos, every) -> tuple[frozenset[int], Instantiator]:
+    def _column_node(self, n, pos, every) -> tuple[frozenset[int], Instantiator]:
         """The block-variable positions node n mentions, and its build."""
         if isinstance(n, (FunctionApp, Atom)):
-            mentions, args = self._compile_parts(n.args, pos, every)
+            mentions, args = self._column_parts(n.args, pos, every)
             if isinstance(n, FunctionApp):
                 name, step = n.name, self._fold_app
             else:
                 name, step = n.pred, self._fold_atom
-            return mentions, lambda idx: step(name, tuple([a(idx) for a in args]))
+            if not args:
+                return mentions, lambda cols: [step(name, ())] * len(cols[0])
+            return mentions, lambda cols: [
+                step(name, row) for row in zip(*[a(cols) for a in args])
+            ]
         if isinstance(n, (Arith, Compare)):
-            mentions, (left, right) = self._compile_parts((n.left, n.right), pos, every)
-            op, step = n.op, self._fold_arith if isinstance(n, Arith) else self._fold_compare
-            return mentions, lambda idx: step(op, left(idx), right(idx))
+            mentions, (left, right) = self._column_parts((n.left, n.right), pos, every)
+            op = n.op
+            if isinstance(n, Compare):
+                return mentions, lambda cols: _compare_column(op, left(cols), right(cols))
+            step = self._fold_arith
+            return mentions, lambda cols: [
+                step(op, l, r) for l, r in zip(left(cols), right(cols))
+            ]
         if isinstance(n, Not):
-            mentions, (child,) = self._compile_parts((n.child,), pos, every)
-            return mentions, lambda idx: _simp_not(child(idx))
+            mentions, (child,) = self._column_parts((n.child,), pos, every)
+            return mentions, lambda cols: [_simp_not(c) for c in child(cols)]
         if isinstance(n, (And, Or)):
-            mentions, children = self._compile_parts(n.children, pos, every)
-            conj = isinstance(n, And)
-            return mentions, lambda idx: _simp_junction(conj, (c(idx) for c in children))
+            mentions, children = self._column_parts(n.children, pos, every)
+            return mentions, _junction_column(isinstance(n, And), children)
         if isinstance(n, (ForAll, Exists)):
-            free = [v for v in free_variables(n) if v in pos]
+            free = [(v, pos[v]) for v in free_variables(n) if v in pos]
 
-            def bind(idx: tuple[int, ...]) -> Formula:
-                return self.fold(
-                    substitute(n, {v: self._const(v.type, idx[pos[v]]) for v in free})
-                )
+            def bind(cols: Columns) -> list[Formula]:
+                return [
+                    self.fold(substitute(n, {v: self._const(v.type, cols[p][r]) for v, p in free}))
+                    for r in range(len(cols[0]))
+                ]
 
-            return frozenset(pos[v] for v in free), bind
+            return frozenset(p for _, p in free), bind
         if isinstance(n, Variable) and n in pos:
-            p, type_name = pos[n], n.type
-            return frozenset((p,)), lambda idx: self._const(type_name, idx[p])
-        return frozenset(), lambda idx: n  # a constant, or a variable not of the block
+            p, type_name, const = pos[n], n.type, self._const
+            return frozenset((p,)), lambda cols: [const(type_name, i) for i in cols[p]]
+        # a constant, or a variable not of the block
+        return frozenset(), lambda cols: [n] * len(cols[0])
 
-    def _instance(self, form: Instantiator, idx_tuple: tuple[int, ...]) -> Formula:
-        """One instantiation of a kept split, ground; checked against the
-        deadline."""
-        self.row.instantiations += 1
-        self.check()
-        return self._ground_folded(form(idx_tuple))
+    def _instances(self, form: Instantiator, cols: Columns, nested: bool):
+        """The ground parts of one chunk of a kept split, in row order, each
+        counted and checked against the deadline as it is drawn; a nested
+        block is ground only then.  If the chunk raises, it is instantiated
+        again one row at a time, so that the rows before the failing one are
+        drawn first and a deciding part among them ends the block with no
+        error, as it would have tuple by tuple."""
+        try:
+            parts = form(cols)
+        except GroundingTimeout:
+            raise
+        except SliError:
+            if len(cols[0]) == 1:
+                raise
+            for r in range(len(cols[0])):
+                yield from self._instances(form, _select(cols, [r]), nested)
+            return
+        row, check = self.row, self.check
+        for part in parts:
+            row.instantiations += 1
+            check()
+            yield self._ground_folded(part) if nested else part
 
     # The block generators yield the ground parts of a block, constants
     # included; _ground_block's fold stops drawing at the first deciding
-    # one, so no later tensor is evaluated and no later tuple instantiated.
+    # one, so no later tensor is evaluated and no later chunk instantiated.
 
     def _block_vec(self, forall, vars, body, guards, block):
         var_tuple = tuple(vars)
@@ -657,13 +770,14 @@ class _SentenceGrounder:
                 if tensor.any():
                     yield residual
                 continue
-            form = self._compile(residual, vars)
-            for idx_tuple in tensor.iter_ones():
-                yield self._instance(form, idx_tuple)
+            form, nested = self._columns(residual, vars), _holds_block(residual)
+            for coords in tensor.iter_ones_chunks():
+                yield from self._instances(form, coords.tolist(), nested)
 
     def _block_naive(self, vars, body, guards, block):
+        """Tuple by tuple: each kept tuple is a one-row chunk."""
         residuals: dict[tuple[bool, ...], Formula] = {}
-        kept: dict[tuple[bool, ...], Instantiator] = {}
+        kept: dict[tuple[bool, ...], tuple[Instantiator, bool]] = {}
         closed = [g for g in guards if not free_variables(g)]
         closed_signs = {
             id(g): bool(eval_formula(g, self.s, {})) for g in closed
@@ -688,11 +802,12 @@ class _SentenceGrounder:
             if residual is TRUE or residual is FALSE:
                 yield residual
                 continue
-            form = kept.get(signs)
-            if form is None:
-                form = kept[signs] = self._compile(residual, vars)
+            compiled = kept.get(signs)
+            if compiled is None:
+                compiled = kept[signs] = (self._columns(residual, vars), _holds_block(residual))
                 self._count_split()
-            yield self._instance(form, idx_tuple)
+            form, nested = compiled
+            yield from self._instances(form, [[i] for i in idx_tuple], nested)
 
     # -- the non-reducing strategy -----------------------------------------
 

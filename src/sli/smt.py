@@ -112,7 +112,7 @@ class _Emitter:
     use, so declarations come out in first-use order.
 
     In reduced mode each term and atom node is rendered once and its text
-    is keyed by id(node): the compiled instantiator hands the same
+    is keyed by id(node): the column instantiator hands the same
     FunctionApp/Arith object to every tuple that shares it, and
     gt.assertions keeps every node, so every id, alive for the walk.
     Unfolded mode keeps no memo: the noreduce grounder shares few nodes,
@@ -137,7 +137,7 @@ class _Emitter:
         # reduced: ("atom"|"app", symbol, args) -> constant; unfolded: symbol -> fun
         self.symbols: dict[object, str] = {}
         self.bounded: dict[str, tuple[int, int]] = {}  # unfolded: fun -> range
-        self.bound_apps: set[FunctionApp] = set()
+        self.bound_apps: set[str] = set()  # unfolded: rendered bounded applications
         self.memo: dict[int, str] = {}
         self.ints_used = False
         self.sort_decls: list[str] = []
@@ -283,7 +283,7 @@ class _Emitter:
         bounds = self.bounded.get(t.name)
         if bounds is not None:
             seen = len(self.bound_apps)
-            self.bound_apps.add(t)
+            self.bound_apps.add(text)
             if len(self.bound_apps) > seen:
                 lo, hi = bounds
                 self.bounds.append(f"(assert (<= {_int(lo)} {text}))")

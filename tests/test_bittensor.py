@@ -387,6 +387,37 @@ def test_kernel_paths_on_chosen_shapes(monkeypatch, chunk_bits):
             assert list(t.iter_ones()) == ref_iter_ones(t)
 
 
+def _chunked_ones(t):
+    """iter_ones_chunks concatenated, each chunk checked for its bound."""
+    out = []
+    for coords in t.iter_ones_chunks():
+        assert coords.shape[0] == len(t.shape.axes)
+        assert 0 < coords.shape[1] <= max(64, bittensor._CHUNK_BITS // 64)
+        out.extend(map(tuple, coords.T.tolist()))
+    return out
+
+
+@pytest.mark.parametrize("chunk_bits", [64, 4096, 2**20])
+def test_ones_chunks_concatenate_to_the_ones(monkeypatch, chunk_bits):
+    monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk_bits)
+    rng = np.random.default_rng(chunk_bits + 1)
+    shapes = [random_kernel_shape(rng) for _ in range(60)]
+    for extents in [(), (0,), (1,), (64,), (65,), (3, 64), (7, 13), (30, 1000), (2, 3, 5)]:
+        shapes.append(Shape(tuple((v(n), e) for n, e in zip("xyz", extents))))
+    for shape in shapes:
+        for t in (random_density_tensor(rng, shape), BitTensor.full(shape)):
+            assert _chunked_ones(t) == ref_iter_ones(t)
+            assert list(t.iter_ones()) == ref_iter_ones(t)
+    # runs of ones across the word and piece boundaries of small chunks:
+    # bits 60..200 cross words 0..3, and 8 words make a piece at 64
+    shape = Shape(((v("x"), 30), (v("y"), 100)))
+    bools = np.zeros(shape.nbits, dtype=bool)
+    bools[60:201] = True
+    bools[8 * 64 - 5 : 8 * 64 + 70] = True
+    t = BitTensor.from_bools(shape, bools)
+    assert _chunked_ones(t) == ref_iter_ones(t)
+
+
 def test_from_ones_sets_repeated_and_edge_bits():
     shape = Shape(((v("x"), 3), (v("y"), 43)))
     ones = [(2, 42), (0, 0), (2, 42), (1, 20), (0, 63 - 43)]

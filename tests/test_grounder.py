@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import sli.bittensor
 import sli.grounder
 
 from randgen import (
@@ -763,25 +764,27 @@ structure {
 
 
 # ---------------------------------------------------------------------------
-# The compiled instantiator against substitute + fold
+# The column instantiator against substitute + fold
 
 INSTANCE_ERRORS = (UnsupportedFormula, IndexOutOfRange, ArithmeticOverflow)
 
 
-def _reference_compile(g, residual, vars):
-    """The per-tuple path the compiled instantiator replaces."""
+def _reference_columns(g, residual, vars):
+    """The per-tuple path the column instantiator replaces: substitute and
+    fold row by row, raising the first failing row's error."""
 
-    def form(idx):
-        return g.fold(
-            substitute(residual, {v: g._const(v.type, i) for v, i in zip(vars, idx)})
-        )
+    def form(cols):
+        return [
+            g.fold(substitute(residual, {v: g._const(v.type, i) for v, i in zip(vars, idx)}))
+            for idx in zip(*cols)
+        ]
 
     return form
 
 
-def _outcome(form, idx):
+def _outcome(form, cols):
     try:
-        return form(idx)
+        return form(cols)
     except INSTANCE_ERRORS as e:
         return type(e)
 
@@ -799,34 +802,55 @@ def _grounding(prob, strategy, cap):
     return gt.verdict, gt.assertions, rows
 
 
+def _block_tuples(g, vars):
+    sizes = [g.s.domain_size(v.type) for v in vars]
+    return list(itertools.product(*(range(n) for n in sizes)))
+
+
 @pytest.mark.parametrize(
     "strategy, cap", [("vec", 8), ("vec", 1), ("vec", 0), ("naive", 8)]
 )
 def test_compiled_instantiation_matches_substitute_and_fold(monkeypatch, strategy, cap):
-    compile_ = _SentenceGrounder._compile
+    columns = _SentenceGrounder._columns
     expand = _SentenceGrounder._expand_interpreted_atom
     seen = Counter()
+    lengths = np.random.default_rng(1)
 
-    def checking_compile(g, residual, vars):
-        # check a fresh instantiator on every tuple of the block; the
-        # grounding gets another, whose tables fill in its own tuple order
-        form = compile_(g, residual, vars)
-        reference = _reference_compile(g, residual, vars)
-        sizes = [g.s.domain_size(v.type) for v in vars]
-        for idx in itertools.product(*(range(n) for n in sizes)):
-            got = _outcome(form, idx)
-            assert got == _outcome(reference, idx), print_formula(residual)
+    def checking_columns(g, residual, vars):
+        # every tuple of the block as a one-row chunk of a fresh instantiator
+        form = columns(g, residual, vars)
+        reference = _reference_columns(g, residual, vars)
+        tuples = _block_tuples(g, vars)
+        for idx in tuples:
+            one = [[i] for i in idx]
+            got = _outcome(form, one)
+            assert got == _outcome(reference, one), print_formula(residual)
             seen[got.__name__ if isinstance(got, type) else "formula"] += 1
-        return compile_(g, residual, vars)
+        # the tuples again, in multi-row chunks of random lengths, through
+        # another fresh instantiator whose tables carry over between chunks:
+        # a chunk equals its rows, or raises if one of them does
+        form = columns(g, residual, vars)
+        at = 0
+        while at < len(tuples):
+            n = int(lengths.integers(2, 40))
+            cols = [list(c) for c in zip(*tuples[at : at + n])]
+            got, want = _outcome(form, cols), _outcome(reference, cols)
+            if isinstance(want, type):
+                assert got in INSTANCE_ERRORS, print_formula(residual)
+            else:
+                assert got == want, print_formula(residual)
+                seen["chunk"] += 1
+            at += n
+        return columns(g, residual, vars)
 
     def counting_expand(g, f):
         seen["expanded"] += 1
         return expand(g, f)
 
     def compare(prob):
-        monkeypatch.setattr(_SentenceGrounder, "_compile", checking_compile)
+        monkeypatch.setattr(_SentenceGrounder, "_columns", checking_columns)
         got = _grounding(prob, strategy, cap)
-        monkeypatch.setattr(_SentenceGrounder, "_compile", _reference_compile)
+        monkeypatch.setattr(_SentenceGrounder, "_columns", _reference_columns)
         assert got == _grounding(prob, strategy, cap), print_formula(prob.sentences[0])
 
     monkeypatch.setattr(_SentenceGrounder, "_expand_interpreted_atom", counting_expand)
@@ -848,10 +872,142 @@ def test_compiled_instantiation_matches_substitute_and_fold(monkeypatch, strateg
     # the shapes of the colouring and queens workloads, over 70 values
     compare(_colour_like(70, 3))
     compare(problem(QUEENS.format(n=70)))
-    assert seen["formula"] > 1000
+    assert seen["formula"] > 1000 and seen["chunk"] > 100
     # UnsupportedFormula is raised by the sentence's own fold, before any
     # block is ground, so only IndexOutOfRange reaches an instantiator
     assert seen["IndexOutOfRange"] and seen["expanded"]
+
+
+# Edge cases of chunked instantiation.  With _CHUNK_BITS at 64 a chunk holds
+# the ones of one 64-bit word, so a block over 100 values spans two chunks.
+
+OUT_OF_RANGE = """
+vocabulary {{
+  type N := Int[1..100].
+  pred ok(N, N).
+  func f(N) -> N.
+  func pick(N) -> N.
+  pred u(N).
+  pred v(N).
+}}
+theory {{
+  {sentence}
+}}
+structure {{
+  ok := {{{ok}}}.
+  f := {{{f}}}.
+}}
+"""
+
+
+def _out_of_range(sentence, without):
+    """f(x + 1) is out of range at x = 100; ok(x, pick(x)) folds to FALSE
+    exactly at the x in without, which have no ok tuple."""
+    ok = ", ".join(f"({x}, 1)" for x in range(1, 101) if x not in without)
+    f = ", ".join(f"{x} -> {x}" for x in range(1, 101))
+    return problem(OUT_OF_RANGE.format(sentence=sentence, ok=ok, f=f))
+
+
+@pytest.mark.parametrize("strategy", ["vec", "naive"])
+def test_a_deciding_row_hides_a_later_rows_error(monkeypatch, strategy):
+    # x = 70 decides the block, in the second chunk; x = 100, in that chunk
+    # too, would raise IndexOutOfRange, which only the one-row
+    # re-instantiation of the chunk keeps from surfacing
+    monkeypatch.setattr(sli.bittensor, "_CHUNK_BITS", 64)
+    prob = _out_of_range("!x in N: ok(x, pick(x)) & u(f(x + 1)).", {70})
+    gt = ground_problem(prob, strategy)
+    assert gt.verdict == "unsat-trivial"
+    assert gt.stats.rows[0].instantiations == 70
+    # without the deciding row, the error is the one the first failing
+    # row raises
+    with pytest.raises(IndexOutOfRange):
+        ground_problem(_out_of_range("!x in N: ok(x, pick(x)) & u(f(x + 1)).", set()), strategy)
+
+
+@pytest.mark.parametrize("strategy", ["vec", "naive"])
+def test_a_junction_skips_the_rows_it_decided(monkeypatch, strategy):
+    # the conjunct u(f(x + 1)) would raise at x = 100 alone, where
+    # ok(100, pick(100)) is FALSE and decides the conjunction first
+    monkeypatch.setattr(sli.bittensor, "_CHUNK_BITS", 64)
+    prob = _out_of_range("!x in N: v(x) | ok(x, pick(x)) & u(f(x + 1)).", {100})
+    gt = ground_problem(prob, strategy)
+    assert gt.verdict == "open" and gt.stats.rows[0].instantiations == 100
+    assert print_formula(gt.assertions[-1]) == "v(100)"
+    assert print_formula(gt.assertions[0]) == "v(1) | pick(1) = 1 & u(2)"
+    # the whole block as one chunk builds without raising
+    g = _SentenceGrounder(prob.structure, strategy)
+    forall = prob.sentences[0]
+    residual, vars = g.fold(forall.body), [forall.var]
+    cols = [list(range(100))]
+    got = g._columns(residual, vars)(cols)
+    assert got == _reference_columns(g, residual, vars)(cols)
+
+
+def test_per_value_tables_hold_only_the_values_seen(monkeypatch):
+    # w(x, y) mentions two of the block's three variables: it is folded
+    # once per (x, y) pair of the satisfying set, over several chunks, and
+    # its table never grows to the 30 x 30 pairs of the extents
+    monkeypatch.setattr(sli.bittensor, "_CHUNK_BITS", 64)
+    pairs = [(i, (7 * i) % 30) for i in range(0, 30, 3)]
+    triples = [(x, y, z) for x, y in pairs for z in range(30)]
+    vertices = ", ".join(f"e{i}" for i in range(30))
+    r = ", ".join(f"(e{x}, e{y}, e{z})" for x, y, z in triples)
+    prob = problem(
+        f"""
+vocabulary {{
+  type T := {{{vertices}}}.
+  pred r(T, T, T).
+  pred w(T, T).
+  pred u(T).
+}}
+theory {{
+  !x, y, z in T: r(x, y, z) => w(x, y) | u(z).
+}}
+structure {{
+  r := {{{r}}}.
+}}
+"""
+    )
+    folded = Counter()
+    fold_atom = _SentenceGrounder._fold_atom
+
+    def counting_fold_atom(g, pred, args):
+        if not any(isinstance(a, Variable) for a in args):  # an instantiation's
+            folded[pred] += 1
+        return fold_atom(g, pred, args)
+
+    columns, forms = _SentenceGrounder._columns, []
+
+    def recording_columns(g, residual, vars):
+        forms.append(columns(g, residual, vars))
+        return forms[-1]
+
+    monkeypatch.setattr(_SentenceGrounder, "_fold_atom", counting_fold_atom)
+    monkeypatch.setattr(_SentenceGrounder, "_columns", recording_columns)
+    gt = ground_problem(prob, "vec")
+    assert gt.stats.rows[0].instantiations == len(triples) == 300
+    assert folded["w"] == len(pairs) == 10
+    assert folded["u"] == 30  # u(z) is folded once per z too
+    assert len({a.children[0] for a in gt.assertions}) == 10
+    # the tables of w(x, y), x, y and u(z)
+    assert _table_sizes(forms[0]) == [10, 10, 10, 30]
+
+
+def _table_sizes(form):
+    """The sizes of the per-value tables a column instantiator reaches
+    through its closures."""
+    sizes, todo = [], [form]
+    while todo:
+        f = todo.pop()
+        for name, cell in zip(f.__code__.co_freevars, f.__closure__ or ()):
+            v = cell.cell_contents
+            if name == "table":
+                sizes.append(len(v))
+            elif isinstance(v, list):
+                todo.extend(c for c in v if hasattr(c, "__code__"))
+            elif hasattr(v, "__code__"):
+                todo.append(v)
+    return sorted(sizes)
 
 
 NESTED_RESIDUAL = """
