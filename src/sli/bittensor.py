@@ -496,16 +496,17 @@ class BitTensor:
 
     def iter_ones_chunks(self) -> Iterator[np.ndarray]:
         """The index tuples whose bit is 1, in lexicographic order, in
-        chunks of at most _CHUNK_BITS // 64 tuples: each chunk is an int
-        array with one row of coordinates per axis and one column per
-        tuple (shape (0, 1) for the set bit of a tensor with no axes)."""
+        chunks of the ones of at most _CHUNK_BITS // 4096 nonzero words
+        (16384 tuples at most by default): each chunk is an int array with
+        one row of coordinates per axis and one column per tuple (shape
+        (0, 1) for the set bit of a tensor with no axes)."""
         words = self.words
         extents = self.shape.extents
         if not extents:
             if words[0] & np.uint64(1):
                 yield np.zeros((0, 1), dtype=np.intp)
             return
-        per = max(1, _CHUNK_BITS // 4096)  # nonzero words per chunk
+        per = max(1, _CHUNK_BITS // 4096)
         for lo, hi in _pieces(words.size, max(1, _CHUNK_BITS // 8), None):
             nonzero = np.flatnonzero(words[lo:hi]) + lo
             for a in range(0, nonzero.size, per):

@@ -349,21 +349,20 @@ def _select(cols: Columns, rows: list[int]) -> Columns:
 def _per_value(
     mentions: frozenset[int], build: Instantiator, every: frozenset[int]
 ) -> Instantiator:
-    """build, unless it mentions every block variable: then folded once per
-    value of the variables it mentions, on the chunk that first holds that
-    value, and gathered for each row.  Its table holds only the values
-    seen."""
+    """build itself if it mentions every block variable.  Otherwise build
+    runs once per value of the variables it mentions, on the first chunk
+    holding that value, and its result is gathered for each row by value;
+    the table holds only the values seen."""
     if mentions == every:
         return build
     ps = sorted(mentions)
     table: dict = {}
 
     def gather(cols: Columns) -> list:
-        if not ps:
-            if not table:
-                table[()] = build(_select(cols, [0]))[0]
-            return [table[()]] * len(cols[0])
-        keys = cols[ps[0]] if len(ps) == 1 else list(zip(*[cols[p] for p in ps]))
+        if len(ps) == 1:
+            keys = cols[ps[0]]
+        else:  # a tuple per row; () when the node mentions none of them
+            keys = list(zip(*[cols[p] for p in ps])) if ps else [()] * len(cols[0])
         if len(keys) == 1:  # a one-row chunk, as naive draws them
             hit = table.get(keys[0])
             if hit is None:
@@ -660,21 +659,14 @@ class _SentenceGrounder:
         return substitute(f, {v: self._const(v.type, i) for v, i in zip(vars, idx_tuple)})
 
     def _columns(self, residual: Formula, vars: list[Variable]) -> Instantiator:
-        """The column instantiator of one kept split: maps a chunk of the
-        block variables' indices to fold(substitute(residual, constants))
-        at each row, in row order.  A chunk raises if one of its rows
-        would, and a one-row chunk raises what that row would.
-
-        Each node of the residual is compiled once.  A node that mentions
-        fewer block variables than its parent is folded once per value of
-        the variables it mentions, on the first chunk holding that value,
-        and that object is gathered for every row with those values; only
-        the nodes over all of them are built per row, each by one list
-        comprehension over the chunk.  Junctions stay lazy by row
-        selection: a part after a row's deciding one is neither built nor
-        checked for errors.  A nested quantifier is a leaf that is
-        substituted and folded whole per row, and left for _instances to
-        ground.
+        """The column instantiator of one kept split, as the module
+        docstring describes it: maps a chunk of the block variables' indices
+        to fold(substitute(residual, constants)) at each row, in row order.
+        A chunk raises if one of its rows would, and a one-row chunk raises
+        what that row would.  Each node of the residual is compiled once; a
+        node that mentions fewer block variables than its parent goes
+        through _per_value, and a nested quantifier is a leaf, substituted
+        and folded whole per row and left for _instances to ground.
 
         The compiler is methods, not nested functions: a recursive nested
         function is a reference cycle, which would keep this grounder, and
