@@ -11,7 +11,8 @@ conjunction or disjunction that stops at the first deciding part.
 - vec: compile each non-vacuous split's residual once and instantiate it
   only at the tuples of the split's satisfying set, computed on bit tensors
   by one evaluator shared by all sentences of a problem and taken from the
-  tensor in chunks (BitTensor.iter_ones_chunks).  A block with more guards
+  tensor in chunks (BitTensor.iter_ones_chunks), cut so that a chunk's rows
+  times the residual's nodes stay within _CHUNK_NODES.  A block with more guards
   than the cap is grounded as naive grounds it, and its sentence's row
   reports naive(fallback); the other blocks stay vectorized.
 - naive: one nested loop over the block's tuples; the guards are decided
@@ -94,7 +95,10 @@ from .satset import SatSetEvaluator
 DEFAULT_GUARD_CAP = 8
 
 # A chunk of a block's tuples: one list of indices per block variable, all
-# of one length, one entry per row.
+# of one length, one entry per row.  vec cuts a chunk so that its rows times
+# its residual's nodes stay within _CHUNK_NODES, which bounds the work done,
+# and the memory held, between two deadline checks.
+_CHUNK_NODES = 2**17
 Columns = list[list[int]]
 # a compiled residual node: a chunk -> the node's folded value at each row
 Instantiator = Callable[[Columns], list]
@@ -414,6 +418,23 @@ def _junction_column(conj: bool, children: list[Instantiator]) -> Instantiator:
     return build
 
 
+def _tree_size(n) -> int:
+    """The formula and term nodes of n, counted as a tree."""
+    if isinstance(n, (Atom, FunctionApp)):
+        kids = n.args
+    elif isinstance(n, (Arith, Compare)):
+        kids = (n.left, n.right)
+    elif isinstance(n, Not):
+        kids = (n.child,)
+    elif isinstance(n, (And, Or)):
+        kids = n.children
+    elif isinstance(n, (ForAll, Exists)):
+        kids = (n.body,)
+    else:
+        return 1
+    return 1 + sum(map(_tree_size, kids))
+
+
 def _holds_block(f: Formula) -> bool:
     """Whether a folded formula holds a quantifier block."""
     if isinstance(f, (ForAll, Exists)):
@@ -560,7 +581,9 @@ class _SentenceGrounder:
 
     def _expand_interpreted_atom(self, f: Atom) -> Formula:
         """An interpreted predicate over ground arguments that embed
-        uninterpreted terms: unfold its relation into a disjunction."""
+        uninterpreted terms: unfold its relation into a disjunction.  Its
+        cost grows with the relation, so it checks the deadline."""
+        self.check()
         sig = self.s.voc.predicates[f.pred]
         disjuncts: list[Formula] = []
         for tup in sorted(self.s.relations[f.pred]):
@@ -763,8 +786,10 @@ class _SentenceGrounder:
                     yield residual
                 continue
             form, nested = self._columns(residual, vars), _holds_block(residual)
+            rows = max(1, _CHUNK_NODES // _tree_size(residual))
             for coords in tensor.iter_ones_chunks():
-                yield from self._instances(form, coords.tolist(), nested)
+                for lo in range(0, coords.shape[1], rows):
+                    yield from self._instances(form, coords[:, lo : lo + rows].tolist(), nested)
 
     def _block_naive(self, vars, body, guards, block):
         """Tuple by tuple: each kept tuple is a one-row chunk."""

@@ -1132,6 +1132,43 @@ def test_timeout_stops_a_block_partway(monkeypatch, strategy):
     assert 0 < g.row.instantiations < total
 
 
+def test_a_large_residual_checks_the_deadline_within_a_chunk(monkeypatch):
+    # 3000 kept (x, y) rows in one chunk of the satisfying set, each with a
+    # part of 100 atoms over both variables: the chunk is cut so that no
+    # more than _CHUNK_NODES node builds run past the last deadline check
+    n = 300
+    prob = problem(
+        "vocabulary {\n"
+        + f"  type V := {{{', '.join(f'v{i}' for i in range(n))}}}.\n"
+        + "  pred border(V, V).\n"
+        + "".join(f"  pred u{k}(V, V).\n" for k in range(100))
+        + "}\ntheory {\n  !x, y in V: border(x, y) => "
+        + " | ".join(f"u{k}(x, y)" for k in range(100))
+        + ".\n}\nstructure {\n  border := {"
+        + ", ".join(f"(v{i}, v{(i + d) % n})" for i in range(n) for d in range(1, 11))
+        + "}.\n}\n"
+    )
+    folds = Counter()
+    fold_atom = _SentenceGrounder._fold_atom
+
+    def counting_fold_atom(g, pred, args):
+        folds[not any(isinstance(a, Variable) for a in args)] += 1
+        return fold_atom(g, pred, args)
+
+    ticks = itertools.count()
+    fake_time = SimpleNamespace(
+        monotonic=lambda: next(ticks) * 1e-3, perf_counter=sli.grounder.time.perf_counter
+    )
+    monkeypatch.setattr(_SentenceGrounder, "_fold_atom", counting_fold_atom)
+    monkeypatch.setattr(sli.grounder, "time", fake_time)
+    g = _SentenceGrounder(prob.structure, "vec", timeout=1.0)
+    with pytest.raises(GroundingTimeout):
+        g.sentence(prob.sentences[0])
+    drawn = g.row.instantiations
+    assert 0 < drawn < 3000
+    assert folds[True] - 100 * drawn <= sli.grounder._CHUNK_NODES
+
+
 def _queens(n):
     return problem(
         f"""
