@@ -95,13 +95,14 @@ from .satset import SatSetEvaluator
 DEFAULT_GUARD_CAP = 8
 
 # A chunk of a block's tuples: one list of indices per block variable, all
-# of one length, one entry per row.  vec cuts a chunk so that its rows times
-# its residual's nodes stay within _CHUNK_NODES, which bounds the work done,
-# and the memory held, between two deadline checks.
-_CHUNK_NODES = 2**17
+# of one length, one entry per row.
 Columns = list[list[int]]
 # a compiled residual node: a chunk -> the node's folded value at each row
 Instantiator = Callable[[Columns], list]
+# vec cuts a chunk so that its rows times its residual's nodes stay within
+# this, which bounds the work done, and the memory held, between two
+# deadline checks.
+_CHUNK_NODES = 2**17
 
 STRATEGIES = ("vec", "naive", "noreduce")
 
