@@ -802,11 +802,6 @@ def _grounding(prob, strategy, cap):
     return gt.verdict, gt.assertions, rows
 
 
-def _block_tuples(g, vars):
-    sizes = [g.s.domain_size(v.type) for v in vars]
-    return list(itertools.product(*(range(n) for n in sizes)))
-
-
 @pytest.mark.parametrize(
     "strategy, cap", [("vec", 8), ("vec", 1), ("vec", 0), ("naive", 8)]
 )
@@ -820,7 +815,8 @@ def test_compiled_instantiation_matches_substitute_and_fold(monkeypatch, strateg
         # every tuple of the block as a one-row chunk of a fresh instantiator
         form = columns(g, residual, vars)
         reference = _reference_columns(g, residual, vars)
-        tuples = _block_tuples(g, vars)
+        sizes = [g.s.domain_size(v.type) for v in vars]
+        tuples = list(itertools.product(*(range(n) for n in sizes)))
         for idx in tuples:
             one = [[i] for i in idx]
             got = _outcome(form, one)
