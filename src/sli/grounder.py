@@ -3,10 +3,11 @@
 Given a theory over vocabulary sigma and a structure interpreting only a
 subset sigma0, each sentence is turned into a quantifier-free formula over
 ground atoms of the remaining symbols.  One pipeline serves vec and naive:
-per quantifier block, the guards (maximal interpreted subformulas whose
-variables the block binds) are collected by one walk, each of the 2^m sign
-splits has one residual, and the block's ground parts are folded into a
-conjunction or disjunction that stops at the first deciding part.
+per quantifier block, one walk collects the guards (maximal interpreted
+subformulas whose variables the block binds) and where they occur, each of
+the 2^m sign splits has one residual, built from those in one pass, and the
+block's ground parts are folded into a conjunction or disjunction that
+stops at the first deciding part.
 
 - vec: compile each non-vacuous split's residual once and instantiate it
   only at the tuples of the split's satisfying set, computed on bit tensors
@@ -39,8 +40,9 @@ row's constants and folding would, in row order:
   comprehension over the chunk.
 - a junction stays lazy by row selection: its k-th part is built only for
   the rows that its earlier parts left undecided.
-- a nested quantifier is substituted and folded whole per row, and its
-  block is ground when the row's part is drawn.
+- a nested quantifier is compiled like any other node, a block variable
+  it rebinds shadowed in its body; its block is ground when the row's part
+  is drawn.
 
 The block's parts are drawn one at a time, each counted and checked
 against the deadline, and drawing stops at the first deciding one.  A
@@ -153,17 +155,7 @@ def _simp_quant(forall: bool, var: Variable, body: Formula, s: Structure) -> For
 
 def boolean_simplify(f: Formula, s: Structure) -> Formula:
     """Bottom-up constant propagation; leaves atoms and comparisons alone."""
-    if isinstance(f, Not):
-        return _simp_not(boolean_simplify(f.child, s))
-    if isinstance(f, (And, Or)):
-        return _simp_junction(
-            isinstance(f, And), (boolean_simplify(c, s) for c in f.children)
-        )
-    if isinstance(f, (ForAll, Exists)):
-        return _simp_quant(
-            isinstance(f, ForAll), f.var, boolean_simplify(f.body, s), s
-        )
-    return f
+    return _residual(f, {}, (), s, lambda: None)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +180,7 @@ def maximal_interpreted_subformulas(
 
     Leading negations are peeled off before deduplication, so a condition
     and its desugared negation collapse onto the same core formula."""
-    return _collect_guards(f, sigma0, None, lambda: None)
+    return _collect_guards(f, sigma0, None, lambda: None)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,16 +213,23 @@ def _liftable(n: Formula, sigma0, block: frozenset[Variable] | None) -> bool:
     return block is None or all(v in block for v in free_variables(n))
 
 
+# id of a maximal guard node -> (its guard's index, whether its negations
+# flip it), or the constant it stands for; the body keeps the ids valid
+Occurrences = dict[int, "tuple[int, bool] | Formula"]
+
+
 def _collect_guards(
     body: Formula, sigma0, block: frozenset[Variable] | None, check: Callable[[], None]
-) -> list[Formula]:
+) -> tuple[list[Formula], Occurrences]:
     """Negation-stripped, deduplicated guards of one block, in order of
-    first appearance; block None admits any variables.  Subformulas whose
-    variables are bound deeper stay in the residual and are lifted when the
-    inner block is ground.  check is called at every node visited."""
-    out: list[Formula] = []
-    _find_guards(body, sigma0, block, check, out)
-    return out
+    first appearance, and their occurrences in body; block None admits any
+    variables.  Subformulas whose variables are bound deeper stay in the
+    residual and are lifted when the inner block is ground.  check is
+    called at every node visited."""
+    guards: list[Formula] = []
+    occurrences: Occurrences = {}
+    _find_guards(body, sigma0, block, check, guards, occurrences)
+    return guards, occurrences
 
 
 def _find_guards(
@@ -238,55 +237,55 @@ def _find_guards(
     sigma0,
     block: frozenset[Variable] | None,
     check: Callable[[], None],
-    out: list[Formula],
-) -> None:
-    """One node of `_collect_guards`: appends to out the guards under n
-    that it does not hold yet."""
-    check()
-    if _liftable(n, sigma0, block):
-        _, core = _strip_negations(n)
-        if core is not TRUE and core is not FALSE and core not in out:
-            out.append(core)
-        return
-    if isinstance(n, Not):
-        _find_guards(n.child, sigma0, block, check, out)
-    elif isinstance(n, (And, Or)):
-        for c in n.children:
-            _find_guards(c, sigma0, block, check, out)
-    elif isinstance(n, (ForAll, Exists)):
-        _find_guards(n.body, sigma0, block, check, out)
-
-
-def _substitute_guards(
-    n: Formula,
     guards: list[Formula],
-    signs: tuple[bool, ...],
-    sigma0,
-    block: frozenset[Variable],
-    check: Callable[[], None],
-) -> Formula:
-    """Replace every maximal liftable subformula by its sign's constant;
-    check is called at every node visited."""
+    occurrences: Occurrences,
+) -> None:
+    """One node of `_collect_guards`: records the guard occurrences under
+    n, appending to guards those it does not hold yet."""
     check()
     if _liftable(n, sigma0, block):
         flipped, core = _strip_negations(n)
         if core is TRUE or core is FALSE:
-            value = core is TRUE
-        else:
-            value = signs[guards.index(core)]
-        return TRUE if value != flipped else FALSE
+            occurrences[id(n)] = TRUE if (core is TRUE) != flipped else FALSE
+            return
+        if core not in guards:
+            guards.append(core)
+        occurrences[id(n)] = (guards.index(core), flipped)
+        return
     if isinstance(n, Not):
-        return Not(_substitute_guards(n.child, guards, signs, sigma0, block, check))
+        _find_guards(n.child, sigma0, block, check, guards, occurrences)
+    elif isinstance(n, (And, Or)):
+        for c in n.children:
+            _find_guards(c, sigma0, block, check, guards, occurrences)
+    elif isinstance(n, (ForAll, Exists)):
+        # a block variable that the quantifier rebinds is not the block's in its body
+        inner = block if block is None else block - {n.var}
+        _find_guards(n.body, sigma0, inner, check, guards, occurrences)
+
+
+def _residual(
+    n: Formula, occurrences: Occurrences, signs: tuple[bool, ...], s: Structure, check
+) -> Formula:
+    """A block body under one sign vector, in one pass: each guard
+    occurrence becomes its constant and every node is simplified bottom-up.
+    check is called at every node visited."""
+    check()
+    occurrence = occurrences.get(id(n))
+    if occurrence is not None:
+        if isinstance(occurrence, tuple):
+            i, flipped = occurrence
+            return TRUE if signs[i] != flipped else FALSE
+        return occurrence
+    if isinstance(n, Not):
+        return _simp_not(_residual(n.child, occurrences, signs, s, check))
     if isinstance(n, (And, Or)):
-        return type(n)(
-            tuple(
-                _substitute_guards(c, guards, signs, sigma0, block, check)
-                for c in n.children
-            )
+        return _simp_junction(
+            isinstance(n, And),
+            (_residual(c, occurrences, signs, s, check) for c in n.children),
         )
     if isinstance(n, (ForAll, Exists)):
-        return type(n)(
-            n.var, _substitute_guards(n.body, guards, signs, sigma0, block, check)
+        return _simp_quant(
+            isinstance(n, ForAll), n.var, _residual(n.body, occurrences, signs, s, check), s
         )
     return n
 
@@ -305,15 +304,14 @@ def guard_split(
         raise UnsupportedFormula("guard_split expects a quantified formula")
     forall, vars, body = _block_of(f)
     g = _SentenceGrounder(structure, "naive", cap)
-    block = frozenset(vars)
-    guards = _collect_guards(body, g.sigma0, block, g.check)
+    guards, occurrences = _collect_guards(body, g.sigma0, frozenset(vars), g.check)
     if len(guards) > cap:
         raise GuardCapExceeded(
             f"{len(guards)} guards exceed the split cap of {cap}"
         )
     return [
         GuardSplit(tuple(guards), signs, _guard_formula(guards, signs), residual)
-        for signs, residual in g._splits(forall, body, guards, block)
+        for signs, residual in g._splits(forall, body, len(guards), occurrences)
     ]
 
 
@@ -518,17 +516,12 @@ class _SentenceGrounder:
 
     # -- sign splits ------------------------------------------------------
 
-    def _residual(self, body, guards, signs, block) -> Formula:
-        """The block body under one sign vector, simplified."""
-        subbed = _substitute_guards(body, guards, signs, self.sigma0, block, self.check)
-        return boolean_simplify(subbed, self.s)
-
-    def _splits(self, forall: bool, body, guards, block):
-        """(signs, residual) of every split whose residual is not vacuous
-        (TRUE under a forall block, FALSE under an exists block), lazily."""
+    def _splits(self, forall: bool, body, m: int, occurrences: Occurrences):
+        """(signs, residual) of every split of m guards whose residual is not
+        vacuous (TRUE under a forall block, FALSE under an exists block), lazily."""
         vacuous = TRUE if forall else FALSE
-        for signs in itertools.product((True, False), repeat=len(guards)):
-            residual = self._residual(body, guards, signs, block)
+        for signs in itertools.product((True, False), repeat=m):
+            residual = _residual(body, occurrences, signs, self.s, self.check)
             if residual is not vacuous:
                 yield signs, residual
 
@@ -653,16 +646,15 @@ class _SentenceGrounder:
 
     def _ground_block(self, f: Formula) -> Formula:
         forall, vars, body = _block_of(f)
-        block = frozenset(vars)
-        guards = _collect_guards(body, self.sigma0, block, self.check)
+        guards, occurrences = _collect_guards(body, self.sigma0, frozenset(vars), self.check)
         if not self._open_blocks:  # an outermost block
             self.row.guards += len(guards)
         if self.ev is not None and len(guards) <= self.cap:
-            parts = self._block_vec(forall, vars, body, guards, block)
+            parts = self._block_vec(forall, vars, body, guards, occurrences)
         else:
             if self.ev is not None:
                 self.row.strategy = "naive(fallback)"
-            parts = self._block_naive(vars, body, guards, block)
+            parts = self._block_naive(vars, body, guards, occurrences)
         self._open_blocks += 1
         try:
             return _simp_junction(forall, parts)
@@ -687,10 +679,10 @@ class _SentenceGrounder:
         docstring describes it: maps a chunk of the block variables' indices
         to fold(substitute(residual, constants)) at each row, in row order.
         A chunk raises if one of its rows would, and a one-row chunk raises
-        what that row would.  Each node of the residual is compiled once; a
-        node that mentions fewer block variables than its parent goes
-        through _per_value, and a nested quantifier is a leaf, substituted
-        and folded whole per row and left for _instances to ground.
+        what that row would.  Each node of the residual is compiled once,
+        a nested quantifier's body included; a node that mentions fewer
+        block variables than its parent goes through _per_value.  A nested
+        quantifier's block is left for _instances to ground.
 
         The compiler is methods, not nested functions: a recursive nested
         function is a reference cycle, which would keep this grounder, and
@@ -735,15 +727,11 @@ class _SentenceGrounder:
             mentions, children = self._column_parts(n.children, pos, every)
             return mentions, _junction_column(isinstance(n, And), children)
         if isinstance(n, (ForAll, Exists)):
-            free = [(v, pos[v]) for v in free_variables(n) if v in pos]
-
-            def bind(cols: Columns) -> list[Formula]:
-                return [
-                    self.fold(substitute(n, {v: self._const(v.type, cols[p][r]) for v, p in free}))
-                    for r in range(len(cols[0]))
-                ]
-
-            return frozenset(p for _, p in free), bind
+            # a block variable that the quantifier rebinds is shadowed in its body
+            inner = {v: p for v, p in pos.items() if v != n.var}
+            mentions, body = self._column_node(n.body, inner, every)
+            forall, var, s = isinstance(n, ForAll), n.var, self.s
+            return mentions, lambda cols: [_simp_quant(forall, var, b, s) for b in body(cols)]
         if isinstance(n, Variable) and n in pos:
             p, type_name, const = pos[n], n.type, self._const
             return frozenset((p,)), lambda cols: [const(type_name, i) for i in cols[p]]
@@ -777,9 +765,9 @@ class _SentenceGrounder:
     # included; _ground_block's fold stops drawing at the first deciding
     # one, so no later tensor is evaluated and no later chunk instantiated.
 
-    def _block_vec(self, forall, vars, body, guards, block):
+    def _block_vec(self, forall, vars, body, guards, occurrences):
         var_tuple = tuple(vars)
-        for signs, residual in self._splits(forall, body, guards, block):
+        for signs, residual in self._splits(forall, body, len(guards), occurrences):
             self._count_split()
             tensor = self.ev.eval_over(_guard_formula(guards, signs), var_tuple)
             if residual is TRUE or residual is FALSE:  # decides the block
@@ -792,7 +780,7 @@ class _SentenceGrounder:
                 for lo in range(0, coords.shape[1], rows):
                     yield from self._instances(form, coords[:, lo : lo + rows].tolist(), nested)
 
-    def _block_naive(self, vars, body, guards, block):
+    def _block_naive(self, vars, body, guards, occurrences):
         """Tuple by tuple: each kept tuple is a one-row chunk."""
         residuals: dict[tuple[bool, ...], Formula] = {}
         kept: dict[tuple[bool, ...], tuple[Instantiator, bool]] = {}
@@ -815,7 +803,7 @@ class _SentenceGrounder:
             )
             residual = residuals.get(signs)
             if residual is None:
-                residual = self._residual(body, guards, signs, block)
+                residual = _residual(body, occurrences, signs, self.s, self.check)
                 residuals[signs] = residual
             if residual is TRUE or residual is FALSE:
                 yield residual

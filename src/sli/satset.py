@@ -23,6 +23,7 @@ the grounder's job, not this module's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -99,7 +100,7 @@ class SatSetEvaluator:
         self.memo: dict[Formula, BitTensor] = {}
         self._memo_peak: dict[Formula, int] = {}  # peak bits of computing each entry
         self.peak_bits = 0
-        self._rel_keys: dict[str, np.ndarray] = {}
+        self._relations: dict[str, tuple[list[np.ndarray], np.ndarray]] = {}
         self._fun_flat: dict[str, np.ndarray] = {}
 
     # -- shapes ---------------------------------------------------------------
@@ -163,6 +164,7 @@ class SatSetEvaluator:
                 a, b = self._align(acc, self.eval(c))
                 acc = a.bit_and(b) if conj else a.bit_or(b)
                 self._track(acc)
+                del a, b  # aligned copies can be large: free them before the next child
             return acc
         if isinstance(f, (ForAll, Exists)):
             conj = isinstance(f, ForAll)
@@ -208,20 +210,26 @@ class SatSetEvaluator:
 
     # -- atoms and terms ---------------------------------------------------------------
 
-    def _rel_key_array(self, pred: str, sizes: tuple[int, ...]) -> np.ndarray:
-        """Sorted mixed-radix keys of a relation's tuples."""
-        keys = self._rel_keys.get(pred)
-        if keys is None:
+    def _relation(self, pred: str, arity: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """A relation's distinct indices at each argument position, sorted,
+        and the sorted mixed-radix keys of its tuples over their ranks
+        among those.  Keyed by rank, a tuple's key stays below the product
+        of the distinct counts, however large the argument types are."""
+        hit = self._relations.get(pred)
+        if hit is None:
             rel = self.s.relations[pred]
-            arr = np.empty(len(rel), dtype=np.int64)
-            for i, tup in enumerate(rel):
-                k = 0
-                for idx, size in zip(tup, sizes):
-                    k = k * size + idx
-                arr[i] = k
-            keys = np.sort(arr)
-            self._rel_keys[pred] = keys
-        return keys
+            try:
+                tuples = np.array(list(rel), dtype=np.int64).reshape(len(rel), arity)
+            except OverflowError:  # a type of more than 2^63 values
+                raise ArithmeticOverflow(f"an index of {pred} exceeds 64 bits") from None
+            values = [np.unique(col) for col in tuples.T]
+            if math.prod(len(v) for v in values) > _INT64.max:
+                raise ArithmeticOverflow(f"the tuples of {pred} exceed 64-bit keys")
+            keys = np.zeros(len(rel), dtype=np.int64)
+            for v, col in zip(values, tuples.T):
+                keys = keys * len(v) + np.searchsorted(v, col)
+            hit = self._relations[pred] = (values, np.sort(keys))
+        return hit
 
     def _fun_table(self, name: str) -> np.ndarray:
         flat = self._fun_flat.get(name)
@@ -250,7 +258,6 @@ class SatSetEvaluator:
         arg_types = self.s.voc.predicates[f.pred]
         vars = free_variables(f)
         shape = self.shape_for(vars)
-        sizes = tuple(self.s.domain_size(t) for t in arg_types)
         if not arg_types:
             rel = self.s.relations[f.pred]
             blank = BitTensor.full if () in rel else BitTensor.empty
@@ -265,22 +272,20 @@ class SatSetEvaluator:
             return self._track(
                 BitTensor.from_ones(shape, sorted(self.s.relations[f.pred]), self.budget)
             )
-        # argument indices, -1 where a value lies outside its type
-        cols = []
-        for arg, t in zip(f.args, arg_types):
-            idx, in_range = self._arg_space(t, self._term(arg, shape))
-            cols.append(np.where(in_range, idx, -1))
-        rel = self._rel_key_array(f.pred, sizes)
+        # argument indices; one outside its type matches no tuple
+        cols = [self._arg_space(t, self._term(a, shape))[0] for a, t in zip(f.args, arg_types)]
+        values, keys = self._relation(f.pred, len(arg_types))
 
         def members(*parts: np.ndarray) -> np.ndarray:
-            key, ok = parts[0], parts[0] >= 0
-            for col, size in zip(parts[1:], sizes[1:]):
-                key = key * size + col
-                ok = ok & (col >= 0)
-            if not rel.size:
-                return np.zeros(ok.shape, dtype=bool)
-            pos = np.minimum(np.searchsorted(rel, key), rel.size - 1)
-            return (rel[pos] == key) & ok
+            if not keys.size:
+                return np.zeros((), dtype=bool)
+            key, ok = 0, True
+            for col, v in zip(parts, values):
+                rank = np.minimum(np.searchsorted(v, col), v.size - 1)
+                ok = ok & (v[rank] == col)
+                key = key * v.size + rank
+            pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+            return (keys[pos] == key) & ok
 
         return self._track(pack_pointwise(shape, members, cols, self.budget, self.tick))
 

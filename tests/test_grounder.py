@@ -36,6 +36,13 @@ from sli.grounder import (
     GroundTheory,
     GroundingStats,
     _SentenceGrounder,
+    _collect_guards,
+    _liftable,
+    _residual,
+    _simp_junction,
+    _simp_not,
+    _simp_quant,
+    _strip_negations,
     boolean_simplify,
     ground_problem,
     ground_sentence,
@@ -213,6 +220,70 @@ def test_guard_split_reassembly_is_equivalent():
             assert eval_formula(reassembled, full, {}) == want
             checked += 1
     assert checked > 200
+
+
+def _substitute_guards(n, guards, signs, sigma0, block):
+    """The two-pass residual's first pass: decide again at every node
+    whether it is a guard, and look each one up by structure."""
+    if _liftable(n, sigma0, block):
+        flipped, core = _strip_negations(n)
+        if core is TRUE or core is FALSE:
+            value = core is TRUE
+        else:
+            value = signs[guards.index(core)]
+        return TRUE if value != flipped else FALSE
+    if isinstance(n, Not):
+        return Not(_substitute_guards(n.child, guards, signs, sigma0, block))
+    if isinstance(n, (And, Or)):
+        return type(n)(
+            tuple(_substitute_guards(c, guards, signs, sigma0, block) for c in n.children)
+        )
+    if isinstance(n, (ForAll, Exists)):
+        return type(n)(n.var, _substitute_guards(n.body, guards, signs, sigma0, block))
+    return n
+
+
+def _simplify(f, s):
+    """The two-pass residual's second pass: constant propagation."""
+    if isinstance(f, Not):
+        return _simp_not(_simplify(f.child, s))
+    if isinstance(f, (And, Or)):
+        return _simp_junction(isinstance(f, And), (_simplify(c, s) for c in f.children))
+    if isinstance(f, (ForAll, Exists)):
+        return _simp_quant(isinstance(f, ForAll), f.var, _simplify(f.body, s), s)
+    return f
+
+
+def test_one_pass_residuals_match_substitution_then_simplification():
+    rng = np.random.default_rng(20261019)
+    seen = Counter()
+    for _ in range(300):
+        s = random_structure(rng, max_size=3, n_preds=(1, 3), n_funcs=(0, 2), uninterpreted=2)
+        types = _quantifiable_types(s)
+        x, y = (Variable(n, types[int(rng.integers(len(types)))]) for n in "xy")
+        b1, b2 = (
+            random_formula(rng, s, [x, y], 3, uninterpreted_ok=True, fresh_names=("z",))
+            for _ in range(2)
+        )
+        # b1's guards occur twice, in b1 and in a copy of it under two more
+        # negations, next to a negated constant
+        copy = substitute(b1, {x: x})
+        body = Or((b1, And((Not(Not(copy)), b2, Not(TRUE)))))
+        assert boolean_simplify(body, s) == _simplify(body, s)
+        sigma0, block = s.interpreted_symbols, frozenset((x, y))
+        guards, occurrences = _collect_guards(body, sigma0, block, lambda: None)
+        if len(guards) > 6:
+            continue
+        for signs in itertools.product((True, False), repeat=len(guards)):
+            want = _simplify(_substitute_guards(body, guards, signs, sigma0, block), s)
+            assert _residual(body, occurrences, signs, s, lambda: None) == want
+            seen["splits"] += 1
+        found = [o for o in occurrences.values() if isinstance(o, tuple)]
+        seen.update("negated" if flipped else "plain" for _, flipped in found)
+        seen["constant"] += len(occurrences) - len(found)
+        seen["repeated"] += len(found) > len(guards)
+    assert seen["splits"] > 1000
+    assert min(seen[k] for k in ("constant", "negated", "plain", "repeated")) > 20
 
 
 QUEENS = """
@@ -1038,6 +1109,93 @@ def test_nested_quantifier_in_a_residual(strategy):
     assert (row.guards, row.splits_kept, row.instantiations) == (1, 1, 2 + 2 * 2)
 
 
+SHADOWING = """
+vocabulary {
+  type T := {a, b, c}.
+  pred p(T).
+  pred q(T).
+  pred u(T).
+  pred w(T, T).
+}
+theory {
+}
+structure {
+  p := {a, b}.
+  q := {b, c}.
+}
+"""
+
+
+def _shadowing():
+    """!x, y in T: p(x) => u(x) | (?x in T: q(x) & w(x, y)), built in code,
+    since the parser rejects a rebound name."""
+    prob = problem(SHADOWING)
+    x, y = Variable("x", "T"), Variable("y", "T")
+    inner = Exists(x, And((Atom("q", (x,)), Atom("w", (x, y)))))
+    body = Or((Not(Atom("p", (x,))), Atom("u", (x,)), inner))
+    return Problem(prob.voc, (ForAll(x, ForAll(y, body)),), prob.structure)
+
+
+@pytest.mark.parametrize("strategy", ["vec", "naive"])
+def test_an_inner_quantifier_shadows_a_block_variable(monkeypatch, strategy):
+    prob = _shadowing()
+    got = _grounding(prob, strategy, 8)
+    monkeypatch.setattr(_SentenceGrounder, "_columns", _reference_columns)
+    assert got == _grounding(prob, strategy, 8)
+    # the inner x ranges over q's b and c, whatever the outer x is: q(x)
+    # is the inner block's guard, not the outer one's
+    _, assertions, rows = got
+    assert [print_formula(a) for a in assertions] == [
+        f"u({x}) | (w(b, {y}) | w(c, {y}))" for x in "ab" for y in "abc"
+    ]
+    assert rows[0][2] == 1  # p(x)
+
+
+WIDE_RELATION = """
+vocabulary {{
+  type N := Int[{n}].
+  type M := Int[0..3].
+  pred p({args}).
+  pred q(M).
+}}
+theory {{
+  !m in M: {atom} => q(m).
+}}
+structure {{
+  p := {{{p}}}.
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "atom, p",
+    [("p(1073741824, 0, m)", "(0, 0, 0)"), ("p(1, 0, m)", "(4294967295, 4294967295, 3)")],
+)
+def test_relation_membership_beyond_64_bit_keys(atom, p):
+    # p's argument types span 2^66 tuples, so a key by index wraps:
+    # (1073741824, 0, 0) would land on (0, 0, 0), and (4294967295,
+    # 4294967295, 3) would not fit in 64 bits at all
+    prob = problem(WIDE_RELATION.format(n="0..4294967295", args="N, N, M", atom=atom, p=p))
+    want = _grounding(prob, "naive", 8)
+    assert want[0] == "sat-trivial"
+    assert _grounding(prob, "vec", 8)[:2] == want[:2]
+
+
+def test_relations_beyond_64_bit_keys_are_a_resource_error():
+    # 2^16 distinct values at each of four places: 2^64 keys even by rank
+    text = WIDE_RELATION.format(n="0..65535", args="N, N, N, N", atom="p(0, 0, 0, m)", p="")
+    prob = problem(text)
+    wide = Structure(prob.voc, {}, {"p": {(i, i, i, i) for i in range(2**16)}})
+    with pytest.raises(ArithmeticOverflow):
+        ground_problem(Problem(prob.voc, prob.sentences, wide), "vec")
+    # an index of 2^63, in a type of 2^64 values
+    n = f"{-2**63}..{2**63 - 1}"
+    prob = problem(WIDE_RELATION.format(n=n, args="N, M", atom="p(5, m)", p="(0, 3)"))
+    assert _grounding(prob, "naive", 8)[0] == "sat-trivial"
+    with pytest.raises(ArithmeticOverflow):
+        ground_problem(prob, "vec")
+
+
 EXPANDED_RESIDUAL = """
 vocabulary {
   type T := {a, b, c}.
@@ -1181,8 +1339,38 @@ theory {{
     )
 
 
-@pytest.mark.parametrize("make", [lambda: _colour_like(40, 5), lambda: _queens(6)],
-                         ids=["colour", "queens"])
+# three guards, p(x), q(y) and r(x, y): seven of their eight splits are kept
+SPLITS = """
+vocabulary {
+  type T := {a, b, c, d}.
+  pred p(T).
+  pred q(T).
+  pred r(T, T).
+  pred u(T, T).
+  pred v(T).
+}
+theory {
+  !x, y in T: (p(x) => u(x, y)) & (q(y) => v(x)) & (r(x, y) | v(y)).
+}
+structure {
+  p := {a, b}.
+  q := {b, c}.
+  r := {(a, b), (c, d)}.
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _colour_like(40, 5),
+        lambda: _queens(6),
+        lambda: problem(NESTED_RESIDUAL),
+        _shadowing,
+        lambda: problem(SPLITS),
+    ],
+    ids=["colour", "queens", "nested", "shadowing", "splits"],
+)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_pipeline_leaves_no_cyclic_garbage(make, strategy):
     """Parsing, grounding and emitting free every object they make by
