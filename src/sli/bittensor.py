@@ -10,6 +10,10 @@ Every kernel works on the packed words and allocates little beyond its
 packed input and output:
 
 * The boolean connectives and popcount run word-at-a-time.
+* `junction` ANDs or ORs any number of tensors into one output over the
+  union of their axes, allocated once: each input is replicated along
+  its missing axes straight into it by `insert_axis`, which can combine
+  into an existing output in place as well as fill a fresh one.
 * Axis insertion copies whole bytes when the replicated rows are
   byte-aligned, and reductions whose trailing block is word-aligned fold
   whole words.
@@ -22,9 +26,10 @@ packed input and output:
   expands only nonzero words, into coordinate arrays of a bounded number
   of tuples; `iter_ones` is their flattening.
 
-So the bit budget bounds the memory the kernels really use.  The piece
-loops call an optional `tick` once per piece, so a cooperative deadline
-also holds inside one large kernel.
+So the bit budget bounds the memory the kernels really use: each holds
+its packed inputs and output plus O(_CHUNK_BITS), junctions included.
+The piece loops call an optional `tick` once per piece, so a cooperative
+deadline also holds inside one large kernel.
 """
 
 from __future__ import annotations
@@ -47,9 +52,10 @@ from .errors import (
 )
 from .logic import Variable
 
-# Largest tensor, in bits, that one kernel may produce.  Kernels hold
-# their packed inputs and output plus O(_CHUNK_BITS) bytes of scratch, so
-# a tensor at the budget costs about budget/8 bytes, not a byte per bit.
+# Largest tensor, in bits, that one kernel may produce.  Kernels, junction
+# included, hold their packed inputs and output plus O(_CHUNK_BITS) bytes
+# of scratch, so a tensor at the budget costs about budget/8 bytes, not a
+# byte per bit.
 DEFAULT_BIT_BUDGET = 2**33
 
 # Bits a piecewise kernel unpacks or computes at a time (one byte each).
@@ -63,6 +69,9 @@ _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 Tick = Callable[[], None] | None
+# how a kernel combines into an output: None assigns into bits that are
+# still zero; np.bitwise_and / np.bitwise_or combine in place
+Op = np.ufunc | None
 
 COMPARISONS = {
     "=": np.equal,
@@ -121,7 +130,7 @@ def _prod(extents: Iterable[int]) -> int:
     return n
 
 
-def _check_budget(nbits: int, budget: int) -> None:
+def check_budget(nbits: int, budget: int) -> None:
     if nbits > budget:
         raise BitBudgetOverflow(f"tensor of {nbits} bits exceeds budget of {budget}")
 
@@ -165,24 +174,39 @@ def _get_bits(words: np.ndarray, start: int, count: int) -> np.ndarray:
     return bits[off : off + count]
 
 
-def _put_bits(out: np.ndarray, start: int, bits: np.ndarray) -> None:
-    """OR the bools `bits` (row-major) into the word array `out` from bit
-    `start` on.  The bits they land on must still be zero."""
+def _put_bits(out: np.ndarray, start: int, bits: np.ndarray, op: Op = None) -> None:
+    """Combine the bools `bits` (row-major) into the word array `out` from
+    bit `start` on: AND them in when op is np.bitwise_and, else OR them
+    in (op None or np.bitwise_or; None writes into bits that must still
+    be zero)."""
     n = bits.size
     if not n:
         return
     packed = np.packbits(bits, axis=None, bitorder="little")
+    clear = op is np.bitwise_and
+    if clear:
+        # AND clears the bits where `bits` is 0: pack those as the ones
+        np.invert(packed, out=packed)
+        if n % 8:
+            packed[-1] &= np.uint8((1 << n % 8) - 1)
     q, r = divmod(start, 64)
     if r % 8 == 0:
         lo = start // 8
-        out.view(np.uint8)[lo : lo + packed.size] |= packed
-        return
-    words = np.zeros(_nwords(n), dtype=_WORD)
-    words.view(np.uint8)[: packed.size] = packed
-    m = words.size
-    out[q : q + m] |= words << np.uint64(r)
-    k = min(m, out.size - q - 1)
-    out[q + 1 : q + 1 + k] |= words[:k] >> np.uint64(64 - r)
+        parts = [(out.view(np.uint8)[lo : lo + packed.size], packed)]
+    else:
+        words = np.zeros(_nwords(n), dtype=_WORD)
+        words.view(np.uint8)[: packed.size] = packed
+        m = words.size
+        k = min(m, out.size - q - 1)
+        parts = [
+            (out[q : q + m], words << np.uint64(r)),
+            (out[q + 1 : q + 1 + k], words[:k] >> np.uint64(64 - r)),
+        ]
+    for dst, src in parts:
+        if clear:
+            np.bitwise_and(dst, ~src, out=dst)
+        else:
+            np.bitwise_or(dst, src, out=dst)
 
 
 def _get_runs(words: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
@@ -215,16 +239,16 @@ def _get_runs(words: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
 
 
 def _tile_bits(
-    src: np.ndarray, s: int, n: int, out: np.ndarray, d: int, times: int, tick: Tick
+    src: np.ndarray, s: int, n: int, out: np.ndarray, d: int, times: int, tick: Tick, op: Op
 ) -> None:
-    """Write bits [s, s+n) of src `times` times back to back into out from
-    bit d on, in pieces of about _CHUNK_BITS bits."""
+    """Combine bits [s, s+n) of src, `times` times back to back, into out
+    from bit d on through _put_bits, in pieces of about _CHUNK_BITS bits."""
     reps = max(1, _CHUNK_BITS // n)
     for off in range(0, n, _CHUNK_BITS):
         m = min(_CHUNK_BITS, n - off)
         block = np.tile(_get_bits(src, s + off, m), min(reps, times))
         for lo, hi in _pieces(times, reps, tick):
-            _put_bits(out, d + lo * n + off, block[: (hi - lo) * m])
+            _put_bits(out, d + lo * n + off, block[: (hi - lo) * m], op)
 
 
 def _fresh(shape: Shape, words: np.ndarray) -> "BitTensor":
@@ -257,12 +281,12 @@ class BitTensor:
 
     @staticmethod
     def empty(shape: Shape, budget: int = DEFAULT_BIT_BUDGET) -> "BitTensor":
-        _check_budget(shape.nbits, budget)
+        check_budget(shape.nbits, budget)
         return _fresh(shape, np.zeros(_nwords(shape.nbits), dtype=_WORD))
 
     @staticmethod
     def full(shape: Shape, budget: int = DEFAULT_BIT_BUDGET) -> "BitTensor":
-        _check_budget(shape.nbits, budget)
+        check_budget(shape.nbits, budget)
         nbits = shape.nbits
         words = np.full(_nwords(nbits), _FULL_WORD, dtype=_WORD)
         if nbits and words.size:
@@ -271,7 +295,7 @@ class BitTensor:
 
     @staticmethod
     def from_bools(shape: Shape, bools: np.ndarray, budget: int = DEFAULT_BIT_BUDGET) -> "BitTensor":
-        _check_budget(shape.nbits, budget)
+        check_budget(shape.nbits, budget)
         flat = np.asarray(bools, dtype=bool).ravel()
         if flat.size != shape.nbits:
             raise ShapeMismatch("boolean data does not match shape")
@@ -281,7 +305,7 @@ class BitTensor:
     def from_ones(
         shape: Shape, ones: Iterable[tuple[int, ...]], budget: int = DEFAULT_BIT_BUDGET
     ) -> "BitTensor":
-        _check_budget(shape.nbits, budget)
+        check_budget(shape.nbits, budget)
         words = np.zeros(_nwords(shape.nbits), dtype=_WORD)
         extents = shape.extents
         # a few int64 per tuple: take the tuples _CHUNK_BITS // 64 at a time
@@ -338,12 +362,24 @@ class BitTensor:
         extent: int,
         budget: int = DEFAULT_BIT_BUDGET,
         tick: Tick = None,
-    ) -> "BitTensor":
+        out: np.ndarray | None = None,
+        op: Op = None,
+    ) -> "BitTensor | None":
         """Replicate along a new axis at position pos (Cartesian product):
-        each input row of the axes from pos on is written extent times."""
+        each input row of the axes from pos on is written extent times.
+
+        Without `out` the result is a fresh tensor.  With `out`, the
+        writable word array of a tensor of the output shape, the
+        replicated bits are combined into it in place and None is
+        returned: assigned when op is None (the bits must still be zero),
+        else through op, np.bitwise_and or np.bitwise_or."""
         shape = self.shape.insert(pos, var, extent)
-        _check_budget(shape.nbits, budget)
-        out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
+        check_budget(shape.nbits, budget)
+        fresh = out is None
+        if fresh:
+            out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
+        elif out.dtype != _WORD or out.shape != (_nwords(shape.nbits),):
+            raise ShapeMismatch("output word array does not match shape")
         if shape.nbits:
             inner = _prod(self.shape.extents[pos:])
             outer = self.shape.nbits // inner
@@ -365,7 +401,10 @@ class BitTensor:
                         )
                     blocks = blocks.reshape(hi - lo, 1, nbytes)
                     for a, b in _pieces(times, per, tick if per < times else None):
-                        dst[lo:hi, a:b] = blocks
+                        if op is None:
+                            dst[lo:hi, a:b] = blocks
+                        else:
+                            op(dst[lo:hi, a:b], blocks, out=dst[lo:hi, a:b])
             elif row <= _CHUNK_BITS:
                 first = 0
                 g = 8 // math.gcd(row, 8)
@@ -382,14 +421,17 @@ class BitTensor:
                     for lo, hi in _pieces(first // g, max(1, _CHUNK_BITS // (g * row)), tick):
                         bits = _get_bits(self.words, lo * w, (hi - lo) * w).reshape(-1, w)
                         codes = np.packbits(bits, axis=1, bitorder="little").ravel()
-                        np.take(table, codes, axis=0, out=dst[lo:hi], mode="clip")
+                        if op is None:
+                            np.take(table, codes, axis=0, out=dst[lo:hi], mode="clip")
+                        else:
+                            op(dst[lo:hi], np.take(table, codes, axis=0), out=dst[lo:hi])
                 for lo, hi in _pieces(outer, _CHUNK_BITS // row, tick, first):
                     bits = _get_bits(self.words, lo * inner, (hi - lo) * inner)
-                    _put_bits(out, lo * row, np.repeat(bits.reshape(-1, inner), extent, axis=0))
+                    _put_bits(out, lo * row, np.repeat(bits.reshape(-1, inner), extent, axis=0), op)
             else:
                 for o in range(outer):
-                    _tile_bits(self.words, o * inner, inner, out, o * row, extent, tick)
-        return _fresh(shape, out)
+                    _tile_bits(self.words, o * inner, inner, out, o * row, extent, tick, op)
+        return _fresh(shape, out) if fresh else None
 
     def permute_axes(self, perm: tuple[int, ...], tick: Tick = None) -> "BitTensor":
         """Reorder the axes: output axis k is input axis perm[k].
@@ -557,6 +599,61 @@ class BitTensor:
         return f"BitTensor({names}; {self.popcount()}/{self.shape.nbits} ones)"
 
 
+def junction(
+    tensors: Sequence[BitTensor],
+    conj: bool,
+    budget: int = DEFAULT_BIT_BUDGET,
+    tick: Tick = None,
+) -> BitTensor:
+    """The AND (conj) or OR of tensors over the union of their variables:
+    the first tensor's variables, then each later one's new ones in its
+    own order.
+
+    Tensors over the same variables are combined word by word.  Otherwise
+    the output is allocated once: each tensor is permuted into the union
+    order, at its own size, and replicated along its missing axes
+    straight into the output by insert_axis, which assigns the first and
+    ANDs or ORs the later ones in place.  Of a tensor missing several
+    axes, all but the widest are inserted first, at most output/extent
+    bits.
+    """
+    axes: dict[Variable, int] = {}
+    for t in tensors:
+        for v, e in t.shape.axes:
+            axes.setdefault(v, e)
+    shape = Shape(tuple(axes.items()))
+    check_budget(shape.nbits, budget)
+    union = shape.vars
+
+    def in_order(t: BitTensor) -> BitTensor:
+        have = t.shape.vars
+        order = tuple(sorted(range(len(have)), key=lambda k: union.index(have[k])))
+        return t if order == tuple(range(len(have))) else t.permute_axes(order, tick)
+
+    if all(len(t.shape.axes) == len(union) for t in tensors):
+        acc = tensors[0]
+        for t in tensors[1:]:
+            t = in_order(t)
+            acc = acc.bit_and(t) if conj else acc.bit_or(t)
+        return acc
+    op = np.bitwise_and if conj else np.bitwise_or
+    out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
+    for i, t in enumerate(tensors):
+        t = in_order(t)
+        missing = [k for k, v in enumerate(union) if v not in t.shape.vars]
+        if not missing:
+            # ORing the first tensor into the zeros copies it
+            (op if i else np.bitwise_or)(out, t.words, out=out)
+            continue
+        last = max(missing, key=lambda k: shape.extents[k])
+        for k in missing:
+            if k != last:
+                t = t.insert_axis(k - (k > last), union[k], shape.extents[k], budget, tick)
+        mode = op if i else None
+        t.insert_axis(last, union[last], shape.extents[last], budget, tick, out=out, op=mode)
+    return _fresh(shape, out)
+
+
 def pack_pointwise(
     shape: Shape,
     fn: Callable[..., np.ndarray],
@@ -571,7 +668,7 @@ def pack_pointwise(
     on pieces of leading-axis rows of about _CHUNK_BITS bits (at least one
     row), so no full-size bool array is built.
     """
-    _check_budget(shape.nbits, budget)
+    check_budget(shape.nbits, budget)
     out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
     extents = shape.extents or (1,)
     arrays = [np.reshape(a, np.shape(a) or (1,)) for a in arrays]

@@ -58,12 +58,19 @@ cache and the SentenceStats row it fills in place.
 from __future__ import annotations
 
 import itertools
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .bittensor import DEFAULT_BIT_BUDGET
-from .errors import GroundingTimeout, GuardCapExceeded, SliError, UnsupportedFormula
+from .errors import (
+    ArithmeticOverflow,
+    GroundingTimeout,
+    GuardCapExceeded,
+    SliError,
+    UnsupportedFormula,
+)
 from .logic import (
     FALSE,
     TRUE,
@@ -666,6 +673,16 @@ class _SentenceGrounder:
         if self._open_blocks == 1:
             self.row.splits_kept += 1
 
+    def _block_sizes(self, vars: list[Variable]) -> list[int]:
+        """The domain sizes of a block whose tuples are enumerated one by
+        one.  A type of more than sys.maxsize values has no range that
+        itertools.product can take: a resource error."""
+        sizes = [self.s.domain_size(v.type) for v in vars]
+        for v, n in zip(vars, sizes):
+            if n > sys.maxsize:
+                raise ArithmeticOverflow(f"type {v.type} has {n} values, too many to enumerate")
+        return sizes
+
     def _bind(
         self, f: Formula, vars: list[Variable], idx_tuple: tuple[int, ...]
     ) -> Formula:
@@ -788,8 +805,7 @@ class _SentenceGrounder:
         closed_signs = {
             id(g): bool(eval_formula(g, self.s, {})) for g in closed
         }
-        sizes = [self.s.domain_size(v.type) for v in vars]
-        for idx_tuple in itertools.product(*(range(n) for n in sizes)):
+        for idx_tuple in itertools.product(*map(range, self._block_sizes(vars))):
             self.check()  # vacuous tuples reach no instantiation
             env = {
                 v.name: self.s.index_to_value(v.type, i)
@@ -823,10 +839,9 @@ class _SentenceGrounder:
             return f
         if isinstance(f, (ForAll, Exists)):
             forall, vars, body = _block_of(f)
-            sizes = [self.s.domain_size(v.type) for v in vars]
             out = [
                 self.ground_noreduce(self._bind(body, vars, idx_tuple))
-                for idx_tuple in itertools.product(*(range(n) for n in sizes))
+                for idx_tuple in itertools.product(*map(range, self._block_sizes(vars)))
             ]
             if not out:
                 # a block over an empty domain unfolds to its neutral constant

@@ -4,9 +4,9 @@
 true.  The evaluator computes it compositionally: conjunction intersects,
 disjunction unites, negation complements, adding a variable replicates an
 axis, and quantifiers collapse an axis by AND/OR.  Children are evaluated
-over exactly their own free variables and aligned pairwise at each
-connective; results are memoized per evaluator by formula identity, so
-re-used guards are computed once.
+over exactly their own free variables and combined into one output at
+each connective (`bittensor.junction`); results are memoized per
+evaluator by formula identity, so re-used guards are computed once.
 
 Terms are evaluated by broadcasting: a term's value is an int64 array
 with one axis per variable of the shape, of size 1 along every variable
@@ -34,8 +34,10 @@ from .bittensor import (
     DEFAULT_BIT_BUDGET,
     BitTensor,
     Shape,
+    check_budget,
     checked_arith,
     checked_gather,
+    junction,
     pack_pointwise,
 )
 from .errors import ArithmeticOverflow, IndexOutOfRange, UninterpretedSymbol, UnknownVariable
@@ -109,7 +111,11 @@ class SatSetEvaluator:
         return self.s.domain_size(var.type)
 
     def shape_for(self, vars: tuple[Variable, ...]) -> Shape:
-        return Shape(tuple((v, self.extent(v)) for v in vars))
+        """The shape over vars, checked against the budget before any term
+        over it is built."""
+        shape = Shape(tuple((v, self.extent(v)) for v in vars))
+        check_budget(shape.nbits, self.budget)
+        return shape
 
     def _track(self, t: BitTensor) -> BitTensor:
         if t.shape.nbits > self.peak_bits:
@@ -158,14 +164,8 @@ class SatSetEvaluator:
         if isinstance(f, Not):
             return self._track(self.eval(f.child).bit_not())
         if isinstance(f, (And, Or)):
-            conj = isinstance(f, And)
-            acc = self.eval(f.children[0])
-            for c in f.children[1:]:
-                a, b = self._align(acc, self.eval(c))
-                acc = a.bit_and(b) if conj else a.bit_or(b)
-                self._track(acc)
-                del a, b  # aligned copies can be large: free them before the next child
-            return acc
+            children = [self.eval(c) for c in f.children]
+            return self._track(junction(children, isinstance(f, And), self.budget, self.tick))
         if isinstance(f, (ForAll, Exists)):
             conj = isinstance(f, ForAll)
             body = self.eval(f.body)
@@ -199,14 +199,6 @@ class SatSetEvaluator:
             have = t.shape.vars
             pos += 1
         return t
-
-    def _align(self, a: BitTensor, b: BitTensor) -> tuple[BitTensor, BitTensor]:
-        """Bring two tensors onto the union tuple: a's variables first, then
-        b's extras in their own order."""
-        if a.shape == b.shape:
-            return a, b
-        target = a.shape.vars + tuple(v for v in b.shape.vars if v not in a.shape.vars)
-        return self._extend(a, target), self._extend(b, target)
 
     # -- atoms and terms ---------------------------------------------------------------
 

@@ -295,6 +295,18 @@ def ref_insert(t, pos, extent):
     return BitTensor.from_bools(t.shape.insert(pos, v("n"), extent), out)
 
 
+def check_insert(rng, t, pos, extent):
+    """insert_axis into a fresh tensor, and ANDed and ORed in place into a
+    random tensor of the output shape, against ref_insert."""
+    want = ref_insert(t, pos, extent)
+    assert t.insert_axis(pos, v("n"), extent) == want
+    base = random_density_tensor(rng, want.shape)
+    for op in (np.bitwise_and, np.bitwise_or):
+        out = base.words.copy()
+        assert t.insert_axis(pos, v("n"), extent, out=out, op=op) is None
+        assert BitTensor(want.shape, out) == BitTensor(want.shape, op(base.words, want.words))
+
+
 def ref_permute(t, perm):
     out = t.to_bools().reshape(t.shape.extents).transpose(perm)
     return BitTensor.from_bools(Shape(tuple(t.shape.axes[p] for p in perm)), out)
@@ -338,13 +350,14 @@ def test_kernels_match_bool_references(monkeypatch, chunk_bits):
     piece boundaries inside rows and rows longer than a piece all run."""
     monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk_bits)
     rng = np.random.default_rng(chunk_bits)
+    bases = np.random.default_rng(chunk_bits + 1)
     for _ in range(120):
         shape = random_kernel_shape(rng)
         t = random_density_tensor(rng, shape)
         m = len(shape.axes)
         pos = int(rng.integers(0, m + 1))
         extent = int(rng.choice((0, 1, 2, 3, 8, 9)))
-        assert t.insert_axis(pos, v("n"), extent) == ref_insert(t, pos, extent)
+        check_insert(bases, t, pos, extent)
         assert list(t.iter_ones()) == ref_iter_ones(t)
         assert BitTensor.from_ones(shape, ref_iter_ones(t)) == t
         if m:
@@ -360,6 +373,7 @@ def test_kernel_paths_on_chosen_shapes(monkeypatch, chunk_bits):
     """Each aligned and unaligned path on a shape picked to reach it."""
     monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk_bits)
     rng = np.random.default_rng(11)
+    bases = np.random.default_rng(12)
     cases = [
         ((3, 64), 0),  # word-aligned inner
         ((5, 24), 1),  # byte-aligned inner
@@ -378,7 +392,7 @@ def test_kernel_paths_on_chosen_shapes(monkeypatch, chunk_bits):
         for density in (0.0, 0.3, 1.0):
             t = BitTensor.from_bools(shape, rng.random(shape.nbits) < density)
             for extent in (1, 3, 8, 70):
-                assert t.insert_axis(pos, v("n"), extent) == ref_insert(t, pos, extent)
+                check_insert(bases, t, pos, extent)
             for perm in itertools.permutations(range(len(extents))):
                 assert t.permute_axes(perm) == ref_permute(t, perm)
             for k in range(len(extents)):

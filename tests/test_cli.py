@@ -349,6 +349,32 @@ def test_huge_integer_literal(tmp_path, capsys):
         assert "verdict open, 9 assertions" in capsys.readouterr().err
 
 
+HUGE_DOMAIN_SRC = """\
+vocabulary {
+  type N := Int[0..4294967295].
+  type M := Int[-9223372036854775808..9223372036854775807].
+  pred p(N, N, M).
+  pred q(M).
+}
+theory {
+  !m in M: p(1073741824, 0, m) => q(m).
+}
+structure {
+  p := {(1073741824, 0, 3)}.
+}
+"""
+
+
+@pytest.mark.parametrize("strategy", ["vec", "naive", "noreduce"])
+def test_a_block_over_a_huge_type_is_a_resource_error(tmp_path, capsys, strategy):
+    # M has 2^64 values: more bits than the budget, more tuples than an index
+    src = tmp_path / "huge.sli"
+    src.write_text(HUGE_DOMAIN_SRC)
+    assert main(["ground", str(src), "--strategy", strategy]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("sli: error:") and len(err.splitlines()) == 1, err
+
+
 def test_summary_reports_phase_times(capsys):
     assert main(["ground", str(DATA / "mapcolour3.sli")]) == 0
     err = capsys.readouterr().err

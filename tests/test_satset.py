@@ -4,12 +4,20 @@ Expected values for the worked examples were first computed by hand and
 cross-checked with `enumerate_satset`, then frozen here.
 """
 
+import time
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from randgen import enumerate_satset, random_formula, random_structure
+from sli import bittensor, grounder
+from sli.bench import BenchSpec, generate
+from sli.bittensor import BitTensor
 from sli.errors import (
     ArithmeticOverflow,
+    BitBudgetOverflow,
     GroundingTimeout,
     IndexOutOfRange,
     UninterpretedSymbol,
@@ -347,3 +355,148 @@ def test_evaluator_ticks_inside_long_kernels(monkeypatch):
     calls.clear()
     with pytest.raises(GroundingTimeout):
         SatSetEvaluator(s, tick=tick).eval(f)
+
+
+# -- junctions ------------------------------------------------------------------------
+
+
+class _PairwiseEvaluator(SatSetEvaluator):
+    """Reference junctions: the accumulated tensor and the next child are
+    both extended to their union and combined word by word, one pair at a
+    time."""
+
+    def _eval(self, f):
+        if not isinstance(f, (And, Or)):
+            return super()._eval(f)
+        acc = self.eval(f.children[0])
+        for c in f.children[1:]:
+            b = self.eval(c)
+            if acc.shape != b.shape:
+                extra = tuple(v for v in b.shape.vars if v not in acc.shape.vars)
+                target = acc.shape.vars + extra
+                acc, b = self._extend(acc, target), self._extend(b, target)
+            acc = self._track(acc.bit_and(b) if isinstance(f, And) else acc.bit_or(b))
+        return acc
+
+
+def _random_junction(rng):
+    """A random And/Or of 2-5 atoms, some negated, each over 1-4 of the
+    variables x, y, z, w in random order, and a structure for it: each
+    variable has a type of its own, of 0, 1 or an unaligned number of
+    elements, and each atom a random relation."""
+    extents = rng.choice((0, 1, 3, 5, 8, 9, 13), size=4, p=(0.04,) + (0.16,) * 6).tolist()
+    voc = Vocabulary()
+    domains = {}
+    vars = []
+    for name, e in zip("xyzw", extents):
+        voc.types["T" + name] = EnumType("T" + name)
+        domains["T" + name] = tuple(f"{name}{i}" for i in range(e))
+        vars.append(Variable(name, "T" + name))
+    same = rng.random() < 0.2  # every child over the same variables
+    common = rng.permutation(4)[: rng.integers(1, 5)]
+    relations, children = {}, []
+    for i in range(int(rng.integers(2, 6))):
+        picked = rng.permutation(common) if same else rng.permutation(4)[: rng.integers(1, 5)]
+        args = tuple(vars[k] for k in picked)
+        voc.predicates[f"p{i}"] = tuple(a.type for a in args)
+        dims = tuple(extents[k] for k in picked)
+        density = rng.choice((0.0, 0.3, 0.7, 1.0))
+        relations[f"p{i}"] = frozenset(map(tuple, np.argwhere(rng.random(dims) < density).tolist()))
+        atom = Atom(f"p{i}", args)
+        children.append(Not(atom) if rng.random() < 0.3 else atom)
+    junction = And if rng.random() < 0.5 else Or
+    return Structure(voc, domains, relations, {}), junction(tuple(children))
+
+
+@pytest.mark.parametrize("chunk_bits", [64, 4096, 2**20])
+def test_junctions_match_the_pairwise_reference(monkeypatch, chunk_bits):
+    """Same tensor, padding bits included, and the same peak bits, except
+    over an empty union: the pairwise loop could build a nonempty union of
+    the first children there, which the fused kernel never builds."""
+    monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk_bits)
+    rng = np.random.default_rng(chunk_bits)
+    for case in range(150):
+        s, f = _random_junction(rng)
+        fused, pairwise = SatSetEvaluator(s), _PairwiseEvaluator(s)
+        got, want = fused.eval(f), pairwise.eval(f)
+        assert got == want, f"case {case}: {f}"
+        if got.shape.nbits:
+            assert fused.peak_bits == pairwise.peak_bits, f"case {case}: {f}"
+        else:
+            assert fused.peak_bits <= pairwise.peak_bits, f"case {case}: {f}"
+
+
+def test_a_junction_allocates_one_output():
+    # edge(x,y) & edge(y,z) & edge(z,x) over 240 nodes: the children, at
+    # n*n bits each, are evaluated first; the junction itself then holds
+    # its n^3-bit output plus O(_CHUNK_BITS) scratch
+    problem = generate(BenchSpec("tg", 240, seed=13))
+    s, f = problem.structure, problem.sentences[0].body.body.body
+    ev = SatSetEvaluator(s)
+    for c in f.children:
+        ev.eval(c)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ev.eval(f)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    packed = (out.shape.nbits + 63) // 64 * 8
+    assert peak <= 1.5 * packed, (peak, packed)
+
+
+def test_a_junction_over_the_budget_raises_before_allocating():
+    # each child fits the budget; their union is 2.16e8 bits, 27 MB packed
+    voc = Vocabulary()
+    voc.types["T"] = EnumType("T")
+    voc.predicates["p"] = ("T",)
+    s = Structure(voc, {"T": tuple(f"a{i}" for i in range(600))}, {"p": frozenset({(1,)})}, {})
+    x, y, z = (Variable(n, "T") for n in "xyz")
+    f = And((Atom("p", (x,)), Atom("p", (y,)), Not(Atom("p", (z,)))))
+    ev = SatSetEvaluator(s, budget=10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BitBudgetOverflow):
+            ev.eval(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_a_deadline_stops_a_junction_partway(monkeypatch):
+    """On a fake clock that advances one second per reading, a deadline
+    set to pass midway through the replication of the last child into the
+    triangle junction's output stops that kernel there: it checks the
+    deadline once per piece."""
+    monkeypatch.setattr(bittensor, "_CHUNK_BITS", 256)
+    problem = generate(BenchSpec("tg", 30, seed=13))
+    now = [0]
+
+    def monotonic():
+        now[0] += 1
+        return now[0]
+
+    monkeypatch.setattr(
+        grounder, "time", SimpleNamespace(monotonic=monotonic, perf_counter=time.perf_counter)
+    )
+    fused = []  # [readings at entry, at exit] of each replication into an output
+    original = BitTensor.insert_axis
+
+    def insert_axis(self, *args, **kwargs):
+        if "out" not in kwargs:
+            return original(self, *args, **kwargs)
+        fused.append([now[0], None])
+        original(self, *args, **kwargs)
+        fused[-1][1] = now[0]
+
+    monkeypatch.setattr(BitTensor, "insert_axis", insert_axis)
+    grounder.ground_problem(problem, "vec", timeout=10**6)
+    start, end = fused[-1]
+    assert end - start > 2
+    now[0] = 0
+    fused.clear()
+    with pytest.raises(GroundingTimeout):
+        grounder.ground_problem(problem, "vec", timeout=(start + end) // 2)
+    assert fused[-1][1] is None
