@@ -11,9 +11,14 @@ packed input and output:
 
 * The boolean connectives and popcount run word-at-a-time.
 * `junction` ANDs or ORs any number of tensors into one output over the
-  union of their axes, allocated once: each input is replicated along
-  its missing axes straight into it by `insert_axis`, which can combine
-  into an existing output in place as well as fill a fresh one.
+  union of their axes, or over a given axis order that may hold more,
+  allocated once: each input is replicated along its missing axes
+  straight into it by `insert_axis`, which can combine into an existing
+  output in place as well as fill a fresh one.  Given a row range of
+  the leading axis, it builds only that slab: an input over the leading
+  variable gives only those rows (`permute_axes` with rows, a bit-range
+  copy when already in order), and one without it is replicated once
+  per slab row.
 * Axis insertion copies whole bytes when the replicated rows are
   byte-aligned, and reductions whose trailing block is word-aligned fold
   whole words.
@@ -28,6 +33,9 @@ packed input and output:
 
 So the bit budget bounds the memory the kernels really use: each holds
 its packed inputs and output plus O(_CHUNK_BITS), junctions included.
+A slab junction checks the budget on its whole output's shape, so a
+slab is refused exactly when the whole tensor would be, while the
+memory it holds is that of the slab.
 The piece loops call an optional `tick` once per piece, so a cooperative
 deadline also holds inside one large kernel.
 """
@@ -207,6 +215,21 @@ def _put_bits(out: np.ndarray, start: int, bits: np.ndarray, op: Op = None) -> N
             np.bitwise_and(dst, ~src, out=dst)
         else:
             np.bitwise_or(dst, src, out=dst)
+
+
+def _bit_slice(words: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Bits [start, start+count) of a packed word array as fresh words,
+    shifted down to bit 0, with zero padding."""
+    q, r = divmod(start, 64)
+    n = _nwords(count)
+    out = words[q : q + n].copy()
+    if r:
+        out >>= np.uint64(r)
+        high = words[q + 1 : q + 1 + n]
+        out[: high.size] |= high << np.uint64(64 - r)
+    if n:
+        out[-1] &= _last_mask(count)
+    return out
 
 
 def _get_runs(words: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
@@ -433,26 +456,45 @@ class BitTensor:
                     _tile_bits(self.words, o * inner, inner, out, o * row, extent, tick, op)
         return _fresh(shape, out) if fresh else None
 
-    def permute_axes(self, perm: tuple[int, ...], tick: Tick = None) -> "BitTensor":
-        """Reorder the axes: output axis k is input axis perm[k].
+    def permute_axes(
+        self, perm: tuple[int, ...], tick: Tick = None, rows: tuple[int, int] | None = None
+    ) -> "BitTensor":
+        """Reorder the axes: output axis k is input axis perm[k].  With
+        rows (lo, hi), only those rows of the output's leading axis are
+        built, and that axis has extent hi - lo.
 
         The output is built in pieces of consecutive output bits: output
         axes before j are fixed within a piece and axis j-1 is cut into
         ranges.  A piece's input bits lie in runs along the input's
         trailing axes; they are unpacked run by run, transposed as bools
-        and packed into place.
+        and packed into place.  In order, the rows are one bit range.
         """
         m = len(self.shape.axes)
         if sorted(perm) != list(range(m)):
             raise InvalidPermutation(f"{perm} is not a permutation of 0..{m - 1}")
-        shape = Shape(tuple(self.shape.axes[p] for p in perm))
+        axes = [self.shape.axes[p] for p in perm]
+        extents = self.shape.extents
+        start = 0
+        if rows is not None:
+            start, stop = rows
+            if not (m and 0 <= start <= stop <= axes[0][1]):
+                raise IndexOutOfRange(f"rows {rows} outside the leading axis")
+            axes[0] = (axes[0][0], stop - start)
+        shape = Shape(tuple(axes))
         if perm == tuple(range(m)):
-            return self
+            if shape == self.shape:
+                return self
+            inner = _prod(extents[1:])
+            return _fresh(shape, _bit_slice(self.words, start * inner, shape.nbits))
         out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
         if not shape.nbits:
             return _fresh(shape, out)
-        extents, out_ext = self.shape.extents, shape.extents
+        out_ext = shape.extents
         strides = [_prod(extents[k + 1 :]) for k in range(m)]
+        # the input's extents within the rows, which start at bit `offset`
+        within = list(extents)
+        within[perm[0]] = out_ext[0]
+        offset = start * strides[perm[0]]
         # a piece costs about four bytes per bit
         target = max(1, _CHUNK_BITS // 4)
         j = 1
@@ -462,12 +504,12 @@ class BitTensor:
         ranged = perm[j - 1]
         last = max(perm[:j])  # input axes after `last` are whole in every piece
         for prefix in np.ndindex(*out_ext[: j - 1]):
-            base = first_row = 0
+            base, first_row = offset, 0
             for k, i in enumerate(prefix):
                 base += i * strides[perm[k]]
                 first_row = first_row * out_ext[k] + i
             for lo, hi in _pieces(out_ext[j - 1], max(1, target // row), tick):
-                piece = list(extents)
+                piece = list(within)
                 for k in perm[: j - 1]:
                     piece[k] = 1
                 piece[ranged] = hi - lo
@@ -604,34 +646,57 @@ def junction(
     conj: bool,
     budget: int = DEFAULT_BIT_BUDGET,
     tick: Tick = None,
+    axes: Sequence[tuple[Variable, int]] | None = None,
+    rows: tuple[int, int] | None = None,
 ) -> BitTensor:
-    """The AND (conj) or OR of tensors over the union of their variables:
-    the first tensor's variables, then each later one's new ones in its
-    own order.
+    """The AND (conj) or OR of tensors over the output axes `axes`, which
+    must hold every tensor's variables and may hold more; by default the
+    union of their variables: the first tensor's, then each later one's
+    new ones in its own order.  With rows (lo, hi), only those rows of the
+    leading axis are built: a slab, whose leading axis has extent hi - lo.
+    The budget is checked on the whole output, slab or not.
 
-    Tensors over the same variables are combined word by word.  Otherwise
-    the output is allocated once: each tensor is permuted into the union
-    order, at its own size, and replicated along its missing axes
-    straight into the output by insert_axis, which assigns the first and
-    ANDs or ORs the later ones in place.  Of a tensor missing several
+    Tensors over every output variable are combined word by word.
+    Otherwise the output is allocated once: each tensor is permuted into
+    the output order, at its own size, and replicated along its missing
+    axes straight into the output by insert_axis, which assigns the first
+    and ANDs or ORs the later ones in place.  Of a tensor missing several
     axes, all but the widest are inserted first, at most output/extent
-    bits.
+    bits.  A tensor holding the leading variable gives only the slab's
+    rows, and one without it is replicated hi - lo times.  A single
+    tensor already in order over the whole output is returned as it is.
     """
-    axes: dict[Variable, int] = {}
+    if axes is None:
+        seen: dict[Variable, int] = {}
+        for t in tensors:
+            for v, e in t.shape.axes:
+                seen.setdefault(v, e)
+        axes = tuple(seen.items())
+    full = Shape(tuple(axes))
+    check_budget(full.nbits, budget)
+    names = full.vars
+    index = {v: k for k, v in enumerate(names)}
     for t in tensors:
-        for v, e in t.shape.axes:
-            axes.setdefault(v, e)
-    shape = Shape(tuple(axes.items()))
-    check_budget(shape.nbits, budget)
-    union = shape.vars
+        for v in t.shape.vars:
+            if v not in index:
+                raise UnknownVariable(f"variable {v.name} not among the output axes")
+    if rows is None or (names and rows == (0, full.extents[0])):
+        rows, shape = None, full
+    else:
+        lo, hi = rows
+        if not (names and 0 <= lo <= hi <= full.extents[0]):
+            raise IndexOutOfRange(f"rows {rows} outside the leading axis")
+        shape = Shape(((names[0], hi - lo),) + full.axes[1:])
 
     def in_order(t: BitTensor) -> BitTensor:
         have = t.shape.vars
-        order = tuple(sorted(range(len(have)), key=lambda k: union.index(have[k])))
+        order = tuple(sorted(range(len(have)), key=lambda k: index[have[k]]))
+        if rows is not None and have and have[order[0]] == names[0]:
+            return t.permute_axes(order, tick, rows)
         return t if order == tuple(range(len(have))) else t.permute_axes(order, tick)
 
-    if all(len(t.shape.axes) == len(union) for t in tensors):
-        acc = tensors[0]
+    if all(len(t.shape.axes) == len(names) for t in tensors):
+        acc = in_order(tensors[0])
         for t in tensors[1:]:
             t = in_order(t)
             acc = acc.bit_and(t) if conj else acc.bit_or(t)
@@ -640,7 +705,7 @@ def junction(
     out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
     for i, t in enumerate(tensors):
         t = in_order(t)
-        missing = [k for k, v in enumerate(union) if v not in t.shape.vars]
+        missing = [k for k, v in enumerate(names) if v not in t.shape.vars]
         if not missing:
             # ORing the first tensor into the zeros copies it
             (op if i else np.bitwise_or)(out, t.words, out=out)
@@ -648,9 +713,9 @@ def junction(
         last = max(missing, key=lambda k: shape.extents[k])
         for k in missing:
             if k != last:
-                t = t.insert_axis(k - (k > last), union[k], shape.extents[k], budget, tick)
+                t = t.insert_axis(k - (k > last), names[k], shape.extents[k], budget, tick)
         mode = op if i else None
-        t.insert_axis(last, union[last], shape.extents[last], budget, tick, out=out, op=mode)
+        t.insert_axis(last, names[last], shape.extents[last], budget, tick, out=out, op=mode)
     return _fresh(shape, out)
 
 
@@ -665,18 +730,32 @@ def pack_pointwise(
 
     Each array has one axis per shape axis (or none, for a scalar shape)
     and broadcasts against shape.extents.  fn must be elementwise: it runs
-    on pieces of leading-axis rows of about _CHUNK_BITS bits (at least one
-    row), so no full-size bool array is built.
+    on pieces of at most about _CHUNK_BITS bits, so no full-size bool
+    array is built.  A piece is a range of rows of axis j, with the axes
+    before j fixed, where j is the first axis whose rows fit a piece.
     """
     check_budget(shape.nbits, budget)
     out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
     extents = shape.extents or (1,)
     arrays = [np.reshape(a, np.shape(a) or (1,)) for a in arrays]
     if shape.nbits:
-        row = shape.nbits // extents[0]
-        for lo, hi in _pieces(extents[0], max(1, _CHUNK_BITS // row), tick):
-            parts = [a if a.shape[0] == 1 else a[lo:hi] for a in arrays]
-            _put_bits(out, lo * row, np.broadcast_to(fn(*parts), (hi - lo,) + extents[1:]))
+        j = 0
+        while _prod(extents[j + 1 :]) > _CHUNK_BITS:
+            j += 1
+        row = _prod(extents[j + 1 :])
+        for prefix in np.ndindex(*extents[:j]):
+            first = 0
+            for i, e in zip(prefix, extents):
+                first = first * e + i
+            fixed = tuple(slice(i, i + 1) for i in prefix)
+            for lo, hi in _pieces(extents[j], max(1, _CHUNK_BITS // row), tick):
+                cut = fixed + (slice(lo, hi),)
+                parts = [
+                    a[tuple(c if n > 1 else slice(None) for c, n in zip(cut, a.shape))]
+                    for a in arrays
+                ]
+                bools = np.broadcast_to(fn(*parts), (1,) * j + (hi - lo,) + extents[j + 1 :])
+                _put_bits(out, (first * extents[j] + lo) * row, bools)
     return _fresh(shape, out)
 
 

@@ -11,17 +11,28 @@ stops at the first deciding part.
 
 - vec: compile each non-vacuous split's residual once and instantiate it
   only at the tuples of the split's satisfying set, computed on bit tensors
-  by one evaluator shared by all sentences of a problem and taken from the
-  tensor in chunks (BitTensor.iter_ones_chunks), cut so that a chunk's rows
-  times the residual's nodes stay within _CHUNK_NODES.  A block with more guards
-  than the cap is grounded as naive grounds it, and its sentence's row
-  reports naive(fallback); the other blocks stay vectorized.
+  by one evaluator shared by all sentences of a problem.  The set is
+  evaluated one slab of rows of the block's first variable at a time, of
+  at most _SLAB_BITS bits or the size of the guard's largest part, so
+  the memory it holds is a slab, not the block's whole tensor (the bit
+  budget still applies to the whole).  A split whose residual decides the
+  block stops at the first slab holding a one.  Otherwise each slab's
+  ones are taken in chunks (BitTensor.iter_ones_chunks), cut so that a
+  chunk's rows times the residual's nodes stay within _CHUNK_NODES; slabs
+  in order and ones in order within each give the whole set's order.  A
+  block with more guards than the cap is grounded as naive grounds it,
+  and its sentence's row reports naive(fallback); the other blocks stay
+  vectorized.
 - naive: one nested loop over the block's tuples; the guards are decided
   per tuple by recursive evaluation, skipping tuples whose residual is
   vacuous and exiting early on a deciding tuple.  Each split's residual is
   compiled on its first tuple, and each kept tuple is a one-row chunk.
 - noreduce: instantiate everything, fold nothing, and emit the interpreted
-  symbols' tables as ground assertions alongside.
+  symbols' tables as ground assertions alongside; a table of more entries
+  than the bit budget is a resource error.
+
+naive and noreduce count a block's tuples up one at a time (_tuples),
+checking the deadline at each.
 
 vec and naive emit the same instantiations (each tuple realizes exactly one
 sign vector), differing only in conjunct order and in how the interpreted
@@ -58,14 +69,16 @@ cache and the SentenceStats row it fills in place.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .bittensor import DEFAULT_BIT_BUDGET
 from .errors import (
     ArithmeticOverflow,
+    BitBudgetOverflow,
     GroundingTimeout,
     GuardCapExceeded,
     SliError,
@@ -99,7 +112,7 @@ from .logic import (
     _compare,
 )
 from .parser import Problem
-from .satset import SatSetEvaluator
+from .satset import SatSetEvaluator, parts_of
 
 DEFAULT_GUARD_CAP = 8
 
@@ -112,6 +125,10 @@ Instantiator = Callable[[Columns], list]
 # this, which bounds the work done, and the memory held, between two
 # deadline checks.
 _CHUNK_NODES = 2**17
+# vec evaluates a block's guard in slabs of leading-variable rows of at
+# most this many bits, or of its largest part's if that is more, so the
+# memory a guard holds is about a slab, not the block's whole tensor.
+_SLAB_BITS = 2**24
 
 STRATEGIES = ("vec", "naive", "noreduce")
 
@@ -452,6 +469,25 @@ def _holds_block(f: Formula) -> bool:
     return False
 
 
+def _tuples(sizes: list[int], check: Callable[[], None]) -> Iterator[tuple[int, ...]]:
+    """Every index tuple over the given sizes, in lexicographic order,
+    lazily: each is counted up from the last in mixed radix, so no range
+    is built up front, and check is called before each."""
+    if not all(sizes):
+        return
+    idx = [0] * len(sizes)
+    while True:
+        check()
+        yield tuple(idx)
+        k = len(sizes) - 1
+        while k >= 0 and idx[k] == sizes[k] - 1:
+            idx[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        idx[k] += 1
+
+
 class _SentenceGrounder:
     """The run object of one grounding call: strategy and guard cap, the
     deadline `check`, the evaluator (vec only; shared by all sentences), the
@@ -675,8 +711,8 @@ class _SentenceGrounder:
 
     def _block_sizes(self, vars: list[Variable]) -> list[int]:
         """The domain sizes of a block whose tuples are enumerated one by
-        one.  A type of more than sys.maxsize values has no range that
-        itertools.product can take: a resource error."""
+        one.  A type of more than sys.maxsize values is too many to
+        enumerate: a resource error."""
         sizes = [self.s.domain_size(v.type) for v in vars]
         for v, n in zip(vars, sizes):
             if n > sys.maxsize:
@@ -783,19 +819,41 @@ class _SentenceGrounder:
     # one, so no later tensor is evaluated and no later chunk instantiated.
 
     def _block_vec(self, forall, vars, body, guards, occurrences):
-        var_tuple = tuple(vars)
+        """Each kept split's satisfying set, a slab of leading-variable
+        rows at a time (_slabs): a residual that decides the block is
+        drawn at the first slab holding a one, and no later slab is
+        evaluated; otherwise each slab's ones are instantiated in order."""
         for signs, residual in self._splits(forall, body, len(guards), occurrences):
             self._count_split()
-            tensor = self.ev.eval_over(_guard_formula(guards, signs), var_tuple)
+            slabs = self._slabs(_guard_formula(guards, signs), tuple(vars))
             if residual is TRUE or residual is FALSE:  # decides the block
-                if tensor.any():
+                if any(tensor.any() for _, tensor in slabs):
                     yield residual
                 continue
             form, nested = self._columns(residual, vars), _holds_block(residual)
             rows = max(1, _CHUNK_NODES // _tree_size(residual))
-            for coords in tensor.iter_ones_chunks():
-                for lo in range(0, coords.shape[1], rows):
-                    yield from self._instances(form, coords[:, lo : lo + rows].tolist(), nested)
+            for lo, tensor in slabs:
+                for coords in tensor.iter_ones_chunks():
+                    coords[0] += lo
+                    for a in range(0, coords.shape[1], rows):
+                        yield from self._instances(form, coords[:, a : a + rows].tolist(), nested)
+
+    def _slabs(self, guard: Formula, vars: tuple[Variable, ...]):
+        """(lo, tensor) of the guard's satisfying set over vars, one slab of
+        rows lo.. of the first variable at a time, lazily, checking the
+        deadline before each.  A slab holds at most _SLAB_BITS bits, or as
+        many as the guard's largest part (parts_of) if that is more, and
+        at least one row."""
+        size = self.s.domain_size
+        largest = max(
+            math.prod(size(v.type) for v in free_variables(p)) for p in parts_of(guard)
+        )
+        first, row = size(vars[0].type), math.prod(size(v.type) for v in vars[1:])
+        step = max(1, max(_SLAB_BITS, largest) // row if row else first)
+        for lo in range(0, first, step):
+            self.check()
+            hi = min(first, lo + step)
+            yield lo, self.ev.eval_over(guard, vars, (lo, hi))
 
     def _block_naive(self, vars, body, guards, occurrences):
         """Tuple by tuple: each kept tuple is a one-row chunk."""
@@ -805,8 +863,8 @@ class _SentenceGrounder:
         closed_signs = {
             id(g): bool(eval_formula(g, self.s, {})) for g in closed
         }
-        for idx_tuple in itertools.product(*map(range, self._block_sizes(vars))):
-            self.check()  # vacuous tuples reach no instantiation
+        # _tuples checks the deadline per tuple: vacuous ones reach no instantiation
+        for idx_tuple in _tuples(self._block_sizes(vars), self.check):
             env = {
                 v.name: self.s.index_to_value(v.type, i)
                 for v, i in zip(vars, idx_tuple)
@@ -841,7 +899,7 @@ class _SentenceGrounder:
             forall, vars, body = _block_of(f)
             out = [
                 self.ground_noreduce(self._bind(body, vars, idx_tuple))
-                for idx_tuple in itertools.product(*map(range, self._block_sizes(vars)))
+                for idx_tuple in _tuples(self._block_sizes(vars), self.check)
             ]
             if not out:
                 # a block over an empty domain unfolds to its neutral constant
@@ -940,14 +998,27 @@ class GroundTheory:
         )
 
 
-def _structure_facts(s: Structure, symbols: Iterable[str]) -> list[Formula]:
-    """The interpreted symbols' tables as ground assertions."""
-    out: list[Formula] = []
+def _structure_facts(
+    s: Structure, symbols: Iterable[str], budget: int, check: Callable[[], None]
+) -> list[Formula]:
+    """The interpreted symbols' tables as ground assertions.  A table of
+    more entries than the bit budget is a resource error, raised before
+    any table is enumerated."""
+    tables = []
     for name in symbols:
         rel = s.relations.get(name)
         sig = s.voc.functions.get(name)
         arg_types = s.voc.predicates[name] if rel is not None else sig.args
-        for tup in itertools.product(*(range(s.domain_size(t)) for t in arg_types)):
+        sizes = [s.domain_size(t) for t in arg_types]
+        entries = math.prod(sizes)
+        if entries > budget:
+            raise BitBudgetOverflow(
+                f"the table of {name} has {entries} entries, more than the budget of {budget}"
+            )
+        tables.append((name, rel, sig, arg_types, sizes))
+    out: list[Formula] = []
+    for name, rel, sig, arg_types, sizes in tables:
+        for tup in _tuples(sizes, check):
             args = tuple(
                 s.constant_for(t, s.index_to_value(t, i))
                 for t, i in zip(arg_types, tup)
@@ -1004,7 +1075,7 @@ def ground_problem(
             for n in itertools.chain(s.voc.predicates, s.voc.functions)
             if n in used and s.interprets(n)
         ]
-        assertions = _structure_facts(s, fact_symbols) + assertions
+        assertions = _structure_facts(s, fact_symbols, budget, g.check) + assertions
     if not assertions:
         return GroundTheory(s, (), VERDICT_SAT, mode, stats)
     return GroundTheory(s, tuple(assertions), VERDICT_OPEN, mode, stats)

@@ -8,6 +8,14 @@ over exactly their own free variables and combined into one output at
 each connective (`bittensor.junction`); results are memoized per
 evaluator by formula identity, so re-used guards are computed once.
 
+`eval_over`, the grounder's entry point, does not evaluate its formula
+itself: the parts (the children of a top-level And/Or, or else the
+formula) are evaluated and memoized, and one junction combines them
+over the requested variables, optionally only a slab of rows of the
+first.  So the grounder, which asks for slabs, holds a block guard's
+parts and one slab, never its whole tensor; the budget is checked on
+the whole shape all the same, and peak_bits counts the whole shape.
+
 Terms are evaluated by broadcasting: a term's value is an int64 array
 with one axis per variable of the shape, of size 1 along every variable
 the term does not mention, so `x` over (x, y) holds n values, not n*n.
@@ -63,6 +71,12 @@ from .logic import (
 )
 
 _INT64 = np.iinfo(np.int64)
+
+
+def parts_of(f: Formula) -> tuple[Formula, ...]:
+    """The parts eval_over evaluates f through: the children of a
+    top-level And/Or, or else f alone."""
+    return f.children if isinstance(f, (And, Or)) else (f,)
 
 
 @dataclass(frozen=True)
@@ -140,15 +154,28 @@ class SatSetEvaluator:
         self.peak_bits = max(outer, self.peak_bits)
         return t
 
-    def eval_over(self, f: Formula, vars: tuple[Variable, ...]) -> BitTensor:
-        """Tensor over the requested variable tuple (must cover free(f))."""
+    def eval_over(
+        self,
+        f: Formula,
+        vars: tuple[Variable, ...],
+        rows: tuple[int, int] | None = None,
+    ) -> BitTensor:
+        """Tensor over the requested variable tuple (must cover free(f)),
+        or with rows (lo, hi) only its slab of those rows of the leading
+        variable.  f itself is not evaluated: its parts (parts_of) are,
+        through eval, and one junction combines them over vars.
+        peak_bits counts the whole tensor over vars, slab or not."""
         free = free_variables(f)
         missing = [v for v in free if v not in vars]
         if missing:
             raise UnknownVariable(
                 f"free variable {missing[0].name} not among the requested tuple"
             )
-        return self._extend(self.eval(f), vars)
+        parts = [self.eval(p) for p in parts_of(f)]
+        axes = tuple((v, self.extent(v)) for v in vars)
+        out = junction(parts, not isinstance(f, Or), self.budget, self.tick, axes, rows)
+        self.peak_bits = max(self.peak_bits, Shape(axes).nbits)
+        return out
 
     # -- core recursion -----------------------------------------------------------
 
@@ -178,27 +205,6 @@ class SatSetEvaluator:
             out = reduce(f.var, tick=self.tick)
             return self._track(out)
         raise TypeError(f"satisfying sets need the desugared core, got {f!r}")
-
-    # -- alignment ------------------------------------------------------------------
-
-    def _extend(self, t: BitTensor, target: tuple[Variable, ...]) -> BitTensor:
-        """Permute/grow t to exactly the target variable tuple."""
-        have = t.shape.vars
-        order = [have.index(v) for v in target if v in have]
-        if len(order) != len(have):
-            raise UnknownVariable("tensor has variables outside the target tuple")
-        if order != sorted(order):
-            t = self._track(t.permute_axes(tuple(order), tick=self.tick))
-        have = t.shape.vars
-        pos = 0
-        for v in target:
-            if pos < len(have) and have[pos] == v:
-                pos += 1
-                continue
-            t = self._track(t.insert_axis(pos, v, self.extent(v), self.budget, self.tick))
-            have = t.shape.vars
-            pos += 1
-        return t
 
     # -- atoms and terms ---------------------------------------------------------------
 

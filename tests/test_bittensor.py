@@ -441,6 +441,62 @@ def test_from_ones_sets_repeated_and_edge_bits():
     assert BitTensor.from_ones(shape, ones) == BitTensor.from_bools(shape, want)
 
 
+@pytest.mark.parametrize("chunk_bits", [64, 100, 4096, 2**20])
+def test_permuted_rows_match_a_slice_of_the_permutation(monkeypatch, chunk_bits):
+    """permute_axes with rows builds exactly those rows of the output's
+    leading axis, padding bits zero, in order or not."""
+    monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk_bits)
+    rng = np.random.default_rng(chunk_bits)
+    for _ in range(120):
+        shape = random_kernel_shape(rng)
+        m = len(shape.axes)
+        if not m:
+            continue
+        t = random_density_tensor(rng, shape)
+        perm = tuple(rng.permutation(m).tolist()) if rng.random() < 0.7 else tuple(range(m))
+        e = shape.extents[perm[0]]
+        lo = int(rng.integers(0, e + 1))
+        hi = int(rng.integers(lo, e + 1))
+        full = ref_permute(t, perm)
+        axes = ((full.shape.axes[0][0], hi - lo),) + full.shape.axes[1:]
+        rows = full.to_bools().reshape(full.shape.extents)[lo:hi]
+        assert t.permute_axes(perm, rows=(lo, hi)) == BitTensor.from_bools(Shape(axes), rows)
+    with pytest.raises(IndexOutOfRange):
+        t.permute_axes(perm, rows=(0, e + 1))
+
+
+@pytest.mark.parametrize("chunk_bits", [1, 8, 100, 4096])
+def test_pack_pointwise_matches_numpy(monkeypatch, chunk_bits):
+    """Pieces cut within a row, when one row is longer than a piece, put
+    every bit where the whole array would."""
+    monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk_bits)
+    rng = np.random.default_rng(chunk_bits)
+    for _ in range(60):
+        shape = random_kernel_shape(rng, max_bits=5000)
+        arrays = [
+            rng.integers(0, 3, size=[e if rng.random() < 0.6 else 1 for e in shape.extents])
+            for _ in range(2)
+        ]
+        want = np.broadcast_to(np.less(*arrays), shape.extents)
+        assert bittensor.pack_pointwise(shape, np.less, arrays) == BitTensor.from_bools(
+            shape, want
+        )
+
+
+def test_pack_pointwise_holds_a_piece_of_a_long_row():
+    """A comparison over (x: 1, y: 2**23) is one row of 2**23 bits: it is
+    computed in pieces of _CHUNK_BITS bools, so the peak stays near the
+    1 MiB packed output, not at the 8 MiB of a byte per bit."""
+    n = 2**23
+    shape = Shape(((v("x"), 1), (v("y"), n)))
+    a = np.ones((1, 1), dtype=np.uint8)
+    b = (np.arange(n) % 3).astype(np.uint8).reshape(1, n)
+    out = []
+    peak = _peak_bytes(lambda: out.append(bittensor.pack_pointwise(shape, np.less, (a, b))))
+    assert out[0].popcount() == np.count_nonzero(b == 2)
+    assert peak <= _packed(n) + 3 * bittensor._CHUNK_BITS, peak
+
+
 # -- memory bound --------------------------------------------------------------
 
 

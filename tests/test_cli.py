@@ -399,3 +399,19 @@ def test_crlf_file_gives_the_spans_of_a_lf_file(tmp_path, capsys):
     src.write_bytes(COVER_SRC.replace("P := {a}", "P := {zz}").replace("\n", "\r\n").encode())
     assert main(["check", str(src)]) == 2
     assert f"{src}:10:9-11: unknown element: zz" in capsys.readouterr().err
+
+
+def test_noreduce_facts_over_a_huge_table_are_a_resource_error(tmp_path, capsys):
+    # p's table has 2^128 entries: noreduce emits the interpreted tables as
+    # facts, and refuses this one before enumerating any of it
+    src = tmp_path / "huge.sli"
+    src.write_text(
+        HUGE_DOMAIN_SRC.replace(
+            "!m in M: p(1073741824, 0, m) => q(m).", "p(1073741824, 0, 3) => q(3)."
+        )
+    )
+    assert main(["ground", str(src), "--strategy", "noreduce", "--timeout", "5"]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == (
+        f"sli: error: the table of p has {2**128} entries, more than the budget of 8589934592"
+    ), err

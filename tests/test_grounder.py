@@ -7,7 +7,10 @@ the theory under the full structure iff it satisfies the ground theory.
 
 import gc
 import itertools
+import time
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 
 import sli.bittensor
 import sli.grounder
+import sli.satset
 
 from randgen import (
     _quantifiable_types,
@@ -72,6 +76,7 @@ from sli.logic import (
     eval_formula,
     substitute,
 )
+from sli.bench import BenchSpec, generate
 from sli.parser import Problem, parse_problem, print_formula
 from sli.satset import SatSetEvaluator
 from sli.smt import emit
@@ -792,9 +797,9 @@ structure {
     seen = []
     eval_over = SatSetEvaluator.eval_over
 
-    def recording_eval_over(self, f, vars):
+    def recording_eval_over(self, f, vars, rows=None):
         seen.append(f)
-        return eval_over(self, f, vars)
+        return eval_over(self, f, vars, rows)
 
     monkeypatch.setattr(SatSetEvaluator, "eval_over", recording_eval_over)
     gt = ground_problem(prob, "vec")
@@ -1382,3 +1387,173 @@ def test_pipeline_leaves_no_cyclic_garbage(make, strategy):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Guards evaluated in slabs of leading-variable rows
+
+DATA = Path(__file__).parent / "data"
+
+# a kept split whose guard, e(x, y) & e(y, z), is cut into one slab per x
+# at small slab sizes, and an existential block decided by a triangle
+PATHS = """
+vocabulary {
+  type V := {v0, v1, v2, v3, v4, v5, v6, v7}.
+  pred e(V, V).
+  pred u(V, V).
+}
+theory {
+  !x, y, z in V: e(x, y) & e(y, z) => u(x, z).
+  ?x, y, z in V: e(x, y) & e(y, z) & e(z, x).
+}
+structure {
+  e := {(v0, v1), (v1, v2), (v3, v4), (v4, v5), (v5, v3), (v6, v6), (v7, v0)}.
+}
+"""
+
+
+def _vec_outcome(prob):
+    """Verdict, SMT text and --stats rows but micros, or the error class."""
+    try:
+        gt = ground_problem(prob, "vec")
+    except INSTANCE_ERRORS as e:
+        return type(e)
+    rows = [
+        (r.sentence_id, r.strategy, r.guards, r.splits_kept, r.tensor_bits, r.instantiations)
+        for r in gt.stats.rows
+    ]
+    return gt.verdict, emit(gt), rows
+
+
+@pytest.mark.parametrize("slab_bits", [1, 64])
+def test_slabs_leave_the_grounding_unchanged(monkeypatch, slab_bits):
+    problems = [problem((DATA / name).read_text()) for name in ("queens3.sli", "mapcolour3.sli")]
+    problems += [
+        problem(PATHS),
+        problem(SPLITS),
+        problem(NESTED_RESIDUAL),
+        _colour_like(40, 5),
+        _queens(6),
+        generate(BenchSpec("tg", 30, seed=13)),
+        generate(BenchSpec("ci", 200, 0.1, 3, "sat")),
+        generate(BenchSpec("cs", 200, 0.1, 3, "unsat")),
+    ]
+    rng = np.random.default_rng(11)
+    for _ in range(80):
+        s, sentences = random_mx_problem(rng)
+        problems.append(Problem(s.voc, sentences, s))
+    want = [_vec_outcome(p) for p in problems]
+    monkeypatch.setattr(sli.grounder, "_SLAB_BITS", slab_bits)
+    cut = Counter()
+    eval_over = SatSetEvaluator.eval_over
+
+    def recording_eval_over(self, f, vars, rows=None):
+        cut[rows[1] - rows[0] < self.extent(vars[0])] += 1
+        return eval_over(self, f, vars, rows)
+
+    monkeypatch.setattr(SatSetEvaluator, "eval_over", recording_eval_over)
+    for k, (p, w) in enumerate(zip(problems, want)):
+        assert _vec_outcome(p) == w, k
+    assert cut[True] > 30
+
+
+def _pairs(p_elem):
+    """?x, y in T: p(x) & q(y) over 30 elements: at 64-bit slabs, 15 slabs
+    of two x rows; p holds only p_elem, so the one slab holding a one is
+    slab p_elem // 2."""
+    elems = ", ".join(f"t{i}" for i in range(30))
+    return problem(
+        f"vocabulary {{\n  type T := {{{elems}}}.\n  pred p(T).\n  pred q(T).\n}}\n"
+        "theory {\n  ?x, y in T: p(x) & q(y).\n}\n"
+        f"structure {{\n  p := {{t{p_elem}}}.\n  q := {{t0}}.\n}}\n"
+    )
+
+
+def _counting_junction(monkeypatch):
+    """[entries, exits] of the junctions satset runs."""
+    counts = [0, 0]
+    junction = sli.satset.junction
+
+    def counting(*args, **kwargs):
+        counts[0] += 1
+        out = junction(*args, **kwargs)
+        counts[1] += 1
+        return out
+
+    monkeypatch.setattr(sli.satset, "junction", counting)
+    return counts
+
+
+def test_a_deciding_slab_ends_the_block(monkeypatch):
+    monkeypatch.setattr(sli.grounder, "_SLAB_BITS", 64)
+    counts = _counting_junction(monkeypatch)
+    for p_elem, slabs in ((0, 1), (7, 4), (29, 15)):
+        counts[:] = [0, 0]
+        gt = ground_problem(_pairs(p_elem), "vec")
+        assert gt.verdict == "sat-trivial"
+        assert gt.stats.rows[0].tensor_bits == 900
+        assert counts == [slabs, slabs], p_elem
+
+
+def test_a_deadline_stops_the_guard_between_slabs(monkeypatch):
+    """On a fake clock that advances one second per reading, a deadline
+    that passes right after the fifth slab's junction stops the block at
+    the sixth slab's deadline check, before its junction starts."""
+    monkeypatch.setattr(sli.grounder, "_SLAB_BITS", 64)
+    now = [0]
+    exits = []
+
+    def monotonic():
+        now[0] += 1
+        return now[0]
+
+    junction = sli.satset.junction
+
+    def recording_junction(*args, **kwargs):
+        out = junction(*args, **kwargs)
+        exits.append(now[0])
+        return out
+
+    monkeypatch.setattr(
+        sli.grounder, "time", SimpleNamespace(monotonic=monotonic, perf_counter=time.perf_counter)
+    )
+    monkeypatch.setattr(sli.satset, "junction", recording_junction)
+    prob = _pairs(29)
+    ground_problem(prob, "vec", timeout=10**6)
+    assert len(exits) == 15
+    last = exits[4]
+    now[0] = 0
+    exits.clear()
+    with pytest.raises(GroundingTimeout):
+        ground_problem(prob, "vec", timeout=last - 1)  # the deadline is reading 1 + timeout
+    assert len(exits) == 5 and exits[-1] == last
+
+
+def test_a_block_guard_holds_a_slab_not_the_block_tensor(monkeypatch):
+    """tg at n = 240 has no triangle, so every slab of its 240^3-bit guard
+    is evaluated; at 2^18-bit slabs, the grounding's peak stays below a
+    quarter of that tensor packed, which one whole tensor would exceed."""
+    monkeypatch.setattr(sli.grounder, "_SLAB_BITS", 2**18)
+    n = 240
+    prob = generate(BenchSpec("tg", n, seed=13))
+    tracemalloc.start()
+    try:
+        gt = ground_problem(prob, "vec")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gt.verdict == "unsat-trivial"
+    assert gt.stats.rows[0].tensor_bits == n**3
+    assert peak < 0.25 * n**3 / 8, peak
+
+
+def test_tuples_count_up_lazily_and_check_each():
+    calls = []
+    for sizes in ([], [0], [3], [2, 0, 4], [2, 3, 1], [1, 4, 2]):
+        calls.clear()
+        got = list(sli.grounder._tuples(sizes, lambda: calls.append(1)))
+        assert got == list(itertools.product(*map(range, sizes)))
+        assert len(calls) == len(got)
+    # no range is built: the first tuple of a 2^64-value type comes at once
+    huge = sli.grounder._tuples([2**64, 2**64], lambda: None)
+    assert next(huge) == (0, 0) and next(huge) == (0, 1)

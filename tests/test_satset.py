@@ -378,6 +378,18 @@ class _PairwiseEvaluator(SatSetEvaluator):
             acc = self._track(acc.bit_and(b) if isinstance(f, And) else acc.bit_or(b))
         return acc
 
+    def _extend(self, t, target):
+        """t permuted and grown, one axis at a time, to exactly the target
+        variable tuple."""
+        have = t.shape.vars
+        order = [have.index(v) for v in target if v in have]
+        if order != sorted(order):
+            t = self._track(t.permute_axes(tuple(order), tick=self.tick))
+        for pos, v in enumerate(target):
+            if v not in t.shape.vars:
+                t = self._track(t.insert_axis(pos, v, self.extent(v), self.budget, self.tick))
+        return t
+
 
 def _random_junction(rng):
     """A random And/Or of 2-5 atoms, some negated, each over 1-4 of the
@@ -500,3 +512,50 @@ def test_a_deadline_stops_a_junction_partway(monkeypatch):
     with pytest.raises(GroundingTimeout):
         grounder.ground_problem(problem, "vec", timeout=(start + end) // 2)
     assert fused[-1][1] is None
+
+
+# -- slabs ------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("slab_bits", [64, 4096])
+def test_slabs_put_together_equal_the_whole_tensor(monkeypatch, slab_bits):
+    """A random junction over a random block order of all four variables,
+    so some are mentioned by no child, evaluated slab by slab as vec's
+    grounder cuts it: the slabs' rows, put together, are the one-slab
+    tensor's, each slab's padding bits are zero, and peak_bits is the
+    whole tensor's either way."""
+    monkeypatch.setattr(grounder, "_SLAB_BITS", slab_bits)
+    rng = np.random.default_rng(slab_bits)
+    cut = 0
+    for case in range(150):
+        s, f = _random_junction(rng)
+        block = tuple(Variable(n, "T" + n) for n in rng.permutation(list("xyzw")))
+        whole_ev = SatSetEvaluator(s)
+        whole = whole_ev.eval_over(f, block)
+        g = grounder._SentenceGrounder(s, "vec")
+        slabs = list(g._slabs(f, block))
+        cut += len(slabs) > 1
+        rows, at = [], 0
+        for lo, slab in slabs:
+            assert lo == at and slab.shape.axes[1:] == whole.shape.axes[1:], f"case {case}"
+            padded = BitTensor.from_bools(slab.shape, slab.to_bools())
+            assert slab == padded, f"case {case}: padding"
+            rows.append(slab.to_bools())
+            at += slab.shape.extents[0]
+        assert at == whole.shape.extents[0], f"case {case}"
+        if not slabs:  # an empty first variable has no rows to evaluate
+            assert not whole.shape.nbits, f"case {case}"
+            continue
+        assert BitTensor.from_bools(whole.shape, np.concatenate(rows)) == whole, f"case {case}"
+        assert g.ev.peak_bits == whole_ev.peak_bits, f"case {case}"
+    assert cut >= 5, cut
+
+
+def test_eval_over_returns_a_part_in_order_as_it_is():
+    # queens' shared x ~= y: the memoized tensor itself, not a copy
+    s = cover_structure()
+    x, y = Variable("x", "T"), Variable("y", "T")
+    f = Compare("~=", x, y)
+    ev = SatSetEvaluator(s)
+    assert ev.eval_over(f, (x, y)) is ev.eval(f)
+    assert ev.eval_over(f, (y, x)) == ev.eval(Compare("~=", y, x))
