@@ -14,11 +14,9 @@ packed input and output:
   union of their axes, or over a given axis order that may hold more,
   allocated once: each input is replicated along its missing axes
   straight into it by `insert_axis`, which can combine into an existing
-  output in place as well as fill a fresh one.  Given a row range of
-  the leading axis, it builds only that slab: an input over the leading
-  variable gives only those rows (`permute_axes` with rows, a bit-range
-  copy when already in order), and one without it is replicated once
-  per slab row.
+  output in place as well as fill a fresh one.
+* `slab` copies a range of leading-axis rows, one bit range shifted
+  down word by word.
 * Axis insertion copies whole bytes when the replicated rows are
   byte-aligned, and reductions whose trailing block is word-aligned fold
   whole words.
@@ -33,9 +31,6 @@ packed input and output:
 
 So the bit budget bounds the memory the kernels really use: each holds
 its packed inputs and output plus O(_CHUNK_BITS), junctions included.
-A slab junction checks the budget on its whole output's shape, so a
-slab is refused exactly when the whole tensor would be, while the
-memory it holds is that of the slab.
 The piece loops call an optional `tick` once per piece, so a cooperative
 deadline also holds inside one large kernel.
 """
@@ -215,21 +210,6 @@ def _put_bits(out: np.ndarray, start: int, bits: np.ndarray, op: Op = None) -> N
             np.bitwise_and(dst, ~src, out=dst)
         else:
             np.bitwise_or(dst, src, out=dst)
-
-
-def _bit_slice(words: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Bits [start, start+count) of a packed word array as fresh words,
-    shifted down to bit 0, with zero padding."""
-    q, r = divmod(start, 64)
-    n = _nwords(count)
-    out = words[q : q + n].copy()
-    if r:
-        out >>= np.uint64(r)
-        high = words[q + 1 : q + 1 + n]
-        out[: high.size] |= high << np.uint64(64 - r)
-    if n:
-        out[-1] &= _last_mask(count)
-    return out
 
 
 def _get_runs(words: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
@@ -456,45 +436,26 @@ class BitTensor:
                     _tile_bits(self.words, o * inner, inner, out, o * row, extent, tick, op)
         return _fresh(shape, out) if fresh else None
 
-    def permute_axes(
-        self, perm: tuple[int, ...], tick: Tick = None, rows: tuple[int, int] | None = None
-    ) -> "BitTensor":
-        """Reorder the axes: output axis k is input axis perm[k].  With
-        rows (lo, hi), only those rows of the output's leading axis are
-        built, and that axis has extent hi - lo.
+    def permute_axes(self, perm: tuple[int, ...], tick: Tick = None) -> "BitTensor":
+        """Reorder the axes: output axis k is input axis perm[k].
 
         The output is built in pieces of consecutive output bits: output
         axes before j are fixed within a piece and axis j-1 is cut into
         ranges.  A piece's input bits lie in runs along the input's
         trailing axes; they are unpacked run by run, transposed as bools
-        and packed into place.  In order, the rows are one bit range.
+        and packed into place.
         """
         m = len(self.shape.axes)
         if sorted(perm) != list(range(m)):
             raise InvalidPermutation(f"{perm} is not a permutation of 0..{m - 1}")
-        axes = [self.shape.axes[p] for p in perm]
-        extents = self.shape.extents
-        start = 0
-        if rows is not None:
-            start, stop = rows
-            if not (m and 0 <= start <= stop <= axes[0][1]):
-                raise IndexOutOfRange(f"rows {rows} outside the leading axis")
-            axes[0] = (axes[0][0], stop - start)
-        shape = Shape(tuple(axes))
+        shape = Shape(tuple(self.shape.axes[p] for p in perm))
         if perm == tuple(range(m)):
-            if shape == self.shape:
-                return self
-            inner = _prod(extents[1:])
-            return _fresh(shape, _bit_slice(self.words, start * inner, shape.nbits))
+            return self
         out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
         if not shape.nbits:
             return _fresh(shape, out)
-        out_ext = shape.extents
+        extents, out_ext = self.shape.extents, shape.extents
         strides = [_prod(extents[k + 1 :]) for k in range(m)]
-        # the input's extents within the rows, which start at bit `offset`
-        within = list(extents)
-        within[perm[0]] = out_ext[0]
-        offset = start * strides[perm[0]]
         # a piece costs about four bytes per bit
         target = max(1, _CHUNK_BITS // 4)
         j = 1
@@ -504,12 +465,12 @@ class BitTensor:
         ranged = perm[j - 1]
         last = max(perm[:j])  # input axes after `last` are whole in every piece
         for prefix in np.ndindex(*out_ext[: j - 1]):
-            base, first_row = offset, 0
+            base = first_row = 0
             for k, i in enumerate(prefix):
                 base += i * strides[perm[k]]
                 first_row = first_row * out_ext[k] + i
             for lo, hi in _pieces(out_ext[j - 1], max(1, target // row), tick):
-                piece = list(within)
+                piece = list(extents)
                 for k in perm[: j - 1]:
                     piece[k] = 1
                 piece[ranged] = hi - lo
@@ -524,6 +485,26 @@ class BitTensor:
                 bits = _get_runs(self.words, starts.ravel(), run)
                 moved = bits.reshape(piece).transpose(perm)
                 _put_bits(out, (first_row * out_ext[j - 1] + lo) * row, moved)
+        return _fresh(shape, out)
+
+    def slab(self, lo: int, hi: int) -> "BitTensor":
+        """Rows lo..hi-1 of the leading axis, which has extent hi - lo in
+        the result: one bit range, copied shifted down to bit 0."""
+        axes = self.shape.axes
+        if not (axes and 0 <= lo <= hi <= axes[0][1]):
+            raise IndexOutOfRange(f"rows {(lo, hi)} outside the leading axis")
+        if (lo, hi) == (0, axes[0][1]):
+            return self
+        shape = Shape(((axes[0][0], hi - lo),) + axes[1:])
+        q, r = divmod(lo * _prod(self.shape.extents[1:]), 64)
+        n = _nwords(shape.nbits)
+        out = self.words[q : q + n].copy()
+        if r:
+            out >>= np.uint64(r)
+            high = self.words[q + 1 : q + 1 + n]
+            out[: high.size] |= high << np.uint64(64 - r)
+        if n:
+            out[-1] &= _last_mask(shape.nbits)
         return _fresh(shape, out)
 
     def _reduce(self, var: Variable, conj: bool, tick: Tick = None) -> "BitTensor":
@@ -641,20 +622,25 @@ class BitTensor:
         return f"BitTensor({names}; {self.popcount()}/{self.shape.nbits} ones)"
 
 
+def in_order(t: BitTensor, index: dict[Variable, int], tick: Tick = None) -> BitTensor:
+    """t with its axes sorted by their variables' positions in index: t
+    itself when they already are, else permute_axes."""
+    have = t.shape.vars
+    order = tuple(sorted(range(len(have)), key=lambda k: index[have[k]]))
+    return t if order == tuple(range(len(have))) else t.permute_axes(order, tick)
+
+
 def junction(
     tensors: Sequence[BitTensor],
     conj: bool,
     budget: int = DEFAULT_BIT_BUDGET,
     tick: Tick = None,
     axes: Sequence[tuple[Variable, int]] | None = None,
-    rows: tuple[int, int] | None = None,
 ) -> BitTensor:
     """The AND (conj) or OR of tensors over the output axes `axes`, which
     must hold every tensor's variables and may hold more; by default the
     union of their variables: the first tensor's, then each later one's
-    new ones in its own order.  With rows (lo, hi), only those rows of the
-    leading axis are built: a slab, whose leading axis has extent hi - lo.
-    The budget is checked on the whole output, slab or not.
+    new ones in its own order.
 
     Tensors over every output variable are combined word by word.
     Otherwise the output is allocated once: each tensor is permuted into
@@ -662,9 +648,8 @@ def junction(
     axes straight into the output by insert_axis, which assigns the first
     and ANDs or ORs the later ones in place.  Of a tensor missing several
     axes, all but the widest are inserted first, at most output/extent
-    bits.  A tensor holding the leading variable gives only the slab's
-    rows, and one without it is replicated hi - lo times.  A single
-    tensor already in order over the whole output is returned as it is.
+    bits.  A single tensor already in order over the whole output is
+    returned as it is.
     """
     if axes is None:
         seen: dict[Variable, int] = {}
@@ -672,39 +657,25 @@ def junction(
             for v, e in t.shape.axes:
                 seen.setdefault(v, e)
         axes = tuple(seen.items())
-    full = Shape(tuple(axes))
-    check_budget(full.nbits, budget)
-    names = full.vars
+    shape = Shape(tuple(axes))
+    check_budget(shape.nbits, budget)
+    names = shape.vars
     index = {v: k for k, v in enumerate(names)}
     for t in tensors:
         for v in t.shape.vars:
             if v not in index:
                 raise UnknownVariable(f"variable {v.name} not among the output axes")
-    if rows is None or (names and rows == (0, full.extents[0])):
-        rows, shape = None, full
-    else:
-        lo, hi = rows
-        if not (names and 0 <= lo <= hi <= full.extents[0]):
-            raise IndexOutOfRange(f"rows {rows} outside the leading axis")
-        shape = Shape(((names[0], hi - lo),) + full.axes[1:])
-
-    def in_order(t: BitTensor) -> BitTensor:
-        have = t.shape.vars
-        order = tuple(sorted(range(len(have)), key=lambda k: index[have[k]]))
-        if rows is not None and have and have[order[0]] == names[0]:
-            return t.permute_axes(order, tick, rows)
-        return t if order == tuple(range(len(have))) else t.permute_axes(order, tick)
 
     if all(len(t.shape.axes) == len(names) for t in tensors):
-        acc = in_order(tensors[0])
+        acc = in_order(tensors[0], index, tick)
         for t in tensors[1:]:
-            t = in_order(t)
+            t = in_order(t, index, tick)
             acc = acc.bit_and(t) if conj else acc.bit_or(t)
         return acc
     op = np.bitwise_and if conj else np.bitwise_or
     out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
     for i, t in enumerate(tensors):
-        t = in_order(t)
+        t = in_order(t, index, tick)
         missing = [k for k, v in enumerate(names) if v not in t.shape.vars]
         if not missing:
             # ORing the first tensor into the zeros copies it

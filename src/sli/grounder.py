@@ -11,17 +11,17 @@ stops at the first deciding part.
 
 - vec: compile each non-vacuous split's residual once and instantiate it
   only at the tuples of the split's satisfying set, computed on bit tensors
-  by one evaluator shared by all sentences of a problem.  The set is
-  evaluated one slab of rows of the block's first variable at a time, of
-  at most _SLAB_BITS bits or the size of the guard's largest part, so
-  the memory it holds is a slab, not the block's whole tensor (the bit
-  budget still applies to the whole).  A split whose residual decides the
-  block stops at the first slab holding a one.  Otherwise each slab's
-  ones are taken in chunks (BitTensor.iter_ones_chunks), cut so that a
-  chunk's rows times the residual's nodes stay within _CHUNK_NODES; slabs
-  in order and ones in order within each give the whole set's order.  A
-  block with more guards than the cap is grounded as naive grounds it,
-  and its sentence's row reports naive(fallback); the other blocks stay
+  by one evaluator shared by all sentences of a problem.  The evaluator
+  cuts the set into slabs of rows of the block's first variable
+  (SatSetEvaluator.slabs) and evaluates them one at a time, so the memory
+  it holds is a slab, not the block's whole tensor (the bit budget still
+  applies to the whole).  A split whose residual decides the block stops
+  at the first slab holding a one.  Otherwise each slab's ones are taken
+  in chunks (BitTensor.iter_ones_chunks), cut so that a chunk's rows
+  times the residual's nodes stay within _CHUNK_NODES; slabs in order and
+  ones in order within each give the whole set's order.  A block with
+  more guards than the cap is grounded as naive grounds it, and its
+  sentence's row reports naive(fallback); the other blocks stay
   vectorized.
 - naive: one nested loop over the block's tuples; the guards are decided
   per tuple by recursive evaluation, skipping tuples whose residual is
@@ -112,7 +112,7 @@ from .logic import (
     _compare,
 )
 from .parser import Problem
-from .satset import SatSetEvaluator, parts_of
+from .satset import SatSetEvaluator
 
 DEFAULT_GUARD_CAP = 8
 
@@ -125,10 +125,6 @@ Instantiator = Callable[[Columns], list]
 # this, which bounds the work done, and the memory held, between two
 # deadline checks.
 _CHUNK_NODES = 2**17
-# vec evaluates a block's guard in slabs of leading-variable rows of at
-# most this many bits, or of its largest part's if that is more, so the
-# memory a guard holds is about a slab, not the block's whole tensor.
-_SLAB_BITS = 2**24
 
 STRATEGIES = ("vec", "naive", "noreduce")
 
@@ -820,12 +816,13 @@ class _SentenceGrounder:
 
     def _block_vec(self, forall, vars, body, guards, occurrences):
         """Each kept split's satisfying set, a slab of leading-variable
-        rows at a time (_slabs): a residual that decides the block is
-        drawn at the first slab holding a one, and no later slab is
-        evaluated; otherwise each slab's ones are instantiated in order."""
+        rows at a time (SatSetEvaluator.slabs): a residual that decides
+        the block is drawn at the first slab holding a one, and no later
+        slab is evaluated; otherwise each slab's ones are instantiated in
+        order."""
         for signs, residual in self._splits(forall, body, len(guards), occurrences):
             self._count_split()
-            slabs = self._slabs(_guard_formula(guards, signs), tuple(vars))
+            slabs = self.ev.slabs(_guard_formula(guards, signs), tuple(vars))
             if residual is TRUE or residual is FALSE:  # decides the block
                 if any(tensor.any() for _, tensor in slabs):
                     yield residual
@@ -837,23 +834,6 @@ class _SentenceGrounder:
                     coords[0] += lo
                     for a in range(0, coords.shape[1], rows):
                         yield from self._instances(form, coords[:, a : a + rows].tolist(), nested)
-
-    def _slabs(self, guard: Formula, vars: tuple[Variable, ...]):
-        """(lo, tensor) of the guard's satisfying set over vars, one slab of
-        rows lo.. of the first variable at a time, lazily, checking the
-        deadline before each.  A slab holds at most _SLAB_BITS bits, or as
-        many as the guard's largest part (parts_of) if that is more, and
-        at least one row."""
-        size = self.s.domain_size
-        largest = max(
-            math.prod(size(v.type) for v in free_variables(p)) for p in parts_of(guard)
-        )
-        first, row = size(vars[0].type), math.prod(size(v.type) for v in vars[1:])
-        step = max(1, max(_SLAB_BITS, largest) // row if row else first)
-        for lo in range(0, first, step):
-            self.check()
-            hi = min(first, lo + step)
-            yield lo, self.ev.eval_over(guard, vars, (lo, hi))
 
     def _block_naive(self, vars, body, guards, occurrences):
         """Tuple by tuple: each kept tuple is a one-row chunk."""

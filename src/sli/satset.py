@@ -10,11 +10,15 @@ evaluator by formula identity, so re-used guards are computed once.
 
 `eval_over`, the grounder's entry point, does not evaluate its formula
 itself: the parts (the children of a top-level And/Or, or else the
-formula) are evaluated and memoized, and one junction combines them
-over the requested variables, optionally only a slab of rows of the
-first.  So the grounder, which asks for slabs, holds a block guard's
-parts and one slab, never its whole tensor; the budget is checked on
-the whole shape all the same, and peak_bits counts the whole shape.
+formula) are evaluated and memoized, permuted into the requested
+variable order, and one junction combines them over those variables,
+optionally only a slab of rows of the first.  `slabs` cuts a block's
+guard into such slabs and evaluates them one at a time, so the grounder
+holds the guard's parts, each permuted once per block, and one slab,
+never the block's whole tensor.  A slab slices the parts over the
+leading variable (`BitTensor.slab`), and the junction replicates the
+others over the slab's axes.  The budget is checked on the whole shape
+all the same, and peak_bits counts the whole shape.
 
 Terms are evaluated by broadcasting: a term's value is an int64 array
 with one axis per variable of the shape, of size 1 along every variable
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -45,6 +49,7 @@ from .bittensor import (
     check_budget,
     checked_arith,
     checked_gather,
+    in_order,
     junction,
     pack_pointwise,
 )
@@ -61,6 +66,7 @@ from .logic import (
     Formula,
     FunctionApp,
     IntConstant,
+    IntervalType,
     Not,
     Or,
     Structure,
@@ -71,6 +77,10 @@ from .logic import (
 )
 
 _INT64 = np.iinfo(np.int64)
+# slabs cuts a guard into slabs of leading-variable rows of at most this
+# many bits, or of its largest part's if that is more, so the memory a
+# guard holds is about a slab, not the block's whole tensor.
+_SLAB_BITS = 2**24
 
 
 def parts_of(f: Formula) -> tuple[Formula, ...]:
@@ -118,6 +128,9 @@ class SatSetEvaluator:
         self.peak_bits = 0
         self._relations: dict[str, tuple[list[np.ndarray], np.ndarray]] = {}
         self._fun_flat: dict[str, np.ndarray] = {}
+        # the last (formula, vars) eval_over was asked for, with its parts
+        # in the order of vars: the slabs of one block share them
+        self._ordered: tuple[tuple[Formula, tuple[Variable, ...]], list[BitTensor]] | None = None
 
     # -- shapes ---------------------------------------------------------------
 
@@ -163,7 +176,9 @@ class SatSetEvaluator:
         """Tensor over the requested variable tuple (must cover free(f)),
         or with rows (lo, hi) only its slab of those rows of the leading
         variable.  f itself is not evaluated: its parts (parts_of) are,
-        through eval, and one junction combines them over vars.
+        through eval, and permuted into the order of vars, once while the
+        same f and vars are asked for; one junction combines them over
+        vars, the parts over the leading variable cut to the slab's rows.
         peak_bits counts the whole tensor over vars, slab or not."""
         free = free_variables(f)
         missing = [v for v in free if v not in vars]
@@ -172,10 +187,34 @@ class SatSetEvaluator:
                 f"free variable {missing[0].name} not among the requested tuple"
             )
         parts = [self.eval(p) for p in parts_of(f)]
-        axes = tuple((v, self.extent(v)) for v in vars)
-        out = junction(parts, not isinstance(f, Or), self.budget, self.tick, axes, rows)
-        self.peak_bits = max(self.peak_bits, Shape(axes).nbits)
+        shape = self.shape_for(vars)
+        if self._ordered is None or self._ordered[0] != (f, vars):
+            index = {v: k for k, v in enumerate(vars)}
+            self._ordered = ((f, vars), [in_order(t, index, self.tick) for t in parts])
+        parts, axes = self._ordered[1], shape.axes
+        if rows is not None:
+            lo, hi = rows
+            if not (vars and 0 <= lo <= hi <= shape.extents[0]):
+                raise IndexOutOfRange(f"rows {rows} outside the leading axis")
+            parts = [t.slab(lo, hi) if vars[0] in t.shape.vars else t for t in parts]
+            axes = ((vars[0], hi - lo),) + axes[1:]
+        out = junction(parts, not isinstance(f, Or), self.budget, self.tick, axes)
+        self.peak_bits = max(self.peak_bits, shape.nbits)
         return out
+
+    def slabs(self, f: Formula, vars: tuple[Variable, ...]) -> Iterator[tuple[int, BitTensor]]:
+        """(lo, tensor) of f's satisfying set over vars, one slab of rows
+        lo.. of the first variable at a time (eval_over with rows),
+        lazily, calling tick before each.  A slab holds at most _SLAB_BITS
+        bits, or as many as f's largest part if that is more, and at least
+        one row."""
+        largest = max(math.prod(map(self.extent, free_variables(p))) for p in parts_of(f))
+        first, row = self.extent(vars[0]), math.prod(map(self.extent, vars[1:]))
+        step = max(1, max(_SLAB_BITS, largest) // row if row else first)
+        for lo in range(0, first, step):
+            if self.tick is not None:
+                self.tick()
+            yield lo, self.eval_over(f, vars, (lo, min(first, lo + step)))
 
     # -- core recursion -----------------------------------------------------------
 
@@ -239,8 +278,6 @@ class SatSetEvaluator:
     def _arg_space(self, type_name: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalize term values into the index space of a declared argument
         type; returns (indices, in_range mask)."""
-        from .logic import IntervalType
-
         decl = self.s.voc.type_decl(type_name)
         size = self.s.domain_size(type_name)
         if isinstance(decl, IntervalType):
@@ -312,8 +349,6 @@ class SatSetEvaluator:
         against shape.extents and has size 1 along the axes of variables
         the term does not mention."""
         if isinstance(t, Variable):
-            from .logic import IntervalType
-
             k = shape.axis_of(t)
             unit = self._unit(shape)
             if not shape.nbits:

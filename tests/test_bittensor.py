@@ -442,27 +442,30 @@ def test_from_ones_sets_repeated_and_edge_bits():
 
 
 @pytest.mark.parametrize("chunk_bits", [64, 100, 4096, 2**20])
-def test_permuted_rows_match_a_slice_of_the_permutation(monkeypatch, chunk_bits):
-    """permute_axes with rows builds exactly those rows of the output's
-    leading axis, padding bits zero, in order or not."""
+def test_slab_matches_the_rows_of_the_whole_tensor(monkeypatch, chunk_bits):
+    """slab(lo, hi) holds exactly rows lo..hi-1 of the leading axis, its
+    padding bits zero; rows outside the leading axis are refused."""
     monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk_bits)
     rng = np.random.default_rng(chunk_bits)
     for _ in range(120):
         shape = random_kernel_shape(rng)
-        m = len(shape.axes)
-        if not m:
+        if not shape.axes:
             continue
         t = random_density_tensor(rng, shape)
-        perm = tuple(rng.permutation(m).tolist()) if rng.random() < 0.7 else tuple(range(m))
-        e = shape.extents[perm[0]]
+        e = shape.extents[0]
         lo = int(rng.integers(0, e + 1))
         hi = int(rng.integers(lo, e + 1))
-        full = ref_permute(t, perm)
-        axes = ((full.shape.axes[0][0], hi - lo),) + full.shape.axes[1:]
-        rows = full.to_bools().reshape(full.shape.extents)[lo:hi]
-        assert t.permute_axes(perm, rows=(lo, hi)) == BitTensor.from_bools(Shape(axes), rows)
+        s = t.slab(lo, hi)
+        assert s.shape.axes == ((shape.vars[0], hi - lo),) + shape.axes[1:]
+        rows = t.to_bools().reshape(shape.extents)[lo:hi]
+        assert np.array_equal(s.to_bools(), rows.ravel())
+        nbits = s.shape.nbits
+        if nbits % 64:
+            assert not s.words[-1] >> np.uint64(nbits % 64), "padding"
     with pytest.raises(IndexOutOfRange):
-        t.permute_axes(perm, rows=(0, e + 1))
+        t.slab(0, e + 1)
+    with pytest.raises(IndexOutOfRange):
+        t.slab(1, 0)
 
 
 @pytest.mark.parametrize("chunk_bits", [1, 8, 100, 4096])

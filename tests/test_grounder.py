@@ -1443,7 +1443,7 @@ def test_slabs_leave_the_grounding_unchanged(monkeypatch, slab_bits):
         s, sentences = random_mx_problem(rng)
         problems.append(Problem(s.voc, sentences, s))
     want = [_vec_outcome(p) for p in problems]
-    monkeypatch.setattr(sli.grounder, "_SLAB_BITS", slab_bits)
+    monkeypatch.setattr(sli.satset, "_SLAB_BITS", slab_bits)
     cut = Counter()
     eval_over = SatSetEvaluator.eval_over
 
@@ -1485,7 +1485,7 @@ def _counting_junction(monkeypatch):
 
 
 def test_a_deciding_slab_ends_the_block(monkeypatch):
-    monkeypatch.setattr(sli.grounder, "_SLAB_BITS", 64)
+    monkeypatch.setattr(sli.satset, "_SLAB_BITS", 64)
     counts = _counting_junction(monkeypatch)
     for p_elem, slabs in ((0, 1), (7, 4), (29, 15)):
         counts[:] = [0, 0]
@@ -1495,11 +1495,36 @@ def test_a_deciding_slab_ends_the_block(monkeypatch):
         assert counts == [slabs, slabs], p_elem
 
 
+def test_a_block_permutes_each_part_once(monkeypatch):
+    """tg at n = 30 has no triangle, so all 30 one-row slabs of its guard
+    edge(x, y) & edge(y, z) & edge(z, x) are evaluated; of its parts,
+    only edge(z, x) is out of the block's order, and it is permuted into
+    (x, z) once for the whole block, not once per slab."""
+    monkeypatch.setattr(sli.satset, "_SLAB_BITS", 64)
+    slabs, permuted = [], []
+    permute_axes, eval_over = sli.bittensor.BitTensor.permute_axes, SatSetEvaluator.eval_over
+
+    def recording_permute_axes(self, *args, **kwargs):
+        permuted.append(tuple(v.name for v in self.shape.vars))
+        return permute_axes(self, *args, **kwargs)
+
+    def recording_eval_over(self, f, vars, rows=None):
+        slabs.append(rows)
+        return eval_over(self, f, vars, rows)
+
+    monkeypatch.setattr(sli.bittensor.BitTensor, "permute_axes", recording_permute_axes)
+    monkeypatch.setattr(SatSetEvaluator, "eval_over", recording_eval_over)
+    gt = ground_problem(generate(BenchSpec("tg", 30, seed=13)), "vec")
+    assert gt.verdict == "unsat-trivial"
+    assert slabs == [(lo, lo + 1) for lo in range(30)]
+    assert permuted == [("z", "x")]
+
+
 def test_a_deadline_stops_the_guard_between_slabs(monkeypatch):
     """On a fake clock that advances one second per reading, a deadline
     that passes right after the fifth slab's junction stops the block at
     the sixth slab's deadline check, before its junction starts."""
-    monkeypatch.setattr(sli.grounder, "_SLAB_BITS", 64)
+    monkeypatch.setattr(sli.satset, "_SLAB_BITS", 64)
     now = [0]
     exits = []
 
@@ -1533,7 +1558,7 @@ def test_a_block_guard_holds_a_slab_not_the_block_tensor(monkeypatch):
     """tg at n = 240 has no triangle, so every slab of its 240^3-bit guard
     is evaluated; at 2^18-bit slabs, the grounding's peak stays below a
     quarter of that tensor packed, which one whole tensor would exceed."""
-    monkeypatch.setattr(sli.grounder, "_SLAB_BITS", 2**18)
+    monkeypatch.setattr(sli.satset, "_SLAB_BITS", 2**18)
     n = 240
     prob = generate(BenchSpec("tg", n, seed=13))
     tracemalloc.start()

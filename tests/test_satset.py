@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from randgen import enumerate_satset, random_formula, random_structure
-from sli import bittensor, grounder
+from sli import bittensor, grounder, satset
 from sli.bench import BenchSpec, generate
 from sli.bittensor import BitTensor
 from sli.errors import (
@@ -520,11 +520,11 @@ def test_a_deadline_stops_a_junction_partway(monkeypatch):
 @pytest.mark.parametrize("slab_bits", [64, 4096])
 def test_slabs_put_together_equal_the_whole_tensor(monkeypatch, slab_bits):
     """A random junction over a random block order of all four variables,
-    so some are mentioned by no child, evaluated slab by slab as vec's
-    grounder cuts it: the slabs' rows, put together, are the one-slab
-    tensor's, each slab's padding bits are zero, and peak_bits is the
-    whole tensor's either way."""
-    monkeypatch.setattr(grounder, "_SLAB_BITS", slab_bits)
+    so some are mentioned by no child, evaluated slab by slab as the
+    evaluator cuts it for vec: the slabs' rows, put together, are the
+    one-slab tensor's, each slab's padding bits are zero, and peak_bits
+    is the whole tensor's either way."""
+    monkeypatch.setattr(satset, "_SLAB_BITS", slab_bits)
     rng = np.random.default_rng(slab_bits)
     cut = 0
     for case in range(150):
@@ -532,8 +532,8 @@ def test_slabs_put_together_equal_the_whole_tensor(monkeypatch, slab_bits):
         block = tuple(Variable(n, "T" + n) for n in rng.permutation(list("xyzw")))
         whole_ev = SatSetEvaluator(s)
         whole = whole_ev.eval_over(f, block)
-        g = grounder._SentenceGrounder(s, "vec")
-        slabs = list(g._slabs(f, block))
+        ev = SatSetEvaluator(s)
+        slabs = list(ev.slabs(f, block))
         cut += len(slabs) > 1
         rows, at = [], 0
         for lo, slab in slabs:
@@ -547,7 +547,7 @@ def test_slabs_put_together_equal_the_whole_tensor(monkeypatch, slab_bits):
             assert not whole.shape.nbits, f"case {case}"
             continue
         assert BitTensor.from_bools(whole.shape, np.concatenate(rows)) == whole, f"case {case}"
-        assert g.ev.peak_bits == whole_ev.peak_bits, f"case {case}"
+        assert ev.peak_bits == whole_ev.peak_bits, f"case {case}"
     assert cut >= 5, cut
 
 
