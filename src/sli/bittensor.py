@@ -25,7 +25,8 @@ packed input and output:
   pieces: each piece unpacks or computes about `_CHUNK_BITS` bits at
   most, one byte each, and is packed and shifted into place before the
   next begins.
-* `from_ones` sets bits in the words directly, and `iter_ones_chunks`
+* `from_ones` sets bits in the words directly, from tuples in any order
+  (an iterable of tuples or an array of one per row), and `iter_ones_chunks`
   expands only nonzero words, into coordinate arrays of a bounded number
   of tuples; `iter_ones` is their flattening.
 
@@ -254,6 +255,14 @@ def _tile_bits(
             _put_bits(out, d + lo * n + off, block[: (hi - lo) * m], op)
 
 
+def _set_ones(words: np.ndarray, idx: np.ndarray, extents: tuple[int, ...]) -> None:
+    """Set the bits of the index tuples idx, one per row, in words."""
+    idx = idx.reshape(len(idx), len(extents))
+    linear = np.asarray(np.ravel_multi_index(tuple(idx.T), extents))
+    bits = np.left_shift(np.uint64(1), (linear & 63).astype(_WORD))
+    np.bitwise_or.at(words, linear >> 6, bits)
+
+
 def _fresh(shape: Shape, words: np.ndarray) -> "BitTensor":
     """Wrap a word array a kernel has just allocated and hands over: no
     defensive copy, unlike the public constructor."""
@@ -306,18 +315,24 @@ class BitTensor:
 
     @staticmethod
     def from_ones(
-        shape: Shape, ones: Iterable[tuple[int, ...]], budget: int = DEFAULT_BIT_BUDGET
+        shape: Shape,
+        ones: Iterable[tuple[int, ...]] | np.ndarray,
+        budget: int = DEFAULT_BIT_BUDGET,
     ) -> "BitTensor":
+        """The tensor whose ones are the given index tuples, in any order
+        and repeats allowed: an iterable of tuples, or an int64 array of
+        one tuple per row.  A few int64 per tuple: the tuples are taken
+        _CHUNK_BITS // 64 at a time."""
         check_budget(shape.nbits, budget)
         words = np.zeros(_nwords(shape.nbits), dtype=_WORD)
-        extents = shape.extents
-        # a few int64 per tuple: take the tuples _CHUNK_BITS // 64 at a time
-        ones = iter(ones)
-        while batch := list(itertools.islice(ones, max(1, _CHUNK_BITS // 64))):
-            idx = np.array(batch, dtype=np.int64).reshape(len(batch), len(extents))
-            linear = np.asarray(np.ravel_multi_index(tuple(idx.T), extents))
-            bits = np.left_shift(np.uint64(1), (linear & 63).astype(_WORD))
-            np.bitwise_or.at(words, linear >> 6, bits)
+        extents, step = shape.extents, max(1, _CHUNK_BITS // 64)
+        if isinstance(ones, np.ndarray):
+            for lo in range(0, len(ones), step):
+                _set_ones(words, ones[lo : lo + step], extents)
+        else:
+            ones = iter(ones)
+            while batch := list(itertools.islice(ones, step)):
+                _set_ones(words, np.array(batch, dtype=np.int64), extents)
         return _fresh(shape, words)
 
     # -- word-level connectives --------------------------------------------

@@ -46,7 +46,10 @@ row's constants and folding would, in row order:
   value, and gathered for the chunk by value: a part over none of them is folded
   once, colouring's colour(x) once per x rather than once per (x, y).
   Those shared parts are immutable and appear as one object in every
-  instantiation that holds them.
+  instantiation that holds them.  A function application among them is
+  folded through one table of the run, keyed by symbol and folded
+  arguments, so colour(x) and colour(y) fold each vertex's colour once
+  between them, into one object.
 - only the nodes over all of them are built per row, each in one list
   comprehension over the chunk.
 - a junction stays lazy by row selection: its k-th part is built only for
@@ -63,7 +66,8 @@ one that instantiating tuple by tuple gives.
 
 One run object, _SentenceGrounder, serves a grounding call: it owns the
 deadline check (also the evaluator's tick), the evaluator, the constant
-cache and the SentenceStats row it fills in place.
+and fold tables, the relation tries, and the SentenceStats row it fills
+in place.
 """
 
 from __future__ import annotations
@@ -487,7 +491,8 @@ def _tuples(sizes: list[int], check: Callable[[], None]) -> Iterator[tuple[int, 
 class _SentenceGrounder:
     """The run object of one grounding call: strategy and guard cap, the
     deadline `check`, the evaluator (vec only; shared by all sentences), the
-    constant cache, and the row of the sentence being ground."""
+    constant and fold tables, the relation tries of interpreted-atom
+    expansion, and the row of the sentence being ground."""
 
     def __init__(
         self,
@@ -517,6 +522,12 @@ class _SentenceGrounder:
         # blocks whose parts are being drawn; 1 while an outermost block's are
         self._open_blocks = 0
         self._const_cache: dict[tuple[str, int], Term] = {}
+        # symbol -> folded args -> the folded application, shared by every
+        # per-value FunctionApp node of the run; keyed by the args tuple
+        # itself, which an uninterpreted application holds anyway
+        self._folded_apps: dict[str, dict[tuple[Term, ...], Term]] = {}
+        # (predicate, constant positions) -> _relation_trie's trie
+        self._tries: dict[tuple[str, tuple[int, ...]], dict | list] = {}
 
     def sentence(self, f: Formula, sentence_id: int = 0) -> SentenceStats:
         """Ground one sentence into a fresh row; tensor_bits is the peak of
@@ -579,6 +590,15 @@ class _SentenceGrounder:
         self._reject_nested(symbol, name, args)
         return FunctionApp(name, args)
 
+    def _fold_app_shared(self, name: str, args: tuple[Term, ...]) -> Term:
+        """_fold_app through the run's table: one fold, and one object, per
+        distinct application, whichever node builds it."""
+        table = self._folded_apps.setdefault(name, {})
+        hit = table.get(args)
+        if hit is None:
+            hit = table[args] = self._fold_app(name, args)
+        return hit
+
     @staticmethod
     def _fold_arith(op: str, left: Term, right: Term) -> Term:
         if isinstance(left, IntConstant) and isinstance(right, IntConstant):
@@ -614,29 +634,54 @@ class _SentenceGrounder:
 
     def _expand_interpreted_atom(self, f: Atom) -> Formula:
         """An interpreted predicate over ground arguments that embed
-        uninterpreted terms: unfold its relation into a disjunction.  Its
-        cost grows with the relation, so it checks the deadline."""
+        uninterpreted terms: unfold its relation into a disjunction, one
+        disjunct per tuple, in sorted order, that agrees with the constant
+        arguments.  Those are looked up in the relation's trie, each only
+        while some tuple agrees with the ones before it, as testing tuple
+        by tuple would; so the work, and the Compares built, grow with the
+        tuples that agree, not the relation.  It checks the deadline."""
         self.check()
         sig = self.s.voc.predicates[f.pred]
-        disjuncts: list[Formula] = []
-        for tup in sorted(self.s.relations[f.pred]):
-            conj: list[Formula] = []
-            match = True
-            for arg, want, idx in zip(f.args, sig, tup):
-                if _is_constant_term(arg):
-                    have = (
-                        arg.index
-                        if isinstance(arg, DomainConstant)
-                        else self.s.value_to_index(want, arg.value)
-                    )
-                    if have != idx:
-                        match = False
-                        break
-                else:
-                    conj.append(Compare("=", arg, self._const(want, idx)))
-            if match:
-                disjuncts.append(_simp_junction(True, conj))
-        return _simp_junction(False, disjuncts)
+        fixed = tuple(j for j, a in enumerate(f.args) if _is_constant_term(a))
+        node = self._relation_trie(f.pred, fixed)
+        for j in fixed:
+            if not node:  # no tuple agrees with the constants before j
+                break
+            arg = f.args[j]
+            have = (
+                arg.index
+                if isinstance(arg, DomainConstant)
+                else self.s.value_to_index(sig[j], arg.value)
+            )
+            node = node.get(have, ())
+        rest = [(j, a, sig[j]) for j, a in enumerate(f.args) if j not in fixed]
+        const = self._const
+        return _simp_junction(
+            False,
+            [
+                _simp_junction(True, [Compare("=", a, const(want, t[j])) for j, a, want in rest])
+                for t in node
+            ],
+        )
+
+    def _relation_trie(self, pred: str, fixed: tuple[int, ...]) -> dict | list:
+        """pred's tuples in sorted order, in nested dicts keyed by their
+        indices at the positions fixed, one level per position, the tuples
+        in lists at the last; with no positions, the sorted list itself.
+        The relation is sorted once per run, and each trie built once."""
+        trie = self._tries.get((pred, fixed))
+        if trie is None:
+            if not fixed:
+                trie = sorted(self.s.relations[pred])
+            else:
+                trie = {}
+                for t in self._relation_trie(pred, ()):
+                    node = trie
+                    for j in fixed[:-1]:
+                        node = node.setdefault(t[j], {})
+                    node.setdefault(t[fixed[-1]], []).append(t)
+            self._tries[(pred, fixed)] = trie
+        return trie
 
     def fold(self, f: Formula) -> Formula:
         """Evaluate ground interpreted leaves, fold interpreted terms, and
@@ -752,7 +797,10 @@ class _SentenceGrounder:
         if isinstance(n, (FunctionApp, Atom)):
             mentions, args = self._column_parts(n.args, pos, every)
             if isinstance(n, FunctionApp):
-                name, step = n.name, self._fold_app
+                # a node over every block variable differs on every row, so
+                # only one that is folded per value consults the run's table
+                name = n.name
+                step = self._fold_app if mentions == every else self._fold_app_shared
             else:
                 name, step = n.pred, self._fold_atom
             if not args:

@@ -9,11 +9,21 @@ Element values: a term of an enumerated type evaluates to the element's
 index in its domain; a term of integer-interval type evaluates to the
 integer itself.  Relations and function tables are stored in index space
 (interval arguments normalized by their lower bound).
+
+The term and formula nodes are frozen slotted dataclasses with an
+`__init__` of their own (`_node`).  A frozen dataclass's generated
+`__init__` stores each field through `object.__setattr__`, which costs a
+lookup and a call per field; grounding builds a node or more per kept
+tuple, so `_node` stores each field through its slot descriptor instead.
+Everything else stays the dataclass's: equality, hashing, repr, match
+arguments, keyword construction, `dataclasses.replace`, and assignment
+raising `FrozenInstanceError`.  Nodes must never change: the grounder's and
+the emitter's memos key on node identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Mapping, Union
 
 from .errors import (
@@ -76,15 +86,41 @@ class Vocabulary:
 
 
 # ---------------------------------------------------------------------------
+# Node construction
+
+
+def _node(cls: type) -> type:
+    """Replace a frozen slotted dataclass's `__init__` by one that stores
+    each field through its slot descriptor (`Compare.op.__set__`), which
+    the class's frozen `__setattr__` does not guard.  Generated from the
+    fields once per class, as `dataclasses` generates its own; the fields
+    must have no defaults."""
+    names = [f.name for f in fields(cls)]
+    scope = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+    exec(
+        f"def __init__(self, {', '.join(names)}):\n"
+        + "".join(f"    _set_{n}(self, {n})\n" for n in names),
+        scope,
+    )
+    init = scope["__init__"]
+    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+    init.__annotations__ = cls.__init__.__annotations__
+    cls.__init__ = init
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
+@_node
 @dataclass(frozen=True, slots=True)
 class Variable:
     name: str
     type: str
 
 
+@_node
 @dataclass(frozen=True, slots=True)
 class DomainConstant:
     """An element of an enumerated type, resolved to its index."""
@@ -94,17 +130,20 @@ class DomainConstant:
     index: int
 
 
+@_node
 @dataclass(frozen=True, slots=True)
 class IntConstant:
     value: int
 
 
+@_node
 @dataclass(frozen=True, slots=True)
 class FunctionApp:
     name: str
     args: tuple["Term", ...]
 
 
+@_node
 @dataclass(frozen=True, slots=True)
 class Arith:
     op: str  # one of + - *
@@ -128,12 +167,14 @@ class FalseFormula:
     pass
 
 
+@_node
 @dataclass(frozen=True, slots=True)
 class Atom:
     pred: str
     args: tuple[Term, ...]
 
 
+@_node
 @dataclass(frozen=True, slots=True)
 class Compare:
     op: str  # one of = ~= < =< > >=
@@ -141,39 +182,46 @@ class Compare:
     right: Term
 
 
+@_node
 @dataclass(frozen=True, slots=True)
 class Not:
     child: "Formula"
 
 
+@_node
 @dataclass(frozen=True, slots=True)
 class And:
     children: tuple["Formula", ...]
 
 
+@_node
 @dataclass(frozen=True, slots=True)
 class Or:
     children: tuple["Formula", ...]
 
 
+@_node
 @dataclass(frozen=True, slots=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
+@_node
 @dataclass(frozen=True, slots=True)
 class Equiv:
     left: "Formula"
     right: "Formula"
 
 
+@_node
 @dataclass(frozen=True, slots=True)
 class ForAll:
     var: Variable
     body: "Formula"
 
 
+@_node
 @dataclass(frozen=True, slots=True)
 class Exists:
     var: Variable

@@ -35,6 +35,7 @@ the grounder's job, not this module's.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -247,6 +248,21 @@ class SatSetEvaluator:
 
     # -- atoms and terms ---------------------------------------------------------------
 
+    def _rows(self, pred: str, arity: int) -> np.ndarray:
+        """A relation's tuples as an int64 array of one tuple per row,
+        built afresh on each call and packed unsorted, in the set's own
+        order: neither from_ones nor _relation needs them in order.  The
+        array is allocated once, at its final size, not grown as it
+        fills."""
+        rel = self.s.relations[pred]
+        try:
+            flat = np.fromiter(
+                itertools.chain.from_iterable(rel), dtype=np.int64, count=len(rel) * arity
+            )
+        except OverflowError:  # a type of more than 2^63 values
+            raise ArithmeticOverflow(f"an index of {pred} exceeds 64 bits") from None
+        return flat.reshape(len(rel), arity)
+
     def _relation(self, pred: str, arity: int) -> tuple[list[np.ndarray], np.ndarray]:
         """A relation's distinct indices at each argument position, sorted,
         and the sorted mixed-radix keys of its tuples over their ranks
@@ -254,15 +270,11 @@ class SatSetEvaluator:
         of the distinct counts, however large the argument types are."""
         hit = self._relations.get(pred)
         if hit is None:
-            rel = self.s.relations[pred]
-            try:
-                tuples = np.array(list(rel), dtype=np.int64).reshape(len(rel), arity)
-            except OverflowError:  # a type of more than 2^63 values
-                raise ArithmeticOverflow(f"an index of {pred} exceeds 64 bits") from None
+            tuples = self._rows(pred, arity)
             values = [np.unique(col) for col in tuples.T]
             if math.prod(len(v) for v in values) > _INT64.max:
                 raise ArithmeticOverflow(f"the tuples of {pred} exceed 64-bit keys")
-            keys = np.zeros(len(rel), dtype=np.int64)
+            keys = np.zeros(len(tuples), dtype=np.int64)
             for v, col in zip(values, tuples.T):
                 keys = keys * len(v) + np.searchsorted(v, col)
             hit = self._relations[pred] = (values, np.sort(keys))
@@ -297,7 +309,8 @@ class SatSetEvaluator:
             rel = self.s.relations[f.pred]
             blank = BitTensor.full if () in rel else BitTensor.empty
             return self._track(blank(shape, self.budget))
-        # fast path: distinct variables in shape order with matching types
+        # fast path: distinct variables in shape order with matching types;
+        # the tuples are set as bits straight from the unsorted array
         if (
             tuple(f.args) == vars
             and all(
@@ -305,7 +318,7 @@ class SatSetEvaluator:
             )
         ):
             return self._track(
-                BitTensor.from_ones(shape, sorted(self.s.relations[f.pred]), self.budget)
+                BitTensor.from_ones(shape, self._rows(f.pred, len(arg_types)), self.budget)
             )
         # argument indices; one outside its type matches no tuple
         cols = [self._arg_space(t, self._term(a, shape))[0] for a, t in zip(f.args, arg_types)]

@@ -441,6 +441,26 @@ def test_from_ones_sets_repeated_and_edge_bits():
     assert BitTensor.from_ones(shape, ones) == BitTensor.from_bools(shape, want)
 
 
+@pytest.mark.parametrize("chunk_bits", [64, 448, 2**20])
+def test_from_ones_takes_an_array_of_tuples(monkeypatch, chunk_bits):
+    """An int64 array of one tuple per row, unsorted and with repeats,
+    gives the tensor that the same tuples give as a list, over 1 to 3
+    axes and with no tuples; at 64 and 448 chunk bits the tuples are
+    taken 1 and 7 rows at a time."""
+    monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk_bits)
+    rng = np.random.default_rng(chunk_bits)
+    for axes in (1, 2, 3):
+        for k in (0, 1, 5, 40):
+            shape = Shape(tuple((v("xyz"[i]), int(rng.integers(1, 9))) for i in range(axes)))
+            ones = [tuple(int(rng.integers(0, e)) for e in shape.extents) for _ in range(k)]
+            ones += ones[: k // 2]
+            rng.shuffle(ones)
+            want = BitTensor.from_ones(shape, ones)
+            assert set(want.iter_ones()) == set(ones)
+            rows = np.array(ones, dtype=np.int64).reshape(len(ones), axes)
+            assert BitTensor.from_ones(shape, rows) == want
+
+
 @pytest.mark.parametrize("chunk_bits", [64, 100, 4096, 2**20])
 def test_slab_matches_the_rows_of_the_whole_tensor(monkeypatch, chunk_bits):
     """slab(lo, hi) holds exactly rows lo..hi-1 of the leading axis, its
@@ -554,6 +574,9 @@ def test_structural_kernels_allocate_packed_sizes(monkeypatch):
         assert peak <= _packed(t.shape.nbits) + out_bytes + scratch, (t, peak)
     ones = list(sparse.iter_ones())
     peak = _peak_bytes(lambda: BitTensor.from_ones(sparse.shape, ones))
+    assert peak <= _packed(sparse.shape.nbits) + scratch
+    rows = np.array(ones, dtype=np.int64)
+    peak = _peak_bytes(lambda: BitTensor.from_ones(sparse.shape, rows))
     assert peak <= _packed(sparse.shape.nbits) + scratch
 
 

@@ -34,6 +34,7 @@ from sli.errors import (
     GroundingTimeout,
     GuardCapExceeded,
     IndexOutOfRange,
+    SliError,
     UnsupportedFormula,
 )
 from sli.grounder import (
@@ -59,6 +60,7 @@ from sli.logic import (
     And,
     Atom,
     Compare,
+    DomainConstant,
     EnumType,
     Exists,
     ForAll,
@@ -1582,3 +1584,170 @@ def test_tuples_count_up_lazily_and_check_each():
     # no range is built: the first tuple of a 2^64-value type comes at once
     huge = sli.grounder._tuples([2**64, 2**64], lambda: None)
     assert next(huge) == (0, 0) and next(huge) == (0, 1)
+
+
+COLOURING = """
+vocabulary {{
+  type V := {{{vertices}}}.
+  type C := {{c0, c1, c2}}.
+  pred border(V, V).
+  func colour(V) -> C.
+}}
+theory {{
+  !x, y in V: x ~= y & border(x, y) => colour(x) ~= colour(y).
+}}
+structure {{
+  border := {{{border}}}.
+}}
+"""
+
+
+def _apps(n, out):
+    """Every FunctionApp node under n, with repeats, into out."""
+    if isinstance(n, FunctionApp):
+        out.append(n)
+    for child in getattr(n, "args", ()) + getattr(n, "children", ()):
+        _apps(child, out)
+    for side in ("left", "right", "child"):
+        if hasattr(n, side):
+            _apps(getattr(n, side), out)
+    return out
+
+
+@pytest.mark.parametrize("strategy", ["vec", "naive"])
+def test_colour_x_and_colour_y_share_one_fold(monkeypatch, strategy):
+    """colour(x) and colour(y) are each folded per value of their own
+    variable, through one table of the run: a vertex's colour is folded
+    once, and both sides of the borders hold that one object."""
+    monkeypatch.setattr(sli.bittensor, "_CHUNK_BITS", 64)  # several chunks
+    edges = sorted({(i, (5 * i + 3) % 12) for i in range(12)} | {(2, 7), (7, 2), (9, 0)})
+    prob = problem(
+        COLOURING.format(
+            vertices=", ".join(f"v{i}" for i in range(12)),
+            border=", ".join(f"(v{a}, v{b})" for a, b in edges),
+        )
+    )
+    folds = Counter()
+    fold_app = _SentenceGrounder._fold_app
+
+    def counting_fold_app(g, name, args):
+        if not any(isinstance(a, Variable) for a in args):  # an instantiation's
+            folds[(name, args)] += 1
+        return fold_app(g, name, args)
+
+    monkeypatch.setattr(_SentenceGrounder, "_fold_app", counting_fold_app)
+    gt = ground_problem(prob, strategy)
+    vertices = {f"v{i}" for e in edges for i in e}
+    assert len(gt.assertions) == len(edges)
+    assert sorted(folds.values()) == [1] * len(vertices)
+    assert {args[0].name for _, args in folds} == vertices
+    by_vertex: dict[str, set[int]] = {}
+    for a in gt.assertions:
+        left, right = _apps(a, [])
+        assert left.args[0] != right.args[0]
+        for app in (left, right):
+            by_vertex.setdefault(app.args[0].name, set()).add(id(app))
+    assert set(by_vertex) == vertices
+    assert all(len(ids) == 1 for ids in by_vertex.values())
+
+
+def _expansion_before_tries(g, f):
+    """The interpreted-atom expansion as it was before the relation tries:
+    every tuple of the freshly sorted relation is tested position by
+    position, building the Compares of its non-constant arguments first."""
+    g.check()
+    sig = g.s.voc.predicates[f.pred]
+    disjuncts = []
+    for tup in sorted(g.s.relations[f.pred]):
+        conj = []
+        match = True
+        for arg, want, idx in zip(f.args, sig, tup):
+            if isinstance(arg, (DomainConstant, IntConstant)):
+                have = (
+                    arg.index
+                    if isinstance(arg, DomainConstant)
+                    else g.s.value_to_index(want, arg.value)
+                )
+                if have != idx:
+                    match = False
+                    break
+            else:
+                conj.append(Compare("=", arg, g._const(want, idx)))
+        if match:
+            disjuncts.append(_simp_junction(True, conj))
+    return _simp_junction(False, disjuncts)
+
+
+def _expansion_outcome(expand, g, atom):
+    try:
+        return expand(g, atom)
+    except SliError as e:
+        return type(e)
+
+
+def test_interpreted_atom_expansion_matches_tuple_by_tuple():
+    """On small random relations over an enumerated and an interval type,
+    with constants in and out of range, of either kind at either type,
+    and ground uninterpreted terms, the expansion gives the disjunction,
+    and raises the error, that testing every tuple in turn gives."""
+    rng = np.random.default_rng(14)
+    voc = Vocabulary()
+    voc.types["V"] = EnumType("V")
+    voc.types["I"] = IntervalType("I", 2, 4)
+    voc.functions["g"] = FuncSig(("V",), "V")
+    voc.functions["h"] = FuncSig(("V",), "I")
+    a = DomainConstant("a", "V", 0)
+    args = {
+        "V": [DomainConstant(n, "V", i) for i, n in enumerate("abc")]
+        + [IntConstant(1), IntConstant(7), FunctionApp("g", (a,))],
+        "I": [IntConstant(k) for k in range(0, 7)]
+        + [DomainConstant("b", "V", 1), FunctionApp("h", (a,))],
+    }
+    for _ in range(60):
+        sig = tuple(rng.choice(["V", "I"], int(rng.integers(1, 4))).tolist())
+        voc.predicates["p"] = sig
+        every = list(itertools.product(*[range(3)] * len(sig)))
+        rel = {every[k] for k in rng.permutation(len(every))[: int(rng.integers(0, 9))]}
+        s = Structure(voc, {"V": ("a", "b", "c")}, {"p": rel})
+        g = _SentenceGrounder(s, "vec")
+        for _ in range(12):
+            atom = Atom("p", tuple(args[t][int(rng.integers(len(args[t])))] for t in sig))
+            want = _expansion_outcome(_expansion_before_tries, g, atom)
+            assert _expansion_outcome(_SentenceGrounder._expand_interpreted_atom, g, atom) == want
+
+
+@pytest.mark.parametrize("strategy", ["vec", "naive"])
+def test_expansion_builds_a_compare_per_matching_tuple_only(monkeypatch, strategy):
+    """border(f(x), x) holds one constant: each row's expansion builds a
+    Compare for each tuple ending in x only, not for every tuple."""
+    n = 40
+    rng = np.random.default_rng(3)
+    edges = sorted({tuple(rng.integers(0, n, 2).tolist()) for _ in range(300)})
+    prob = problem(
+        f"""
+vocabulary {{
+  type V := {{{", ".join(f"v{i}" for i in range(n))}}}.
+  pred border(V, V).
+  func f(V) -> V.
+}}
+theory {{
+  !x in V: border(f(x), x).
+}}
+structure {{
+  border := {{{", ".join(f"(v{a}, v{b})" for a, b in edges)}}}.
+}}
+"""
+    )
+    built = []
+    init = Compare.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Compare, "__init__", counting_init)
+    gt = ground_problem(prob, strategy)
+    matching = len(edges)  # each tuple ends in one x
+    assert 0 < len(built) <= matching
+    ends = {b for _, b in edges}
+    assert gt.verdict == ("unsat-trivial" if len(ends) < n else "open")

@@ -1,5 +1,8 @@
 """Logic core: traversals, desugaring, type checking, model checking."""
 
+import dataclasses
+import typing
+
 import pytest
 
 from sli.errors import (
@@ -19,6 +22,7 @@ from sli.logic import (
     DomainConstant,
     EnumType,
     Equiv,
+    Formula,
     Exists,
     ForAll,
     FuncSig,
@@ -31,6 +35,7 @@ from sli.logic import (
     Not,
     Or,
     Structure,
+    Term,
     Variable,
     Vocabulary,
     check_models,
@@ -249,3 +254,76 @@ def test_interval_structure_values():
     assert s.index_to_value("N", 2) == 5
     assert s.element_name("N", 0) == "3"
     assert s.constant_for("N", 4) == IntConstant(4)
+
+
+# -- node construction ------------------------------------------------------------
+
+_P = Atom("p", (X, Y))
+_Q = Atom("q", (Y, X))
+# two nodes of every term and formula class that has fields, differing
+# in one field
+NODE_PAIRS = [
+    (X, Variable("x", "U")),
+    (DomainConstant("a", "T", 0), DomainConstant("a", "T", 1)),
+    (IntConstant(3), IntConstant(-3)),
+    (FunctionApp("f", (X,)), FunctionApp("f", (X, Y))),
+    (Arith("+", IntConstant(1), X), Arith("*", IntConstant(1), X)),
+    (_P, Atom("p", (Y, X))),
+    (Compare("=", X, Y), Compare("=<", X, Y)),
+    (Not(_P), Not(_Q)),
+    (And((_P, _Q)), And((_Q, _P))),
+    (Or((_P, _Q)), Or((_P,))),
+    (Implies(_P, _Q), Implies(_Q, _Q)),
+    (Equiv(_P, _Q), Equiv(_P, _P)),
+    (ForAll(X, _P), ForAll(Y, _P)),
+    (Exists(X, _P), Exists(X, _Q)),
+]
+
+
+def _field_values(n):
+    return tuple(getattr(n, f.name) for f in dataclasses.fields(n))
+
+
+def test_node_pairs_cover_every_node_class():
+    classes = typing.get_args(Term) + typing.get_args(Formula)
+    with_fields = {c for c in classes if dataclasses.fields(c)}
+    assert {type(a) for a, _ in NODE_PAIRS} == with_fields
+    assert len(with_fields) == 14
+
+
+@pytest.mark.parametrize("a, b", NODE_PAIRS, ids=lambda n: type(n).__name__)
+def test_nodes_stay_frozen_dataclasses(a, b):
+    cls, names = type(a), [f.name for f in dataclasses.fields(a)]
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__match_args__ == tuple(names)
+    assert not hasattr(a, "__dict__")
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(a, name)
+    assert _field_values(a) != _field_values(b)  # a failed assignment changed nothing
+    # positional and keyword construction, and the arguments they refuse
+    values = _field_values(a)
+    assert cls(*values) == a and cls(**dict(zip(names, values))) == a
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
+    # replace builds a new node with the one field changed
+    for name in names:
+        r = dataclasses.replace(a, **{name: getattr(b, name)})
+        assert type(r) is cls and r is not a
+        assert _field_values(r) == tuple(
+            getattr(b if n == name else a, n) for n in names
+        )
+    # equality and hashing are those of the field tuple, within a class
+    for u, w in [(a, a), (a, cls(*values)), (a, b), (b, a)]:
+        assert (u == w) == (_field_values(u) == _field_values(w))
+        assert hash(u) == hash(_field_values(u))
+    assert a != values and a != (cls, values)
+    # repr as the dataclass writes it
+    shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
+    assert repr(a) == f"{cls.__qualname__}({shown})"

@@ -559,3 +559,24 @@ def test_eval_over_returns_a_part_in_order_as_it_is():
     ev = SatSetEvaluator(s)
     assert ev.eval_over(f, (x, y)) is ev.eval(f)
     assert ev.eval_over(f, (y, x)) == ev.eval(Compare("~=", y, x))
+
+
+def test_the_relation_fast_path_packs_the_tuples_unsorted():
+    """An atom over distinct variables in shape order sets its relation's
+    tuples as bits straight from their unsorted array, and builds no
+    keyed relation: the tensor is the one from_ones gives on the sorted
+    tuples, over 1 to 3 arguments and for an empty relation."""
+    rng = np.random.default_rng(11)
+    for arity in (1, 2, 3):
+        for k in (0, 1, 7, 60):
+            voc = Vocabulary()
+            voc.types["T"] = EnumType("T")
+            voc.predicates["r"] = ("T",) * arity
+            rel = frozenset(tuple(rng.integers(0, 5, arity).tolist()) for _ in range(k))
+            s = Structure(voc, {"T": ("a", "b", "c", "d", "e")}, {"r": rel}, {})
+            vars = tuple(Variable(n, "T") for n in "xyz"[:arity])
+            ev = SatSetEvaluator(s)
+            got = ev.eval(Atom("r", vars))
+            assert not ev._relations
+            assert got == BitTensor.from_ones(ev.shape_for(vars), sorted(rel))
+            assert set(got.iter_ones()) == rel
