@@ -25,20 +25,21 @@ packed input and output:
   pieces: each piece unpacks or computes about `_CHUNK_BITS` bits at
   most, one byte each, and is packed and shifted into place before the
   next begins.
-* `from_ones` sets bits in the words directly, from tuples in any order
-  (an iterable of tuples or an array of one per row), and `iter_ones_chunks`
-  expands only nonzero words, into coordinate arrays of a bounded number
-  of tuples; `iter_ones` is their flattening.
+* `from_ones` sets bits in the words directly, from an array of index
+  tuples in any order, one per row, and `iter_ones_chunks` expands only
+  nonzero words, into coordinate arrays of a bounded number of tuples;
+  `iter_ones` is their flattening.
 
-So the bit budget bounds the memory the kernels really use: each holds
-its packed inputs and output plus O(_CHUNK_BITS), junctions included.
+Every allocating kernel checks its output's size against one module
+constant, `BIT_BUDGET`, before it allocates, so that budget bounds the
+memory the kernels really use: each holds its packed inputs and output
+plus O(_CHUNK_BITS), junctions included.
 The piece loops call an optional `tick` once per piece, so a cooperative
 deadline also holds inside one large kernel.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -56,11 +57,12 @@ from .errors import (
 )
 from .logic import Variable
 
-# Largest tensor, in bits, that one kernel may produce.  Kernels, junction
+# Largest tensor, in bits, that one kernel may produce; check_budget reads
+# it on every call, so one value holds for every layer.  Kernels, junction
 # included, hold their packed inputs and output plus O(_CHUNK_BITS) bytes
 # of scratch, so a tensor at the budget costs about budget/8 bytes, not a
 # byte per bit.
-DEFAULT_BIT_BUDGET = 2**33
+BIT_BUDGET = 2**33
 
 # Bits a piecewise kernel unpacks or computes at a time (one byte each).
 _CHUNK_BITS = 2**20
@@ -134,9 +136,9 @@ def _prod(extents: Iterable[int]) -> int:
     return n
 
 
-def check_budget(nbits: int, budget: int) -> None:
-    if nbits > budget:
-        raise BitBudgetOverflow(f"tensor of {nbits} bits exceeds budget of {budget}")
+def check_budget(nbits: int) -> None:
+    if nbits > BIT_BUDGET:
+        raise BitBudgetOverflow(f"tensor of {nbits} bits exceeds budget of {BIT_BUDGET}")
 
 
 def _nwords(nbits: int) -> int:
@@ -292,13 +294,13 @@ class BitTensor:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def empty(shape: Shape, budget: int = DEFAULT_BIT_BUDGET) -> "BitTensor":
-        check_budget(shape.nbits, budget)
+    def empty(shape: Shape) -> "BitTensor":
+        check_budget(shape.nbits)
         return _fresh(shape, np.zeros(_nwords(shape.nbits), dtype=_WORD))
 
     @staticmethod
-    def full(shape: Shape, budget: int = DEFAULT_BIT_BUDGET) -> "BitTensor":
-        check_budget(shape.nbits, budget)
+    def full(shape: Shape) -> "BitTensor":
+        check_budget(shape.nbits)
         nbits = shape.nbits
         words = np.full(_nwords(nbits), _FULL_WORD, dtype=_WORD)
         if nbits and words.size:
@@ -306,33 +308,23 @@ class BitTensor:
         return _fresh(shape, words)
 
     @staticmethod
-    def from_bools(shape: Shape, bools: np.ndarray, budget: int = DEFAULT_BIT_BUDGET) -> "BitTensor":
-        check_budget(shape.nbits, budget)
+    def from_bools(shape: Shape, bools: np.ndarray) -> "BitTensor":
+        check_budget(shape.nbits)
         flat = np.asarray(bools, dtype=bool).ravel()
         if flat.size != shape.nbits:
             raise ShapeMismatch("boolean data does not match shape")
         return _fresh(shape, _pack(flat, shape.nbits))
 
     @staticmethod
-    def from_ones(
-        shape: Shape,
-        ones: Iterable[tuple[int, ...]] | np.ndarray,
-        budget: int = DEFAULT_BIT_BUDGET,
-    ) -> "BitTensor":
-        """The tensor whose ones are the given index tuples, in any order
-        and repeats allowed: an iterable of tuples, or an int64 array of
-        one tuple per row.  A few int64 per tuple: the tuples are taken
-        _CHUNK_BITS // 64 at a time."""
-        check_budget(shape.nbits, budget)
+    def from_ones(shape: Shape, ones: np.ndarray) -> "BitTensor":
+        """The tensor whose ones are the index tuples of the int64 array
+        ones, one per row, in any order and repeats allowed.  A few int64
+        per tuple: the tuples are taken _CHUNK_BITS // 64 at a time."""
+        check_budget(shape.nbits)
         words = np.zeros(_nwords(shape.nbits), dtype=_WORD)
-        extents, step = shape.extents, max(1, _CHUNK_BITS // 64)
-        if isinstance(ones, np.ndarray):
-            for lo in range(0, len(ones), step):
-                _set_ones(words, ones[lo : lo + step], extents)
-        else:
-            ones = iter(ones)
-            while batch := list(itertools.islice(ones, step)):
-                _set_ones(words, np.array(batch, dtype=np.int64), extents)
+        step = max(1, _CHUNK_BITS // 64)
+        for lo in range(0, len(ones), step):
+            _set_ones(words, ones[lo : lo + step], shape.extents)
         return _fresh(shape, words)
 
     # -- word-level connectives --------------------------------------------
@@ -378,7 +370,6 @@ class BitTensor:
         pos: int,
         var: Variable,
         extent: int,
-        budget: int = DEFAULT_BIT_BUDGET,
         tick: Tick = None,
         out: np.ndarray | None = None,
         op: Op = None,
@@ -392,7 +383,7 @@ class BitTensor:
         returned: assigned when op is None (the bits must still be zero),
         else through op, np.bitwise_and or np.bitwise_or."""
         shape = self.shape.insert(pos, var, extent)
-        check_budget(shape.nbits, budget)
+        check_budget(shape.nbits)
         fresh = out is None
         if fresh:
             out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
@@ -648,7 +639,6 @@ def in_order(t: BitTensor, index: dict[Variable, int], tick: Tick = None) -> Bit
 def junction(
     tensors: Sequence[BitTensor],
     conj: bool,
-    budget: int = DEFAULT_BIT_BUDGET,
     tick: Tick = None,
     axes: Sequence[tuple[Variable, int]] | None = None,
 ) -> BitTensor:
@@ -673,7 +663,7 @@ def junction(
                 seen.setdefault(v, e)
         axes = tuple(seen.items())
     shape = Shape(tuple(axes))
-    check_budget(shape.nbits, budget)
+    check_budget(shape.nbits)
     names = shape.vars
     index = {v: k for k, v in enumerate(names)}
     for t in tensors:
@@ -699,9 +689,9 @@ def junction(
         last = max(missing, key=lambda k: shape.extents[k])
         for k in missing:
             if k != last:
-                t = t.insert_axis(k - (k > last), names[k], shape.extents[k], budget, tick)
+                t = t.insert_axis(k - (k > last), names[k], shape.extents[k], tick)
         mode = op if i else None
-        t.insert_axis(last, names[last], shape.extents[last], budget, tick, out=out, op=mode)
+        t.insert_axis(last, names[last], shape.extents[last], tick, out=out, op=mode)
     return _fresh(shape, out)
 
 
@@ -709,7 +699,6 @@ def pack_pointwise(
     shape: Shape,
     fn: Callable[..., np.ndarray],
     arrays: Sequence[np.ndarray],
-    budget: int = DEFAULT_BIT_BUDGET,
     tick: Tick = None,
 ) -> BitTensor:
     """The tensor whose bit at index i is fn(*arrays) at i.
@@ -720,7 +709,7 @@ def pack_pointwise(
     array is built.  A piece is a range of rows of axis j, with the axes
     before j fixed, where j is the first axis whose rows fit a piece.
     """
-    check_budget(shape.nbits, budget)
+    check_budget(shape.nbits)
     out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
     extents = shape.extents or (1,)
     arrays = [np.reshape(a, np.shape(a) or (1,)) for a in arrays]

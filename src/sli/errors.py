@@ -83,7 +83,8 @@ class ArithmeticOverflow(SliError):
 
 
 class BitBudgetOverflow(SliError):
-    """A tensor allocation would exceed the configured bit budget."""
+    """A tensor allocation, or a noreduce table, would exceed the bit
+    budget, the fixed bittensor.BIT_BUDGET of 2^33 bits."""
 
 
 class UnsupportedFormula(SliError):

@@ -14,12 +14,13 @@ stops at the first deciding part.
   by one evaluator shared by all sentences of a problem.  The evaluator
   cuts the set into slabs of rows of the block's first variable
   (SatSetEvaluator.slabs) and evaluates them one at a time, so the memory
-  it holds is a slab, not the block's whole tensor (the bit budget still
-  applies to the whole).  A split whose residual decides the block stops
-  at the first slab holding a one.  Otherwise each slab's ones are taken
-  in chunks (BitTensor.iter_ones_chunks), cut so that a chunk's rows
-  times the residual's nodes stay within _CHUNK_NODES; slabs in order and
-  ones in order within each give the whole set's order.  A block with
+  it holds is a slab, not the block's whole tensor (the one bit budget,
+  bittensor.BIT_BUDGET, still applies to the whole).  A split whose
+  residual decides the block stops at the first slab holding a one.
+  Otherwise each slab's ones are taken in chunks
+  (BitTensor.iter_ones_chunks), cut so that a chunk's rows times the
+  residual's nodes stay within _CHUNK_NODES; slabs in order and ones in
+  order within each give the whole set's order.  A block with
   more guards than the cap is grounded as naive grounds it, and its
   sentence's row reports naive(fallback); the other blocks stay
   vectorized.
@@ -29,7 +30,7 @@ stops at the first deciding part.
   compiled on its first tuple, and each kept tuple is a one-row chunk.
 - noreduce: instantiate everything, fold nothing, and emit the interpreted
   symbols' tables as ground assertions alongside; a table of more entries
-  than the bit budget is a resource error.
+  than the same bit budget is a resource error.
 
 naive and noreduce count a block's tuples up one at a time (_tuples),
 checking the deadline at each.
@@ -79,7 +80,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .bittensor import DEFAULT_BIT_BUDGET
+from . import bittensor
 from .errors import (
     ArithmeticOverflow,
     BitBudgetOverflow,
@@ -499,7 +500,6 @@ class _SentenceGrounder:
         structure: Structure,
         strategy: str,
         cap: int = DEFAULT_GUARD_CAP,
-        budget: int = DEFAULT_BIT_BUDGET,
         timeout: float | None = None,
     ):
         if strategy not in STRATEGIES:
@@ -518,7 +518,7 @@ class _SentenceGrounder:
                 raise GroundingTimeout("grounding exceeded its deadline")
 
         self.check = check
-        self.ev = SatSetEvaluator(structure, budget, check) if strategy == "vec" else None
+        self.ev = SatSetEvaluator(structure, check) if strategy == "vec" else None
         # blocks whose parts are being drawn; 1 while an outermost block's are
         self._open_blocks = 0
         self._const_cache: dict[tuple[str, int], Term] = {}
@@ -965,11 +965,10 @@ def ground_sentence(
     strategy: str,
     *,
     cap: int = DEFAULT_GUARD_CAP,
-    budget: int = DEFAULT_BIT_BUDGET,
 ) -> SentenceStats:
     """Ground one sentence into its row, sentence_id 0, with no deadline.
     Under vec, a block past the guard cap is grounded the naive way."""
-    return _SentenceGrounder(structure, strategy, cap, budget).sentence(f)
+    return _SentenceGrounder(structure, strategy, cap).sentence(f)
 
 
 STATS_HEADER = "sentence-id,strategy,guards,splits-kept,tensor-bits,instantiations,micros"
@@ -1027,11 +1026,12 @@ class GroundTheory:
 
 
 def _structure_facts(
-    s: Structure, symbols: Iterable[str], budget: int, check: Callable[[], None]
+    s: Structure, symbols: Iterable[str], check: Callable[[], None]
 ) -> list[Formula]:
     """The interpreted symbols' tables as ground assertions.  A table of
-    more entries than the bit budget is a resource error, raised before
-    any table is enumerated."""
+    more entries than bittensor.BIT_BUDGET, read at the call, is a
+    resource error, raised before any table is enumerated."""
+    budget = bittensor.BIT_BUDGET
     tables = []
     for name in symbols:
         rel = s.relations.get(name)
@@ -1073,12 +1073,11 @@ def ground_problem(
     strategy: str,
     *,
     cap: int = DEFAULT_GUARD_CAP,
-    budget: int = DEFAULT_BIT_BUDGET,
     timeout: float | None = None,
 ) -> GroundTheory:
     """Ground every sentence, short-circuiting on a refuted one."""
     s = problem.structure
-    g = _SentenceGrounder(s, strategy, cap, budget, timeout)
+    g = _SentenceGrounder(s, strategy, cap, timeout)
     rows: list[SentenceStats] = []
     assertions: list[Formula] = []
     refuted = False
@@ -1103,7 +1102,7 @@ def ground_problem(
             for n in itertools.chain(s.voc.predicates, s.voc.functions)
             if n in used and s.interprets(n)
         ]
-        assertions = _structure_facts(s, fact_symbols, budget, g.check) + assertions
+        assertions = _structure_facts(s, fact_symbols, g.check) + assertions
     if not assertions:
         return GroundTheory(s, (), VERDICT_SAT, mode, stats)
     return GroundTheory(s, tuple(assertions), VERDICT_OPEN, mode, stats)

@@ -16,14 +16,17 @@ The term and formula nodes are frozen slotted dataclasses with an
 lookup and a call per field; grounding builds a node or more per kept
 tuple, so `_node` stores each field through its slot descriptor instead.
 Everything else stays the dataclass's: equality, hashing, repr, match
-arguments, keyword construction, `dataclasses.replace`, and assignment
-raising `FrozenInstanceError`.  Nodes must never change: the grounder's and
-the emitter's memos key on node identity.
+arguments, keyword construction and `dataclasses.replace`.  `_node` also
+makes assigning or deleting any attribute raise `FrozenInstanceError`: the
+dataclass's own guard raises a `TypeError` for a name that is not a field,
+since it calls `super()` with the class it built before adding slots.
+Nodes must never change: the grounder's and the emitter's memos key on
+node identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from typing import Iterator, Mapping, Union
 
 from .errors import (
@@ -89,12 +92,21 @@ class Vocabulary:
 # Node construction
 
 
+def _frozen_setattr(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def _node(cls: type) -> type:
     """Replace a frozen slotted dataclass's `__init__` by one that stores
     each field through its slot descriptor (`Compare.op.__set__`), which
-    the class's frozen `__setattr__` does not guard.  Generated from the
-    fields once per class, as `dataclasses` generates its own; the fields
-    must have no defaults."""
+    the class's `__setattr__` does not guard, and that `__setattr__` and
+    `__delattr__` by ones that refuse every name.  The `__init__` is
+    generated from the fields once per class, as `dataclasses` generates
+    its own; the fields must have no defaults."""
     names = [f.name for f in fields(cls)]
     scope = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
     exec(
@@ -106,6 +118,7 @@ def _node(cls: type) -> type:
     init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
     init.__annotations__ = cls.__init__.__annotations__
     cls.__init__ = init
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
     return cls
 
 

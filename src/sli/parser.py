@@ -696,18 +696,12 @@ class Parser:
 
     def _codomain_value(self, cod) -> int:
         """Parse a function value (index for enum codomain, value otherwise)."""
-        if isinstance(cod, Interval):
-            t = self.tok
+        decl = cod if isinstance(cod, Interval) else self.voc.types[cod]
+        if isinstance(decl, (Interval, IntervalType)):
+            lo, hi, t = decl.lo, decl.hi, self.tok
             value = self.parse_int_literal()
-            if not cod.lo <= value <= cod.hi:
-                raise self.error(f"value {value} outside Int[{cod.lo}..{cod.hi}]", t)
-            return value
-        decl = self.voc.types[cod]
-        if isinstance(decl, IntervalType):
-            t = self.tok
-            value = self.parse_int_literal()
-            if not decl.lo <= value <= decl.hi:
-                raise self.error(f"value {value} outside Int[{decl.lo}..{decl.hi}]", t)
+            if not lo <= value <= hi:
+                raise self.error(f"value {value} outside Int[{lo}..{hi}]", t)
             return value
         tok = self.ident("element name")
         info = self.elements.get(tok.text)

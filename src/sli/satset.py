@@ -17,8 +17,9 @@ guard into such slabs and evaluates them one at a time, so the grounder
 holds the guard's parts, each permuted once per block, and one slab,
 never the block's whole tensor.  A slab slices the parts over the
 leading variable (`BitTensor.slab`), and the junction replicates the
-others over the slab's axes.  The budget is checked on the whole shape
-all the same, and peak_bits counts the whole shape.
+others over the slab's axes.  The bit budget, the one constant
+bittensor.BIT_BUDGET that every kernel checks, is checked on the whole
+shape all the same, and peak_bits counts the whole shape.
 
 Terms are evaluated by broadcasting: a term's value is an int64 array
 with one axis per variable of the shape, of size 1 along every variable
@@ -44,7 +45,6 @@ import numpy as np
 
 from .bittensor import (
     COMPARISONS,
-    DEFAULT_BIT_BUDGET,
     BitTensor,
     Shape,
     check_budget,
@@ -118,11 +118,9 @@ class SatSetEvaluator:
     def __init__(
         self,
         structure: Structure,
-        budget: int = DEFAULT_BIT_BUDGET,
         tick: Callable[[], None] | None = None,
     ):
         self.s = structure
-        self.budget = budget
         self.tick = tick
         self.memo: dict[Formula, BitTensor] = {}
         self._memo_peak: dict[Formula, int] = {}  # peak bits of computing each entry
@@ -142,7 +140,7 @@ class SatSetEvaluator:
         """The shape over vars, checked against the budget before any term
         over it is built."""
         shape = Shape(tuple((v, self.extent(v)) for v in vars))
-        check_budget(shape.nbits, self.budget)
+        check_budget(shape.nbits)
         return shape
 
     def _track(self, t: BitTensor) -> BitTensor:
@@ -199,7 +197,7 @@ class SatSetEvaluator:
                 raise IndexOutOfRange(f"rows {rows} outside the leading axis")
             parts = [t.slab(lo, hi) if vars[0] in t.shape.vars else t for t in parts]
             axes = ((vars[0], hi - lo),) + axes[1:]
-        out = junction(parts, not isinstance(f, Or), self.budget, self.tick, axes)
+        out = junction(parts, not isinstance(f, Or), self.tick, axes)
         self.peak_bits = max(self.peak_bits, shape.nbits)
         return out
 
@@ -221,9 +219,9 @@ class SatSetEvaluator:
 
     def _eval(self, f: Formula) -> BitTensor:
         if isinstance(f, TrueFormula):
-            return self._track(BitTensor.full(Shape(()), self.budget))
+            return self._track(BitTensor.full(Shape(())))
         if isinstance(f, FalseFormula):
-            return self._track(BitTensor.empty(Shape(()), self.budget))
+            return self._track(BitTensor.empty(Shape(())))
         if isinstance(f, Atom):
             return self._atom(f)
         if isinstance(f, Compare):
@@ -232,14 +230,14 @@ class SatSetEvaluator:
             return self._track(self.eval(f.child).bit_not())
         if isinstance(f, (And, Or)):
             children = [self.eval(c) for c in f.children]
-            return self._track(junction(children, isinstance(f, And), self.budget, self.tick))
+            return self._track(junction(children, isinstance(f, And), self.tick))
         if isinstance(f, (ForAll, Exists)):
             conj = isinstance(f, ForAll)
             body = self.eval(f.body)
             if f.var not in body.shape.vars:
                 if self.extent(f.var) == 0:
                     blank = BitTensor.full if conj else BitTensor.empty
-                    return self._track(blank(body.shape, self.budget))
+                    return self._track(blank(body.shape))
                 return body
             reduce = body.reduce_all if conj else body.reduce_any
             out = reduce(f.var, tick=self.tick)
@@ -308,7 +306,7 @@ class SatSetEvaluator:
         if not arg_types:
             rel = self.s.relations[f.pred]
             blank = BitTensor.full if () in rel else BitTensor.empty
-            return self._track(blank(shape, self.budget))
+            return self._track(blank(shape))
         # fast path: distinct variables in shape order with matching types;
         # the tuples are set as bits straight from the unsorted array
         if (
@@ -317,9 +315,7 @@ class SatSetEvaluator:
                 isinstance(a, Variable) and a.type == t for a, t in zip(f.args, arg_types)
             )
         ):
-            return self._track(
-                BitTensor.from_ones(shape, self._rows(f.pred, len(arg_types)), self.budget)
-            )
+            return self._track(BitTensor.from_ones(shape, self._rows(f.pred, len(arg_types))))
         # argument indices; one outside its type matches no tuple
         cols = [self._arg_space(t, self._term(a, shape))[0] for a, t in zip(f.args, arg_types)]
         values, keys = self._relation(f.pred, len(arg_types))
@@ -335,14 +331,14 @@ class SatSetEvaluator:
             pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
             return (keys[pos] == key) & ok
 
-        return self._track(pack_pointwise(shape, members, cols, self.budget, self.tick))
+        return self._track(pack_pointwise(shape, members, cols, self.tick))
 
     def _compare(self, f: Compare) -> BitTensor:
         shape = self.shape_for(free_variables(f))
         left = self._term(f.left, shape)
         right = self._term(f.right, shape)
         fn = COMPARISONS[f.op]
-        return self._track(pack_pointwise(shape, fn, (left, right), self.budget, self.tick))
+        return self._track(pack_pointwise(shape, fn, (left, right), self.tick))
 
     @staticmethod
     def _unit(shape: Shape) -> tuple[int, ...]:
@@ -401,12 +397,7 @@ class SatSetEvaluator:
         raise TypeError(f"not a term: {t!r}")
 
 
-def eval_sat_set(
-    f: Formula,
-    vars: tuple[Variable, ...],
-    structure: Structure,
-    budget: int = DEFAULT_BIT_BUDGET,
-) -> SatSet:
+def eval_sat_set(f: Formula, vars: tuple[Variable, ...], structure: Structure) -> SatSet:
     """[f :: vars] for a fully interpreted formula (vars must cover free(f))."""
-    ev = SatSetEvaluator(structure, budget)
+    ev = SatSetEvaluator(structure)
     return SatSet(f, ev.eval_over(f, vars))

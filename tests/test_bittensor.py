@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sli import bittensor
-from sli.bittensor import DEFAULT_BIT_BUDGET, BitTensor, Shape, ValueTensor
+from sli.bittensor import BIT_BUDGET, BitTensor, Shape, ValueTensor
 from sli.errors import (
     ArithmeticOverflow,
     BitBudgetOverflow,
@@ -29,6 +29,12 @@ from sli.logic import Variable
 
 def v(name):
     return Variable(name, "T")
+
+
+def tuple_rows(ones, arity):
+    """Index tuples as the int64 array of one tuple per row that
+    BitTensor.from_ones takes."""
+    return np.array(ones, dtype=np.int64).reshape(len(ones), arity)
 
 
 class RefBits:
@@ -198,7 +204,7 @@ def test_insert_axis_multiplies_popcount():
 
 def test_iter_ones_is_lexicographic():
     shape = Shape(((v("x"), 3), (v("y"), 2)))
-    t = BitTensor.from_ones(shape, [(2, 1), (0, 0), (1, 0), (0, 1)])
+    t = BitTensor.from_ones(shape, tuple_rows([(2, 1), (0, 0), (1, 0), (0, 1)], 2))
     assert list(t.iter_ones()) == [(0, 0), (0, 1), (1, 0), (2, 1)]
 
 
@@ -260,7 +266,7 @@ def test_bit_budget_enforced():
     s = Shape(((v("x"), 2**30), (v("y"), 2**10)))
     with pytest.raises(BitBudgetOverflow):
         BitTensor.empty(s)
-    assert s.nbits > DEFAULT_BIT_BUDGET
+    assert s.nbits > BIT_BUDGET
 
 
 def test_shape_and_kernel_errors():
@@ -359,7 +365,7 @@ def test_kernels_match_bool_references(monkeypatch, chunk_bits):
         extent = int(rng.choice((0, 1, 2, 3, 8, 9)))
         check_insert(bases, t, pos, extent)
         assert list(t.iter_ones()) == ref_iter_ones(t)
-        assert BitTensor.from_ones(shape, ref_iter_ones(t)) == t
+        assert BitTensor.from_ones(shape, tuple_rows(ref_iter_ones(t), m)) == t
         if m:
             perm = tuple(rng.permutation(m).tolist())
             assert t.permute_axes(perm) == ref_permute(t, perm)
@@ -438,14 +444,14 @@ def test_from_ones_sets_repeated_and_edge_bits():
     want = np.zeros(shape.nbits, dtype=bool)
     for i, j in ones:
         want[i * 43 + j] = True
-    assert BitTensor.from_ones(shape, ones) == BitTensor.from_bools(shape, want)
+    assert BitTensor.from_ones(shape, tuple_rows(ones, 2)) == BitTensor.from_bools(shape, want)
 
 
 @pytest.mark.parametrize("chunk_bits", [64, 448, 2**20])
 def test_from_ones_takes_an_array_of_tuples(monkeypatch, chunk_bits):
     """An int64 array of one tuple per row, unsorted and with repeats,
-    gives the tensor that the same tuples give as a list, over 1 to 3
-    axes and with no tuples; at 64 and 448 chunk bits the tuples are
+    gives the tensor from_bools gives with the same tuples set, over 1 to
+    3 axes and with no tuples; at 64 and 448 chunk bits the tuples are
     taken 1 and 7 rows at a time."""
     monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk_bits)
     rng = np.random.default_rng(chunk_bits)
@@ -455,10 +461,12 @@ def test_from_ones_takes_an_array_of_tuples(monkeypatch, chunk_bits):
             ones = [tuple(int(rng.integers(0, e)) for e in shape.extents) for _ in range(k)]
             ones += ones[: k // 2]
             rng.shuffle(ones)
-            want = BitTensor.from_ones(shape, ones)
-            assert set(want.iter_ones()) == set(ones)
-            rows = np.array(ones, dtype=np.int64).reshape(len(ones), axes)
-            assert BitTensor.from_ones(shape, rows) == want
+            bools = np.zeros(shape.extents, dtype=bool)
+            for idx in ones:
+                bools[idx] = True
+            got = BitTensor.from_ones(shape, tuple_rows(ones, axes))
+            assert got == BitTensor.from_bools(shape, bools)
+            assert set(got.iter_ones()) == set(ones)
 
 
 @pytest.mark.parametrize("chunk_bits", [64, 100, 4096, 2**20])
@@ -572,10 +580,7 @@ def test_structural_kernels_allocate_packed_sizes(monkeypatch):
         result = out[0]
         out_bytes = _packed(result.shape.nbits) if isinstance(result, BitTensor) else 0
         assert peak <= _packed(t.shape.nbits) + out_bytes + scratch, (t, peak)
-    ones = list(sparse.iter_ones())
-    peak = _peak_bytes(lambda: BitTensor.from_ones(sparse.shape, ones))
-    assert peak <= _packed(sparse.shape.nbits) + scratch
-    rows = np.array(ones, dtype=np.int64)
+    rows = tuple_rows(list(sparse.iter_ones()), 2)
     peak = _peak_bytes(lambda: BitTensor.from_ones(sparse.shape, rows))
     assert peak <= _packed(sparse.shape.nbits) + scratch
 

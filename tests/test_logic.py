@@ -302,6 +302,11 @@ def test_nodes_stay_frozen_dataclasses(a, b):
             setattr(a, name, getattr(b, name))
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(a, name)
+    # a name that is not a field is refused the same way
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.other = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del a.other
     assert _field_values(a) != _field_values(b)  # a failed assignment changed nothing
     # positional and keyword construction, and the arguments they refuse
     values = _field_values(a)

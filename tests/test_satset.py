@@ -14,7 +14,7 @@ import pytest
 from randgen import enumerate_satset, random_formula, random_structure
 from sli import bittensor, grounder, satset
 from sli.bench import BenchSpec, generate
-from sli.bittensor import BitTensor
+from sli.bittensor import BitTensor, Shape
 from sli.errors import (
     ArithmeticOverflow,
     BitBudgetOverflow,
@@ -387,7 +387,7 @@ class _PairwiseEvaluator(SatSetEvaluator):
             t = self._track(t.permute_axes(tuple(order), tick=self.tick))
         for pos, v in enumerate(target):
             if v not in t.shape.vars:
-                t = self._track(t.insert_axis(pos, v, self.extent(v), self.budget, self.tick))
+                t = self._track(t.insert_axis(pos, v, self.extent(v), self.tick))
         return t
 
 
@@ -458,15 +458,16 @@ def test_a_junction_allocates_one_output():
     assert peak <= 1.5 * packed, (peak, packed)
 
 
-def test_a_junction_over_the_budget_raises_before_allocating():
+def test_a_junction_over_the_budget_raises_before_allocating(monkeypatch):
     # each child fits the budget; their union is 2.16e8 bits, 27 MB packed
+    monkeypatch.setattr(bittensor, "BIT_BUDGET", 10**6)
     voc = Vocabulary()
     voc.types["T"] = EnumType("T")
     voc.predicates["p"] = ("T",)
     s = Structure(voc, {"T": tuple(f"a{i}" for i in range(600))}, {"p": frozenset({(1,)})}, {})
     x, y, z = (Variable(n, "T") for n in "xyz")
     f = And((Atom("p", (x,)), Atom("p", (y,)), Not(Atom("p", (z,)))))
-    ev = SatSetEvaluator(s, budget=10**6)
+    ev = SatSetEvaluator(s)
     tracemalloc.start()
     try:
         with pytest.raises(BitBudgetOverflow):
@@ -475,6 +476,66 @@ def test_a_junction_over_the_budget_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+def _over_budget_calls():
+    """Every allocating entry point, each called to build a tensor over x
+    and y of 2000 elements each, 4e6 bits, from inputs that fit 10^6."""
+    x, y = Variable("x", "T"), Variable("y", "T")
+    xy = Shape(((x, 2000), (y, 2000)))
+    px, py = (BitTensor.full(Shape(((v, 2000),))) for v in (x, y))
+    bools = np.ones(xy.nbits, dtype=bool)
+    cols = (np.arange(2000).reshape(2000, 1), np.arange(2000).reshape(1, 2000))
+    # p(x, y, z) over an empty z has 0 bits; !z: p(x, y, z) holds at all
+    # 4e6 tuples of x and y
+    voc = Vocabulary()
+    voc.types["T"], voc.types["E"] = EnumType("T"), EnumType("E")
+    voc.predicates["p"] = ("T", "T", "E")
+    domains = {"T": tuple(f"a{i}" for i in range(2000)), "E": ()}
+    s = Structure(voc, domains, {"p": frozenset()}, {})
+    z = Variable("z", "E")
+    return {
+        "empty": lambda: BitTensor.empty(xy),
+        "full": lambda: BitTensor.full(xy),
+        "from_bools": lambda: BitTensor.from_bools(xy, bools),
+        "from_ones": lambda: BitTensor.from_ones(xy, np.array([[0, 0], [1999, 3]])),
+        "insert_axis": lambda: px.insert_axis(1, y, 2000),
+        "junction": lambda: bittensor.junction((px, py), True),
+        "pack_pointwise": lambda: bittensor.pack_pointwise(xy, np.less, cols),
+        "reduce_over_an_empty_axis": lambda: SatSetEvaluator(s).eval(
+            ForAll(z, Atom("p", (x, y, z)))
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "empty",
+        "full",
+        "from_bools",
+        "from_ones",
+        "insert_axis",
+        "junction",
+        "pack_pointwise",
+        "reduce_over_an_empty_axis",
+    ],
+)
+def test_every_allocating_entry_point_checks_the_one_budget(monkeypatch, entry):
+    """With bittensor.BIT_BUDGET set to 10^6, each entry point refuses a
+    4e6-bit tensor, naming the budget it read, before allocating any of
+    its 500 kB of packed words."""
+    call = _over_budget_calls()[entry]
+    monkeypatch.setattr(bittensor, "BIT_BUDGET", 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BitBudgetOverflow) as err:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "tensor of 4000000 bits exceeds budget of 1000000"
+    assert peak < 50_000, peak
 
 
 def test_a_deadline_stops_a_junction_partway(monkeypatch):
@@ -578,5 +639,6 @@ def test_the_relation_fast_path_packs_the_tuples_unsorted():
             ev = SatSetEvaluator(s)
             got = ev.eval(Atom("r", vars))
             assert not ev._relations
-            assert got == BitTensor.from_ones(ev.shape_for(vars), sorted(rel))
+            rows = np.array(sorted(rel), dtype=np.int64).reshape(len(rel), arity)
+            assert got == BitTensor.from_ones(ev.shape_for(vars), rows)
             assert set(got.iter_ones()) == rel
