@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .logic import (
     Structure,
     Variable,
     Vocabulary,
+    frozen,
 )
 from .parser import Problem
 from .smt import emit as emit_smt
@@ -92,7 +92,7 @@ class SplitMix64:
         return (self.words(count) & np.uint64(1)).astype(bool)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class BenchSpec:
     """One generated instance: family, size, overlap/coverage ratio, seed."""
 
@@ -235,7 +235,7 @@ def generate(spec: BenchSpec) -> Problem:
     return _GENERATORS[spec.family](spec)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class RunRecord:
     """One (instance, strategy) measurement; times in microseconds.
     Timed-out runs carry timeout=1 and no measurements."""

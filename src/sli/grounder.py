@@ -112,6 +112,7 @@ from .logic import (
     eval_formula,
     eval_term,
     free_variables,
+    frozen,
     substitute,
     symbols_of,
     _compare,
@@ -208,7 +209,7 @@ def maximal_interpreted_subformulas(
     return _collect_guards(f, sigma0, None, lambda: None)[0]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class GuardSplit:
     """One branch of the 2^m sign analysis of a quantifier block."""
 
@@ -974,7 +975,7 @@ def ground_sentence(
 STATS_HEADER = "sentence-id,strategy,guards,splits-kept,tensor-bits,instantiations,micros"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class GroundingStats:
     rows: tuple[SentenceStats, ...]
 

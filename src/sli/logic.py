@@ -10,18 +10,17 @@ index in its domain; a term of integer-interval type evaluates to the
 integer itself.  Relations and function tables are stored in index space
 (interval arguments normalized by their lower bound).
 
-The term and formula nodes are frozen slotted dataclasses with an
-`__init__` of their own (`_node`).  A frozen dataclass's generated
+Immutable records across the package, the nodes among them, are
+`frozen` classes: frozen slotted dataclasses on which assigning or
+deleting any attribute raises `FrozenInstanceError`.  The term and
+formula nodes also have an `__init__` of their own (`_node`).  A frozen dataclass's generated
 `__init__` stores each field through `object.__setattr__`, which costs a
 lookup and a call per field; grounding builds a node or more per kept
 tuple, so `_node` stores each field through its slot descriptor instead.
 Everything else stays the dataclass's: equality, hashing, repr, match
-arguments, keyword construction and `dataclasses.replace`.  `_node` also
-makes assigning or deleting any attribute raise `FrozenInstanceError`: the
-dataclass's own guard raises a `TypeError` for a name that is not a field,
-since it calls `super()` with the class it built before adding slots.
-Nodes must never change: the grounder's and the emitter's memos key on
-node identity.
+arguments, keyword construction and `dataclasses.replace`.  Nodes must
+never change: the grounder's and the emitter's memos key on node
+identity.
 """
 
 from __future__ import annotations
@@ -39,17 +38,39 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
+# Frozen dataclasses
+
+
+def _frozen_setattr(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen(cls: type) -> type:
+    """`dataclass(frozen=True, slots=True)` of cls, whose `__setattr__` and
+    `__delattr__` refuse every name with FrozenInstanceError.  The ones
+    `dataclasses` generates raise TypeError on a name that is not a field,
+    since they call `super()` with the class built before the slots."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Vocabulary
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class EnumType:
     """A declared type interpreted by an enumerated domain."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class IntervalType:
     """A declared type interpreted by an inclusive integer interval."""
 
@@ -61,7 +82,7 @@ class IntervalType:
 TypeDecl = Union[EnumType, IntervalType]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Interval:
     """An anonymous integer interval, usable as a function codomain."""
 
@@ -69,7 +90,7 @@ class Interval:
     hi: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class FuncSig:
     args: tuple[str, ...]
     codomain: Union[str, Interval]
@@ -92,21 +113,12 @@ class Vocabulary:
 # Node construction
 
 
-def _frozen_setattr(self, name: str, value: object) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
 def _node(cls: type) -> type:
-    """Replace a frozen slotted dataclass's `__init__` by one that stores
-    each field through its slot descriptor (`Compare.op.__set__`), which
-    the class's `__setattr__` does not guard, and that `__setattr__` and
-    `__delattr__` by ones that refuse every name.  The `__init__` is
-    generated from the fields once per class, as `dataclasses` generates
-    its own; the fields must have no defaults."""
+    """Replace the `__init__` of a `frozen` class by one that stores each
+    field through its slot descriptor (`Compare.op.__set__`), which the
+    class's `__setattr__` does not guard.  The `__init__` is generated
+    from the fields once per class, as `dataclasses` generates its own;
+    the fields must have no defaults."""
     names = [f.name for f in fields(cls)]
     scope = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
     exec(
@@ -118,7 +130,6 @@ def _node(cls: type) -> type:
     init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
     init.__annotations__ = cls.__init__.__annotations__
     cls.__init__ = init
-    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
     return cls
 
 
@@ -127,14 +138,14 @@ def _node(cls: type) -> type:
 
 
 @_node
-@dataclass(frozen=True, slots=True)
+@frozen
 class Variable:
     name: str
     type: str
 
 
 @_node
-@dataclass(frozen=True, slots=True)
+@frozen
 class DomainConstant:
     """An element of an enumerated type, resolved to its index."""
 
@@ -144,20 +155,20 @@ class DomainConstant:
 
 
 @_node
-@dataclass(frozen=True, slots=True)
+@frozen
 class IntConstant:
     value: int
 
 
 @_node
-@dataclass(frozen=True, slots=True)
+@frozen
 class FunctionApp:
     name: str
     args: tuple["Term", ...]
 
 
 @_node
-@dataclass(frozen=True, slots=True)
+@frozen
 class Arith:
     op: str  # one of + - *
     left: "Term"
@@ -170,25 +181,25 @@ Term = Union[Variable, DomainConstant, IntConstant, FunctionApp, Arith]
 # Formulas
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class TrueFormula:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class FalseFormula:
     pass
 
 
 @_node
-@dataclass(frozen=True, slots=True)
+@frozen
 class Atom:
     pred: str
     args: tuple[Term, ...]
 
 
 @_node
-@dataclass(frozen=True, slots=True)
+@frozen
 class Compare:
     op: str  # one of = ~= < =< > >=
     left: Term
@@ -196,46 +207,46 @@ class Compare:
 
 
 @_node
-@dataclass(frozen=True, slots=True)
+@frozen
 class Not:
     child: "Formula"
 
 
 @_node
-@dataclass(frozen=True, slots=True)
+@frozen
 class And:
     children: tuple["Formula", ...]
 
 
 @_node
-@dataclass(frozen=True, slots=True)
+@frozen
 class Or:
     children: tuple["Formula", ...]
 
 
 @_node
-@dataclass(frozen=True, slots=True)
+@frozen
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
 @_node
-@dataclass(frozen=True, slots=True)
+@frozen
 class Equiv:
     left: "Formula"
     right: "Formula"
 
 
 @_node
-@dataclass(frozen=True, slots=True)
+@frozen
 class ForAll:
     var: Variable
     body: "Formula"
 
 
 @_node
-@dataclass(frozen=True, slots=True)
+@frozen
 class Exists:
     var: Variable
     body: "Formula"

@@ -30,15 +30,23 @@ The parser pulls its tokens on demand from one regex scanner over the
 text.  A token records only its offset; an error turns that into a line
 and a column.  One pass over the whole text first finds any character no
 token can start with, so that character is reported before any syntax
-error, wherever it stands.  Relation literals are most of a large input,
-so each one starts with a bulk loop: one compiled regex takes the leading
-run of simple tuples straight from the text, each with its comma.  A
-tuple is simple when it is `(name, ..., name)` or, for a unary symbol, a
-bare name, with only whitespace between, each name an element of its
-declared type and the tuple not seen before.  The loop stops before the
-first tuple that is not simple and re-seats the scanner there; the token
-path parses the rest of the literal and raises every error, with the
-message and span it has without the loop.  Function tables and integer
+error, wherever it stands.
+
+Relation literals and the element lists of enumerated types are most of
+a large input, so each one starts with a bulk reader that takes the
+leading run of simple items straight from the text, each with its comma,
+a piece of up to _PIECE items at a time.  One bounded regex match finds
+a piece; its names come from one split, and each argument position is
+resolved through one dict from name to index per type.  A tuple is
+simple when it is `(name, ..., name)` or, for a unary symbol, a bare
+name, with only whitespace between, each name an element of its declared
+type and the tuple not seen before; an element is simple when it is a
+name, not a keyword and not declared before.  A piece of simple, distinct
+items is taken whole.  Of any other piece, the tuple reader takes the
+tuples before its first one that is not simple, and the element reader
+takes none.  The reader then stops and re-seats the scanner; the token
+path parses the rest of the list and raises every error, with the
+message and span it has without the reader.  Function tables and integer
 values always take the token path.
 """
 
@@ -166,9 +174,16 @@ def _span(text: str, filename: str, pos: int, width: int) -> SourceSpan:
     return SourceSpan(filename, line, col, col + width)
 
 
+# The ASCII characters _CLEAN_RE takes outside a comment; "/" is not one
+_CLEAN_ASCII = bytes(c for c in range(128) if _CLEAN_RE.fullmatch(chr(c)))
+
+
 def _check_characters(text: str, filename: str) -> None:
     """Raise on the first character outside a comment that no token can
-    start with, before any token is parsed."""
+    start with, before any token is parsed.  ASCII text made of those
+    characters alone, with no comment, passes without the regex."""
+    if text.isascii() and not text.encode().translate(None, _CLEAN_ASCII):
+        return
     pos = _CLEAN_RE.match(text).end()
     if pos < len(text):
         raise ParseError(
@@ -197,15 +212,26 @@ def tokenize(text: str, filename: str) -> list[Token]:
     return list(_scan(text))
 
 
-def _tuple_item_re(arity: int) -> re.Pattern:
-    """One tuple of a relation literal in its simple form, with the comma
-    after it: a parenthesised list of arity names and, for a unary symbol,
-    also a bare name, with whitespace only between them."""
-    name = f"({_IDENT})"
-    item = r"\(\s*" + r"\s*,\s*".join([name] * arity) + r"\s*\)"
+# The most items one bulk piece takes, so each piece's lists stay small
+_PIECE = 4096
+# blanks the punctuation of simple items, so that split() yields the names
+_UNPUNCT = str.maketrans("(),", "   ")
+
+
+def _tuple_item(arity: int) -> str:
+    """The pattern of one tuple of a relation literal in its simple form,
+    with the comma after it: a parenthesised list of arity names and, for
+    a unary symbol, also a bare name, with whitespace only between them."""
+    item = r"\(\s*" + r"\s*,\s*".join([_IDENT] * arity) + r"\s*\)"
     if arity == 1:
-        item = f"(?:{item}|{name})"
-    return re.compile(item + r"\s*,\s*")
+        item = f"(?:{item}|{_IDENT})"
+    return item + r"\s*,\s*"
+
+
+def _piece(item: str):
+    """The anchored match of up to _PIECE items in a row.  A greedy bounded
+    repeat: Python 3.10 has no possessive quantifier or atomic group."""
+    return re.compile(f"(?:{item}){{0,{_PIECE}}}").match
 
 
 @dataclass
@@ -226,7 +252,8 @@ class _Scope:
 class Parser:
     """Recursive descent over the one token in hand, self.tok, pulled on
     demand from a scanner over self.text.  parse_relation first lets
-    _bulk_tuples take the leading run of simple tuples from the text and
+    _bulk_tuples, and an enumerated type first lets _bulk_elements, take
+    the leading run of simple items from the text a piece at a time and
     re-seat the scanner after it; the token path parses the rest and
     raises every error (see the module docstring)."""
 
@@ -239,6 +266,7 @@ class Parser:
         self.voc = Vocabulary()
         self.domains: dict[str, tuple[str, ...]] = {}
         self.elements: dict[str, tuple[str, int]] = {}  # name -> (type, index)
+        self.indices: dict[str, dict[str, int]] = {}  # enum type -> name -> index
         self.names: set[str] = set()  # all declared names, for uniqueness
 
     # -- token plumbing ------------------------------------------------------
@@ -333,17 +361,17 @@ class Parser:
             self.expect(":=")
             if self.accept("{"):
                 elems: list[str] = []
-                if not self.accept("}"):
+                # after a bulk run the next token must be an element, even a "}"
+                if self._bulk_elements(elems) or not self.accept("}"):
                     while True:
-                        e = self.ident("element name")
-                        self._declare(e)
-                        self.elements[e.text] = (name, len(elems))
-                        elems.append(e.text)
+                        elems.append(self._declare(self.ident("element name")))
                         if not self.accept(","):
                             break
                     self.expect("}")
                 self.voc.types[name] = EnumType(name)
                 self.domains[name] = tuple(elems)
+                self.indices[name] = index = dict(zip(elems, range(len(elems))))
+                self.elements.update((e, (name, i)) for e, i in index.items())
             else:
                 lo, hi = self.parse_interval_literal()
                 self.voc.types[name] = IntervalType(name, lo, hi)
@@ -672,23 +700,65 @@ class Parser:
     def _bulk_tuples(self, arg_types: tuple[str, ...], tuples: set) -> bool:
         """Add the leading run of simple tuples of a relation literal, each
         with its comma, read straight from the text from the current token
-        on, and re-seat the scanner after the run; returns whether it took
-        any.  A tuple is simple when _tuple_item_re matches it, each name
-        is an element of its declared type, and it is not in tuples yet.
-        The run stops before the first tuple that is not simple, so the
-        token path parses that one and raises any error it holds."""
-        if not arg_types:
+        on a piece of at most _PIECE tuples at a time; re-seat the scanner
+        after the run and return whether it took any.  A tuple is simple
+        when it matches _tuple_item, each name is an element of its
+        declared type, and it is not in tuples yet.  A piece of simple,
+        distinct tuples is taken whole; any other is taken up to its first
+        tuple that is not simple, where the run stops, so the token path
+        parses that one and raises any error it holds."""
+        indices = [self.indices.get(t) for t in arg_types]
+        if not indices or None in indices:
             return False
-        item = _tuple_item_re(len(arg_types)).match  # anchored: no search ahead
-        text, elements = self.text, self.elements
+        k, item = len(arg_types), _tuple_item(len(arg_types))
+        piece, one = _piece(item), re.compile(item).match
+        text = self.text
         start = pos = self.tok.pos
-        while m := item(text, pos):
-            # a unary item holds its name in one of two groups
-            tup = _element_indices(elements, filter(None, m.groups()), arg_types)
-            if tup is None or tup in tuples:
+        while (end := piece(text, pos).end()) > pos:
+            names = text[pos:end].translate(_UNPUNCT).split()
+            columns = [list(map(ix.get, names[j::k])) for j, ix in enumerate(indices)]
+            fresh = set(zip(*columns))
+            if (
+                any(None in c for c in columns)
+                or len(fresh) < len(columns[0])
+                or not fresh.isdisjoint(tuples)
+            ):
+                for row in zip(*columns):
+                    if None in row or row in tuples:
+                        break
+                    tuples.add(row)
+                    pos = one(text, pos).end()
                 break
-            tuples.add(tup)
-            pos = m.end()
+            tuples |= fresh
+            pos = end
+        if pos == start:
+            return False
+        self._seat(pos)
+        return True
+
+    def _bulk_elements(self, elems: list[str]) -> bool:
+        """Declare the leading run of an enumerated type's elements, each
+        with its comma, read straight from the text from the current token
+        on a piece of at most _PIECE names at a time, appending them to
+        elems; re-seat the scanner after the run and return whether it took
+        any.  A piece is taken whole when its names are distinct, not
+        keywords and not declared yet; the run stops before any other, so
+        the token path declares it and raises the error it holds."""
+        piece = _piece(_IDENT + r"\s*,\s*")
+        text, declared = self.text, self.names
+        start = pos = self.tok.pos
+        while (end := piece(text, pos).end()) > pos:
+            names = text[pos:end].translate(_UNPUNCT).split()
+            fresh = set(names)
+            if (
+                len(fresh) < len(names)
+                or not fresh.isdisjoint(declared)
+                or not fresh.isdisjoint(KEYWORDS)
+            ):
+                break
+            declared.update(fresh)
+            elems += names
+            pos = end
         if pos == start:
             return False
         self._seat(pos)
@@ -742,19 +812,6 @@ class Parser:
         if isinstance(decl, IntervalType):
             return decl.hi - decl.lo + 1
         return len(self.domains[name])
-
-
-def _element_indices(
-    elements: dict[str, tuple[str, int]], names, arg_types: tuple[str, ...]
-) -> tuple[int, ...] | None:
-    """The indices of names, or None unless each is an element of its type."""
-    out = []
-    for name, want in zip(names, arg_types):
-        info = elements.get(name)
-        if info is None or info[0] != want:
-            return None
-        out.append(info[1])
-    return tuple(out)
 
 
 def parse_problem(text: str, filename: str = "<string>") -> Problem:

@@ -10,8 +10,6 @@ are declared with declare-fun instead.  Output is byte-deterministic.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
-
 from .grounder import GroundTheory, VERDICT_OPEN, VERDICT_SAT
 from .logic import (
     FALSE,
@@ -30,6 +28,7 @@ from .logic import (
     Or,
     Term,
     Vocabulary,
+    frozen,
 )
 
 _SYMBOL_CHARS = frozenset(string.ascii_letters + string.digits + "~!@$%^&*_-+=<>.?/")
@@ -75,7 +74,7 @@ class _Names:
         return name
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SmtDocument:
     """An SMT-LIB 2 script in emission order."""
 

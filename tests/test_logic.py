@@ -5,6 +5,8 @@ import typing
 
 import pytest
 
+from sli import bench, bittensor, errors, grounder, logic, satset, smt
+from sli.bench import BenchSpec, RunRecord
 from sli.errors import (
     ArityMismatch,
     TypeCheckError,
@@ -47,6 +49,8 @@ from sli.logic import (
     symbols_of,
     type_check,
 )
+from sli.grounder import GroundingStats, GuardSplit
+from sli.smt import SmtDocument
 
 
 def two_pred_vocab():
@@ -332,3 +336,43 @@ def test_nodes_stay_frozen_dataclasses(a, b):
     # repr as the dataclass writes it
     shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
     assert repr(a) == f"{cls.__qualname__}({shown})"
+
+
+# One instance of each frozen slotted class that is not a node
+FROZEN_RECORDS = [
+    TRUE,
+    FALSE,
+    EnumType("T"),
+    IntervalType("N", 1, 3),
+    Interval(1, 3),
+    FuncSig(("T",), "T"),
+    GuardSplit((TRUE,), (True,), TRUE, FALSE),
+    GroundingStats(()),
+    BenchSpec("tg", 3),
+    RunRecord("b", "i", "vec", 3, 0.0, 0, 1, 1, "sat", 0, 0, 0),
+    SmtDocument("QF_UF", (), (), ()),
+]
+
+
+def test_frozen_records_cover_every_frozen_slotted_class():
+    found = {
+        c
+        for m in (bench, bittensor, errors, grounder, logic, satset, smt)
+        for c in vars(m).values()
+        if dataclasses.is_dataclass(c) and isinstance(c, type)
+        and c.__dataclass_params__.frozen and "__slots__" in vars(c)
+    }
+    nodes = {type(a) for a, _ in NODE_PAIRS}
+    assert found == nodes | {type(r) for r in FROZEN_RECORDS}
+    assert len(found - nodes) == 11
+
+
+@pytest.mark.parametrize("record", FROZEN_RECORDS, ids=lambda r: type(r).__name__)
+def test_frozen_records_refuse_every_assignment(record):
+    before = repr(record)
+    for name in [f.name for f in dataclasses.fields(record)] + ["other"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    assert repr(record) == before and not hasattr(record, "__dict__")

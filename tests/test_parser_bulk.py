@@ -1,18 +1,24 @@
-"""The bulk relation loop against the token path: with the loop on and
-off, every input parses to the same problem or fails with the same error
-class, message and span.  Also: the order of errors and the spans the
-offset scanner reports."""
+"""The bulk readers of relation literals and enumerated types against
+the token path: with the readers on and off, every input parses to the
+same problem or fails with the same error class, message and span.  Also:
+the order of errors and the spans the offset scanner reports."""
 
+import json
+import os
+import subprocess
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from randgen import random_sentence, random_structure
-from sli.errors import ParseError, SliError, SourceSpan
+from sli import parser
+from sli.errors import DuplicateDefinition, ParseError, SliError, SourceSpan
 from sli.parser import Parser, Problem, parse_problem, print_problem, tokenize
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def _outcome(text: str):
@@ -23,27 +29,35 @@ def _outcome(text: str):
         return type(e), str(e), getattr(e, "span", None)
 
 
+READERS = ("_bulk_tuples", "_bulk_elements")
+
+
+def _counted(name: str, took: Counter):
+    reader = getattr(Parser, name)
+
+    def counted(self, *args):
+        took[name] += (ok := reader(self, *args))
+        return ok
+
+    return counted
+
+
 def _both(monkeypatch, text: str):
-    """(outcome with the bulk loop, outcome without it, number of relation
-    literals where the loop took tuples)."""
-    bulk, took = Parser._bulk_tuples, []
-
-    def counted(parser, arg_types, tuples):
-        took.append(bulk(parser, arg_types, tuples))
-        return took[-1]
-
-    def off(parser, arg_types, tuples):
-        return False
-
-    outcomes = []
-    for replacement in (counted, off):
-        with monkeypatch.context() as m:
-            m.setattr(Parser, "_bulk_tuples", replacement)
-            outcomes.append(_outcome(text))
-    return outcomes[0], outcomes[1], sum(took)
+    """(outcome with the bulk readers, outcome without them, the number of
+    literals or element lists each reader took items from, by its name)."""
+    took = Counter()
+    with monkeypatch.context() as m:
+        for name in READERS:
+            m.setattr(Parser, name, _counted(name, took))
+        bulk = _outcome(text)
+    with monkeypatch.context() as m:
+        for name in READERS:
+            m.setattr(Parser, name, lambda self, *args: False)
+        tokens = _outcome(text)
+    return bulk, tokens, took
 
 
-def _same(monkeypatch, text: str) -> int:
+def _same(monkeypatch, text: str) -> Counter:
     bulk, tokens, took = _both(monkeypatch, text)
     assert bulk == tokens, text
     return took
@@ -100,7 +114,7 @@ def test_hand_case_matches_the_token_path(monkeypatch, case):
     text = HEAD + "  " + body + "\n}\n"
     bulk, tokens, took = _both(monkeypatch, text)
     assert bulk == tokens
-    assert bool(took) == takes
+    assert bool(took["_bulk_tuples"]) == takes
     if error is None:
         assert isinstance(bulk, Problem), bulk
     else:
@@ -110,6 +124,92 @@ def test_hand_case_matches_the_token_path(monkeypatch, case):
 def test_trailing_comma_fails_at_the_closing_brace(monkeypatch):
     text = HEAD + "  e := {(a, a), }.\n}\n"
     assert _both(monkeypatch, text)[0][2] == SourceSpan("in.sli", 12, 17, 18)
+
+
+# -- piece boundaries: cases run with pieces of P items -----------------------
+
+P = 3
+PIECE_HEAD = """vocabulary {
+  type W := {w0, w1}.
+  type D := {d0, d1, d2, d3, d4, d5, d6, d7, d8, d9}.
+  pred r(D, D).
+  pred s(D).
+}
+structure {
+"""
+# a tuple that is not simple: (the tuple, the error the token path raises)
+BAD_TUPLES = {
+    "unknown": ("(d0, zz)", "unknown element: zz"),
+    "wrong_type": ("(d0, w0)", "element w0 has type W, expected D"),
+    "duplicate": ("(d0, d1)", "duplicate tuple in relation"),  # the first tuple
+    "keyword": ("(d0, true)", "expected element name, found 'true'"),
+}
+
+
+def _pieces_outcome(monkeypatch, text: str):
+    """The outcome with pieces of P items, checked against the token path,
+    and the number of literals or lists each reader took items from."""
+    monkeypatch.setattr(parser, "_PIECE", P)
+    bulk, tokens, took = _both(monkeypatch, text)
+    assert bulk == tokens
+    return bulk, took
+
+
+@pytest.mark.parametrize("bad", [None, *sorted(BAD_TUPLES)])
+@pytest.mark.parametrize("n", [P - 1, P, P + 1, 2 * P])
+def test_relation_pieces_of_every_length(monkeypatch, n, bad):
+    """n simple tuples, each with its comma, then a bad tuple or none, and
+    one last tuple: the bad one is the first item of the second piece when
+    n is P."""
+    items = [f"(d{i}, d{i + 1})" for i in range(n)]
+    items += [BAD_TUPLES[bad][0]] if bad else []
+    text = PIECE_HEAD + f"  r := {{{', '.join(items + ['(d9, d0)'])}}}.\n}}\n"
+    outcome, took = _pieces_outcome(monkeypatch, text)
+    assert took["_bulk_tuples"] == 1
+    if bad is None:
+        assert len(outcome.structure.relations["r"]) == n + 1
+    else:
+        assert issubclass(outcome[0], ParseError) and outcome[1].endswith(BAD_TUPLES[bad][1])
+
+
+# (relation literals or type declarations, the error or None)
+PIECE_CASES = {
+    "comment_in_first_piece": ("r := {(d0, d1), // note\n (d1, d2), (d2, d3), (d3, d4), (d4, d5)}.", None),
+    "comment_after_a_bad_piece": ("r := {(d0, d1), (d1, d2), (d0, d1), // note\n (d3, d4)}.",
+                                  "duplicate tuple in relation"),
+    "unary_mixed": ("s := {d0, (d1), d2, ( d3 ), d4, (d5), d6}.", None),
+    "unary_mixed_duplicate": ("s := {d0, (d1), d2, (d1), d4}.", "duplicate tuple in relation"),
+    "unary_mixed_unknown": ("s := {d0, (d1), d2, (zz), d4}.", "unknown element: zz"),
+    "unary_mixed_wrong_type": ("s := {d0, (d1), d2, w1, d4}.", "element w1 has type W, expected D"),
+    "enum_pieces": ("type E := {e0, e1, e2, e3, e4, e5, e6}.", None),
+    "enum_repeated_in_first_piece": ("type E := {e0, e1, e0, e3}.", "name e0 already declared"),
+    "enum_repeated_in_second_piece": ("type E := {e0, e1, e2, e0, e4}.", "name e0 already declared"),
+    "enum_repeated_across_pieces": ("type E := {e0, e1, e2, e3, e4, e5, e3, e7}.", "name e3 already declared"),
+    "enum_keyword": ("type E := {e0, e1, e2, in, e4}.", "expected element name, found 'in'"),
+    "enum_earlier_element": ("type E := {e0, e1, e2, d4, e4}.", "name d4 already declared"),
+    "enum_earlier_type": ("type E := {e0, e1, e2, W, e4}.", "name W already declared"),
+    "enum_own_name": ("type E := {e0, e1, e2, E, e4}.", "name E already declared"),
+    "enum_trailing_comma": ("type E := {e0, e1, e2, }.", "expected element name, found '}'"),
+    "enum_comment": ("type E := {e0, e1, // note\n e2, e3, e4}.", None),
+    "enum_comment_after_a_bad_piece": ("type E := {e0, e1, e0, // note\n e3}.", "name e0 already declared"),
+    "enum_empty": ("type E := {}.", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIECE_CASES))
+def test_piece_case_matches_the_token_path(monkeypatch, case):
+    body, error = PIECE_CASES[case]
+    if body.startswith("type"):
+        text = PIECE_HEAD.replace("  pred r", f"  {body}\n  pred r") + "}\n"
+    else:
+        text = PIECE_HEAD + "  " + body + "\n}\n"
+    outcome, took = _pieces_outcome(monkeypatch, text)
+    if error is None:
+        assert isinstance(outcome, Problem), outcome
+    else:
+        assert issubclass(outcome[0], ParseError) and outcome[1].endswith(error), outcome
+    if error and error.startswith("name"):
+        assert outcome[0] is DuplicateDefinition
 
 
 def test_problems_compare_by_value():
@@ -133,48 +233,123 @@ def _random_problem(rng) -> Problem:
 
 def test_round_trips_of_random_problems(monkeypatch):
     rng = np.random.default_rng(7)
-    took = 0
+    took = Counter()
     for _ in range(150):
         took += _same(monkeypatch, print_problem(_random_problem(rng)))
-    assert took > 100  # the bulk loop ran on most of them
+    # the bulk readers ran on most of them
+    assert took["_bulk_tuples"] > 100 and took["_bulk_elements"] > 100
 
 
-# Single-token edits of structure blocks: delete a token, or put one of
-# these lexemes in place of it or before it.
+# Single-token edits of one block: delete a token, or put one of these
+# lexemes in place of it or before it.
 LEXEMES = ["(", ")", ",", "{", "}", ".", "->", ":=", "true", "in", "0", "7", "-",
            "// c\n", "USA", "Canada", "Mexico", "red", "zz", "border", "colour"]
+VOCABULARY_LEXEMES = LEXEMES + ["type", "pred", "func", "Int", "[", "]", "..", "V", "C",
+                                "Cuba"]
 
 
-def _structure_mutants(text: str):
-    head, sep, block = text.partition("structure {")
-    tokens = [t.text for t in tokenize(block, "in.sli")[:-1]]
+def _block_mutants(text: str, block: str, lexemes: list[str]):
+    """text with one token edit in the named block, for each edit."""
+    head, sep, rest = text.partition(block + " {")
+    end = rest.find("\ntheory {")
+    body, tail = (rest, "") if end < 0 else (rest[:end], rest[end:])
+    tokens = [t.text for t in tokenize(body, "in.sli")[:-1]]
     for i in range(len(tokens) + 1):
-        if i < len(tokens):
-            yield tokens[:i] + tokens[i + 1 :]
-        for lexeme in LEXEMES:
+        edits = [tokens[:i] + tokens[i + 1 :]] if i < len(tokens) else []
+        for lexeme in lexemes:
             if i < len(tokens):
-                yield tokens[:i] + [lexeme] + tokens[i + 1 :]
-            yield tokens[:i] + [lexeme] + tokens[i:]
+                edits.append(tokens[:i] + [lexeme] + tokens[i + 1 :])
+            edits.append(tokens[:i] + [lexeme] + tokens[i:])
+        for edit in edits:
+            yield head + sep + " ".join(edit) + tail
 
 
-def _mutant_texts():
+def _bases() -> list[str]:
     bases = [p.read_text() for p in sorted(DATA.glob("*.sli"))]
-    # one more base whose relation has enough tuples for runs to matter
+    # one more base whose relation and type have enough items for pieces
+    # to matter
     bases.append(
-        bases[0].replace(
+        bases[0]
+        .replace(
             "{(USA, Canada), (USA, Mexico)}",
             "{(USA, Canada), (USA, Mexico), (Canada, Mexico), (Mexico, USA)}",
         )
+        .replace("{USA, Canada, Mexico}", "{USA, Canada, Mexico, Cuba, Haiti, Belize}")
     )
-    for base in bases:
-        head = base.partition("structure {")[0] + "structure {"
-        for tokens in _structure_mutants(base):
-            yield head + " ".join(tokens)
+    return bases
 
 
 def test_token_mutants_of_structure_blocks(monkeypatch):
-    took = sum(_same(monkeypatch, text) for text in _mutant_texts())
-    assert took > 500
+    took = Counter()
+    for base in _bases():
+        for text in _block_mutants(base, "structure", LEXEMES):
+            took += _same(monkeypatch, text)
+    assert took["_bulk_tuples"] > 500
+
+
+@pytest.mark.parametrize("piece", [3, parser._PIECE])
+def test_token_mutants_of_vocabulary_blocks(monkeypatch, piece):
+    monkeypatch.setattr(parser, "_PIECE", piece)
+    took = Counter()
+    for base in _bases():
+        for text in _block_mutants(base, "vocabulary", VOCABULARY_LEXEMES):
+            took += _same(monkeypatch, text)
+    assert took["_bulk_elements"] > 5000
+
+
+# -- the oldest Python the package declares ----------------------------------
+
+# Prints the problems of the files named on the command line, as JSON.  It
+# imports sli.parser alone, under a stub package: this interpreter may lack
+# numpy, which sli/__init__.py pulls in through the other modules.
+_PRINT_PROBLEMS = """
+import json, sys, types
+sli = types.ModuleType("sli")
+sli.__path__ = [sys.argv[1]]
+sys.modules["sli"] = sli
+from sli.parser import parse_problem, print_problem
+print(json.dumps([print_problem(parse_problem(open(p).read(), p)) for p in sys.argv[2:]]))
+"""
+
+
+def _python_3_10():
+    """A Python 3.10 interpreter that starts, or None."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    for exe in sorted(root.glob("versions/3.10.*/bin/python")):
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(sys.version_info[:2] == (3, 10))"],
+            capture_output=True, text=True, timeout=60,
+        )
+        if probe.stdout.strip() == "True":
+            return exe
+    return None
+
+
+def test_problems_parse_the_same_under_python_3_10(tmp_path):
+    exe = _python_3_10()
+    if exe is None:
+        pytest.skip("no Python 3.10 interpreter starts")
+    # colour-like: a type of 5000 elements and a relation of 9000 pairs,
+    # so both bulk readers take more than one piece
+    rng = np.random.default_rng(5)
+    pairs = sorted({(int(a), int(b)) for a, b in rng.integers(0, 5000, (9500, 2)) if a != b})
+    assert len(pairs) > 2 * parser._PIECE
+    colour = tmp_path / "colour.sli"
+    colour.write_text(
+        (DATA / "mapcolour3.sli").read_text()
+        .replace("{USA, Canada, Mexico}", "{" + ", ".join(f"v{i}" for i in range(5000)) + "}")
+        .replace("{(USA, Canada), (USA, Mexico)}",
+                 "{" + ", ".join(f"(v{a}, v{b})" for a, b in pairs) + "}")
+    )
+    files = [str(p) for p in sorted(DATA.glob("*.sli"))] + [str(colour)]
+    run = subprocess.run(
+        [exe, "-c", _PRINT_PROBLEMS, str(SRC / "sli"), *files],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    want = [print_problem(parse_problem(Path(f).read_text(), f)) for f in files]
+    assert json.loads(run.stdout) == want
+    assert len(parse_problem(colour.read_text()).structure.relations["border"]) == len(pairs)
 
 
 # -- the offset scanner: error order and spans --------------------------------
@@ -229,3 +404,15 @@ def test_tokenize_reports_the_first_bad_character():
     assert [t.kind for t in tokens] == ["ident", "op", "op", "op", "ident", "op",
                                         "ident", "op", "op", "op", "eof"]
     assert [t.pos for t in tokens[:3]] == [0, 2, 5] and tokens[-1].pos == 23
+
+
+def test_the_character_check_agrees_with_its_regex_on_every_ascii_character():
+    for c in map(chr, range(128)):
+        text = f"a {c} b"
+        clean = parser._CLEAN_RE.match(text).end() == len(text)
+        try:
+            parser._check_characters(text, "in.sli")
+        except ParseError:
+            assert not clean, repr(c)
+        else:
+            assert clean, repr(c)
