@@ -26,9 +26,10 @@ packed input and output:
   most, one byte each, and is packed and shifted into place before the
   next begins.
 * `from_ones` sets bits in the words directly, from an array of index
-  tuples in any order, one per row, and `iter_ones_chunks` expands only
-  nonzero words, into coordinate arrays of a bounded number of tuples;
-  `iter_ones` is their flattening.
+  tuples in any order, one per row, and `iter_ones_chunks` decodes only
+  nonzero words, the sparse ones by lowest-set-bit extraction, into
+  coordinate arrays of a bounded number of tuples; `iter_ones` is their
+  flattening.
 
 Every allocating kernel checks its output's size against one module
 constant, `BIT_BUDGET`, before it allocates, so that budget bounds the
@@ -73,6 +74,9 @@ _FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
 # portable popcount fallback, one table lookup per byte
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
+# iter_ones_chunks unpacks a word of more ones than this, and takes the
+# ones of the others by lowest-set-bit extraction
+_DENSE_WORD = 8
 
 Tick = Callable[[], None] | None
 # how a kernel combines into an output: None assigns into bits that are
@@ -265,6 +269,40 @@ def _set_ones(words: np.ndarray, idx: np.ndarray, extents: tuple[int, ...]) -> N
     np.bitwise_or.at(words, linear >> 6, bits)
 
 
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """The number of ones of each word."""
+    if _HAVE_BITWISE_COUNT:
+        return np.bitwise_count(words)
+    return _POP8[words.view(np.uint8)].reshape(-1, 8).sum(axis=1, dtype=np.int64)
+
+
+def _ones_of(at: np.ndarray, words: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sorted linear indices of the ones of the nonzero words at word
+    indices at, whose counts of ones are counts.  A word of more than
+    _DENSE_WORD ones is unpacked.  The others lose their lowest set bit,
+    w & (~w + 1), in vectorised rounds, one per one of the densest; its
+    position is the float exponent of that power of two, exact to bit 63."""
+    dense = counts > _DENSE_WORD
+    found = []
+    if dense.any():
+        bits = np.unpackbits(words[dense].view(np.uint8), bitorder="little").reshape(-1, 64)
+        w, b = np.nonzero(bits)
+        found.append(at[dense][w] * 64 + b)
+        at, words = at[~dense], words[~dense]
+    base = at * 64
+    while words.size:
+        low = words & (~words + np.uint64(1))
+        found.append(base + (np.frexp(low.astype(np.float64))[1] - 1))
+        words = words ^ low
+        left = words != 0
+        base, words = base[left], words[left]
+    if len(found) == 1:  # one round, or dense words alone: in order
+        return found[0]
+    linear = np.concatenate(found)
+    linear.sort(kind="stable")  # a few sorted runs: one per round, one for dense words
+    return linear
+
+
 def _fresh(shape: Shape, words: np.ndarray) -> "BitTensor":
     """Wrap a word array a kernel has just allocated and hands over: no
     defensive copy, unlike the public constructor."""
@@ -351,9 +389,7 @@ class BitTensor:
     __invert__ = bit_not
 
     def popcount(self) -> int:
-        if _HAVE_BITWISE_COUNT:
-            return int(np.bitwise_count(self.words).sum())
-        return int(_POP8[self.words.view(np.uint8)].sum(dtype=np.int64))
+        return int(_popcounts(self.words).sum())
 
     def any(self) -> bool:
         return bool(self.words.any())
@@ -567,24 +603,32 @@ class BitTensor:
 
     def iter_ones_chunks(self) -> Iterator[np.ndarray]:
         """The index tuples whose bit is 1, in lexicographic order, in
-        chunks of the ones of at most _CHUNK_BITS // 4096 nonzero words
-        (16384 tuples at most by default): each chunk is an int array with
-        one row of coordinates per axis and one column per tuple (shape
-        (0, 1) for the set bit of a tensor with no axes)."""
+        chunks of at most max(64, _CHUNK_BITS // 256) tuples (4096 by
+        default): each chunk is an int array with one row of coordinates
+        per axis and one column per tuple (shape (0, 1) for the set bit of
+        a tensor with no axes).  Of each piece of _CHUNK_BITS // 64 words,
+        the nonzero words are counted, and a chunk is the run of them whose
+        cumulative count fits its bound; _ones_of decodes it."""
         words = self.words
         extents = self.shape.extents
         if not extents:
             if words[0] & np.uint64(1):
                 yield np.zeros((0, 1), dtype=np.intp)
             return
-        per = max(1, _CHUNK_BITS // 4096)
-        for lo, hi in _pieces(words.size, max(1, _CHUNK_BITS // 8), None):
-            nonzero = np.flatnonzero(words[lo:hi]) + lo
-            for a in range(0, nonzero.size, per):
-                sel = nonzero[a : a + per]
-                bits = np.unpackbits(words[sel].view(np.uint8), bitorder="little")
-                w, b = np.nonzero(bits.reshape(-1, 64))
-                yield np.array(np.unravel_index(sel[w] * 64 + b, extents))
+        per = max(64, _CHUNK_BITS // 256)
+        for lo, hi in _pieces(words.size, max(1, _CHUNK_BITS // 64), None):
+            at = np.flatnonzero(words[lo:hi])
+            nonzero = words[lo:hi][at]
+            counts = _popcounts(nonzero)
+            ends = np.cumsum(counts, dtype=np.int64)
+            at += lo
+            a = 0
+            while a < at.size:
+                # a word holds at most 64 <= per ones, so b > a
+                b = int(np.searchsorted(ends, (ends[a - 1] if a else 0) + per, "right"))
+                linear = _ones_of(at[a:b], nonzero[a:b], counts[a:b])
+                yield np.array(np.unravel_index(linear, extents))
+                a = b
 
     def get(self, idx: tuple[int, ...]) -> bool:
         if len(idx) != len(self.shape.axes):

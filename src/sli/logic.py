@@ -8,7 +8,10 @@ into the negation/and/or core that every downstream module consumes.
 Element values: a term of an enumerated type evaluates to the element's
 index in its domain; a term of integer-interval type evaluates to the
 integer itself.  Relations and function tables are stored in index space
-(interval arguments normalized by their lower bound).
+(interval arguments normalized by their lower bound).  A relation is a
+read-only `Relation`: its tuples flattened into one int64 buffer, which
+the bit-vector layer reads without a copy; a set of its tuples is built
+only where membership or equality is asked for.
 
 Immutable records across the package, the nodes among them, are
 `frozen` classes: frozen slotted dataclasses on which assigning or
@@ -25,8 +28,11 @@ identity.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Set
 from dataclasses import FrozenInstanceError, dataclass, field, fields
-from typing import Iterator, Mapping, Union
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
     ArityMismatch,
@@ -579,6 +585,61 @@ def check_sentence(f: Formula, voc: Vocabulary) -> None:
 # Structures
 
 
+class Relation(Set):
+    """A read-only set of index tuples of one arity, held in `buffer`: one
+    array('q') of the tuples one after another, in the order given (text
+    order, for a parsed literal), which the bit-vector layer reads as a
+    (len, arity) int64 array without a copy; a 0-ary relation is a count
+    with no columns.  Iteration yields tuples of Python ints.  Membership,
+    equality with any set and hashing go through `tuples()`, a frozenset
+    built on first need and kept.  A relation holding an index of 2^63 or
+    more has no buffer (None) and keeps that frozenset alone."""
+
+    __slots__ = ("arity", "buffer", "_len", "_set")
+
+    def __init__(self, tuples: Iterable[tuple[int, ...]] = ()):
+        s = frozenset(tuples)
+        self.arity, self._len, self._set = len(next(iter(s), ())), len(s), s
+        try:
+            self.buffer: array | None = array("q", chain.from_iterable(s))
+        except OverflowError:
+            self.buffer = None
+
+    @classmethod
+    def from_buffer(cls, buffer: array, arity: int, count: int) -> Relation:
+        """The count distinct tuples of arity indices laid out in buffer."""
+        rel = cls.__new__(cls)
+        rel.arity, rel.buffer, rel._len, rel._set = arity, buffer, count, None
+        return rel
+
+    def tuples(self) -> frozenset[tuple[int, ...]]:
+        if self._set is None:
+            self._set = frozenset(self)
+        return self._set
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        if self.buffer is None:
+            return iter(self._set)
+        return zip(*[iter(self.buffer)] * self.arity) if self.arity else repeat((), self._len)
+
+    def __contains__(self, item: object) -> bool:
+        return item in self.tuples()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Set):
+            return NotImplemented
+        return self.tuples() == (other.tuples() if isinstance(other, Relation) else other)
+
+    def __hash__(self) -> int:
+        return hash(self.tuples())
+
+    def __repr__(self) -> str:
+        return f"Relation({list(self)!r})"
+
+
 class FunctionTable:
     """Total map from argument-index tuples to values (index or integer)."""
 
@@ -613,19 +674,21 @@ class FunctionTable:
 
 
 class Structure:
-    """A (partial) interpretation: domains plus tables for some symbols."""
+    """A (partial) interpretation: domains plus tables for some symbols.
+    A relation may be given as any iterable of index tuples."""
 
     def __init__(
         self,
         voc: Vocabulary,
         domains: Mapping[str, tuple[str, ...]] | None = None,
-        relations: Mapping[str, frozenset[tuple[int, ...]]] | None = None,
+        relations: Mapping[str, Iterable[tuple[int, ...]]] | None = None,
         functions: Mapping[str, FunctionTable] | None = None,
     ):
         self.voc = voc
         self.domains: dict[str, tuple[str, ...]] = dict(domains or {})
-        self.relations: dict[str, frozenset[tuple[int, ...]]] = {
-            k: frozenset(v) for k, v in (relations or {}).items()
+        self.relations: dict[str, Relation] = {
+            k: v if isinstance(v, Relation) else Relation(v)
+            for k, v in (relations or {}).items()
         }
         self.functions: dict[str, FunctionTable] = dict(functions or {})
 

@@ -47,12 +47,15 @@ tuples before its first one that is not simple, and the element reader
 takes none.  The reader then stops and re-seats the scanner; the token
 path parses the rest of the list and raises every error, with the
 message and span it has without the reader.  Function tables and integer
-values always take the token path.
+values always take the token path.  Both paths append a literal's tuples,
+in text order, to one int64 buffer that becomes its Relation; the set of
+the tuples seen, kept for the duplicate check, ends with the literal.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -85,6 +88,7 @@ from .logic import (
     IntervalType,
     Not,
     Or,
+    Relation,
     Structure,
     Term,
     TrueFormula,
@@ -180,15 +184,28 @@ _CLEAN_ASCII = bytes(c for c in range(128) if _CLEAN_RE.fullmatch(chr(c)))
 
 def _check_characters(text: str, filename: str) -> None:
     """Raise on the first character outside a comment that no token can
-    start with, before any token is parsed.  ASCII text made of those
-    characters alone, with no comment, passes without the regex."""
-    if text.isascii() and not text.encode().translate(None, _CLEAN_ASCII):
-        return
-    pos = _CLEAN_RE.match(text).end()
-    if pos < len(text):
-        raise ParseError(
-            f"unexpected character {text[pos]!r}", _span(text, filename, pos, 1)
-        )
+    start with, before any token is parsed.  Comments are skipped with
+    str.find of their first "/" (a one-character find is a memchr), and
+    the text between them passes without the regex when it is ASCII made
+    of those characters alone; only text that does not pass, or a "/"
+    that starts no comment, is matched by _CLEAN_RE, which locates the
+    bad character."""
+    start = 0
+    while start >= 0:
+        comment = text.find("/", start)
+        part = text[start:comment] if comment >= 0 else text[start:]
+        if (
+            not part.isascii()
+            or part.encode().translate(None, _CLEAN_ASCII)
+            or (comment >= 0 and not text.startswith("//", comment))
+        ):
+            pos = _CLEAN_RE.match(text).end()
+            if pos < len(text):
+                raise ParseError(
+                    f"unexpected character {text[pos]!r}", _span(text, filename, pos, 1)
+                )
+            return
+        start = text.find("\n", comment) if comment >= 0 else -1
 
 
 def _scan(text: str, pos: int = 0) -> Iterator[Token]:
@@ -339,7 +356,7 @@ class Parser:
                 except TypeCheckError as exc:
                     raise self.error(str(exc)) from exc
                 sentences.append(desugar(f))
-        relations: dict[str, frozenset] = {}
+        relations: dict[str, Relation] = {}
         functions: dict[str, FunctionTable] = {}
         if self.accept("structure"):
             self.expect("{")
@@ -676,37 +693,48 @@ class Parser:
             raise self.error("bare value only allowed for unary symbols")
         return (self.parse_value(arg_types[0]),)
 
-    def parse_relation(self, arg_types: tuple[str, ...]) -> frozenset:
+    def parse_relation(self, arg_types: tuple[str, ...]) -> Relation:
         t = self.tok
         if t.kind == "keyword" and t.text in ("true", "false"):
             if arg_types:
                 raise self.error("true/false shorthand only for 0-ary predicates", t)
             self.next()
-            return frozenset({()} if t.text == "true" else set())
+            return Relation({()} if t.text == "true" else ())
         self.expect("{")
+        # the tuples seen, for the duplicate check, and their buffer in text
+        # order, which an index of 2^63 or more drops
         tuples: set[tuple[int, ...]] = set()
+        rows: array | None = array("q")
         # after a bulk run the next token must start a tuple, even a "}"
-        if self._bulk_tuples(arg_types, tuples) or not self.accept("}"):
+        if self._bulk_tuples(arg_types, tuples, rows) or not self.accept("}"):
             while True:
                 tup = self.parse_tuple(arg_types)
                 if tup in tuples:
                     raise self.error(f"duplicate tuple in relation")
                 tuples.add(tup)
+                if rows is not None:
+                    try:
+                        rows.extend(tup)
+                    except OverflowError:
+                        rows = None
                 if not self.accept(","):
                     break
             self.expect("}")
-        return frozenset(tuples)
+        if rows is None:
+            return Relation(tuples)
+        return Relation.from_buffer(rows, len(arg_types), len(tuples))
 
-    def _bulk_tuples(self, arg_types: tuple[str, ...], tuples: set) -> bool:
+    def _bulk_tuples(self, arg_types: tuple[str, ...], tuples: set, rows: array) -> bool:
         """Add the leading run of simple tuples of a relation literal, each
         with its comma, read straight from the text from the current token
-        on a piece of at most _PIECE tuples at a time; re-seat the scanner
-        after the run and return whether it took any.  A tuple is simple
-        when it matches _tuple_item, each name is an element of its
-        declared type, and it is not in tuples yet.  A piece of simple,
-        distinct tuples is taken whole; any other is taken up to its first
-        tuple that is not simple, where the run stops, so the token path
-        parses that one and raises any error it holds."""
+        on a piece of at most _PIECE tuples at a time, to tuples and, in
+        text order, to rows; re-seat the scanner after the run and return
+        whether it took any.  A tuple is simple when it matches
+        _tuple_item, each name is an element of its declared type, and it
+        is not in tuples yet.  A piece of simple, distinct tuples is taken
+        whole; any other is taken up to its first tuple that is not
+        simple, where the run stops, so the token path parses that one and
+        raises any error it holds."""
         indices = [self.indices.get(t) for t in arg_types]
         if not indices or None in indices:
             return False
@@ -716,20 +744,20 @@ class Parser:
         start = pos = self.tok.pos
         while (end := piece(text, pos).end()) > pos:
             names = text[pos:end].translate(_UNPUNCT).split()
-            columns = [list(map(ix.get, names[j::k])) for j, ix in enumerate(indices)]
-            fresh = set(zip(*columns))
-            if (
-                any(None in c for c in columns)
-                or len(fresh) < len(columns[0])
-                or not fresh.isdisjoint(tuples)
-            ):
-                for row in zip(*columns):
+            flat = names[:]
+            for j, ix in enumerate(indices):
+                flat[j::k] = map(ix.get, names[j::k])
+            fresh = set(zip(*[iter(flat)] * k))
+            if None in flat or len(fresh) * k < len(flat) or not fresh.isdisjoint(tuples):
+                for row in zip(*[iter(flat)] * k):
                     if None in row or row in tuples:
                         break
                     tuples.add(row)
+                    rows.extend(row)
                     pos = one(text, pos).end()
                 break
             tuples |= fresh
+            rows.fromlist(flat)
             pos = end
         if pos == start:
             return False

@@ -36,7 +36,6 @@ the grounder's job, not this module's.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -247,19 +246,16 @@ class SatSetEvaluator:
     # -- atoms and terms ---------------------------------------------------------------
 
     def _rows(self, pred: str, arity: int) -> np.ndarray:
-        """A relation's tuples as an int64 array of one tuple per row,
-        built afresh on each call and packed unsorted, in the set's own
-        order: neither from_ones nor _relation needs them in order.  The
-        array is allocated once, at its final size, not grown as it
-        fills."""
+        """A relation's tuples as a read-only int64 array of one tuple per
+        row: a view of the Relation's buffer, in its order (text order,
+        for a parsed literal), without a copy; neither from_ones nor
+        _relation needs them sorted."""
         rel = self.s.relations[pred]
-        try:
-            flat = np.fromiter(
-                itertools.chain.from_iterable(rel), dtype=np.int64, count=len(rel) * arity
-            )
-        except OverflowError:  # a type of more than 2^63 values
-            raise ArithmeticOverflow(f"an index of {pred} exceeds 64 bits") from None
-        return flat.reshape(len(rel), arity)
+        if rel.buffer is None:  # a type of more than 2^63 values
+            raise ArithmeticOverflow(f"an index of {pred} exceeds 64 bits")
+        rows = np.frombuffer(rel.buffer, dtype=np.int64).reshape(len(rel), arity)
+        rows.flags.writeable = False
+        return rows
 
     def _relation(self, pred: str, arity: int) -> tuple[list[np.ndarray], np.ndarray]:
         """A relation's distinct indices at each argument position, sorted,

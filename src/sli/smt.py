@@ -89,8 +89,10 @@ class SmtDocument:
         lines += self.sort_decls
         lines += self.const_decls
         lines += self.assertions
-        lines.append(self.footer)
-        return "\n".join(lines) + "\n"
+        # the empty last line ends the text with a newline, with no second
+        # copy of the whole text to append it
+        lines += (self.footer, "")
+        return "\n".join(lines)
 
 
 def _mangle(symbol: str, args: tuple[Term, ...]) -> str:
@@ -113,7 +115,9 @@ class _Emitter:
     In reduced mode each term and atom node is rendered once and its text
     is keyed by id(node): the column instantiator hands the same
     FunctionApp/Arith object to every tuple that shares it, and
-    gt.assertions keeps every node, so every id, alive for the walk.
+    gt.assertions keeps every node, so every id, alive for the walk.  A
+    comparison or an arithmetic term looks its children up in the memo
+    before it calls `term` on them; rendered text is never empty.
     Unfolded mode keeps no memo: the noreduce grounder shares few nodes,
     and a memo there was measured to slow emission down.
 
@@ -208,7 +212,9 @@ class _Emitter:
     def formula(self, f: Formula) -> str:
         tf = type(f)
         if tf is Compare:
-            return f"({_COMPARE_OPS[f.op]} {self.term(f.left)} {self.term(f.right)})"
+            memo = self.memo
+            left = memo.get(id(f.left)) or self.term(f.left)
+            return f"({_COMPARE_OPS[f.op]} {left} {memo.get(id(f.right)) or self.term(f.right)})"
         if tf is Atom:
             return self._atom(f)
         if tf is Or or tf is And:
@@ -251,7 +257,9 @@ class _Emitter:
             text = self._app(t)
         elif tt is Arith:
             self.ints_used = True
-            text = f"({t.op} {self.term(t.left)} {self.term(t.right)})"
+            memo = self.memo
+            left = memo.get(id(t.left)) or self.term(t.left)
+            text = f"({t.op} {left} {memo.get(id(t.right)) or self.term(t.right)})"
         elif tt is IntConstant:
             self.ints_used = True
             text = _int(t.value)

@@ -606,3 +606,48 @@ def test_tick_stops_a_multi_piece_insert_partway(monkeypatch):
     with pytest.raises(GroundingTimeout):
         t.insert_axis(1, v("z"), 9, tick=tick)
     assert len(calls) == 3
+
+
+def _words_of_every_density(rng, nbits):
+    """Random words for a tensor of nbits bits: each word empty, with one
+    bit, a few (at most 8), many, all 64 or bit 63 alone, and bits past
+    nbits in the last, partial word cleared."""
+    words = np.zeros((nbits + 63) // 64, dtype=np.uint64)
+    for i in range(words.size):
+        kind = int(rng.integers(0, 6))
+        if kind == 5:
+            words[i] = np.uint64(1 << 63)
+            continue
+        ones = (0, 1, int(rng.integers(2, 9)), int(rng.integers(9, 64)), 64)[kind]
+        for b in rng.choice(64, ones, replace=False):
+            words[i] |= np.uint64(1 << int(b))
+    if nbits % 64:
+        words[-1] &= np.uint64((1 << nbits % 64) - 1)
+    return words
+
+
+@pytest.mark.parametrize("bitwise_count", [True, False])
+@pytest.mark.parametrize("chunk_bits", [64, 4096, 2**20])
+def test_ones_chunks_decode_words_of_every_density(monkeypatch, chunk_bits, bitwise_count):
+    """Chunks concatenate to np.nonzero of the bools, each holds at most
+    max(64, _CHUNK_BITS // 256) ones, and popcount agrees, with and
+    without numpy's bitwise_count."""
+    monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk_bits)
+    if not bitwise_count:
+        monkeypatch.setattr(bittensor, "_HAVE_BITWISE_COUNT", False)
+    rng = np.random.default_rng(chunk_bits + bitwise_count)
+    bound = max(64, chunk_bits // 256)
+    for m in (0, 1, 2, 3) * 6:
+        extents = tuple(int(rng.integers(1, (3000, 400, 40)[m - 1])) for _ in range(m))
+        shape = Shape(tuple((v(n), e) for n, e in zip("xyz", extents)))
+        words = _words_of_every_density(rng, shape.nbits)
+        t = BitTensor(shape, words)
+        chunks = list(t.iter_ones_chunks())
+        assert all(0 < c.shape[1] <= bound and c.shape[0] == m for c in chunks)
+        want = sum(bin(int(w)).count("1") for w in words)
+        assert t.popcount() == want
+        if not m:
+            assert [c.shape for c in chunks] == [(0, 1)] * want
+            continue
+        got = np.concatenate(chunks, axis=1) if chunks else np.zeros((m, 0), dtype=np.intp)
+        assert np.array_equal(got, np.array(np.nonzero(t.to_bools().reshape(extents))))

@@ -415,3 +415,16 @@ def test_noreduce_facts_over_a_huge_table_are_a_resource_error(tmp_path, capsys)
     assert err == (
         f"sli: error: the table of p has {2**128} entries, more than the budget of 8589934592"
     ), err
+
+
+def test_python_m_sli_runs_the_command_line():
+    """`python -m sli` is the `sli` command: it exits 0 and prints no
+    warning to stderr."""
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "sli", "check", "tests/data/mapcolour3.sli"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout == "tests/data/mapcolour3.sli: ok (1 sentence)\n"

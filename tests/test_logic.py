@@ -36,6 +36,7 @@ from sli.logic import (
     IntervalType,
     Not,
     Or,
+    Relation,
     Structure,
     Term,
     Variable,
@@ -376,3 +377,65 @@ def test_frozen_records_refuse_every_assignment(record):
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(record, name)
     assert repr(record) == before and not hasattr(record, "__dict__")
+
+
+# -- relations -------------------------------------------------------------------
+
+RELATION_TEXT = """
+vocabulary {{
+  type T := {{a, b, c}}.
+  pred e(T, T).
+  pred on().
+}}
+structure {{
+  e := {{{pairs}}}.
+  on := {flag}.
+}}
+"""
+
+
+def _parsed_relations(pairs: str, flag: str = "true"):
+    from sli.parser import parse_problem
+
+    return parse_problem(RELATION_TEXT.format(pairs=pairs, flag=flag)).structure
+
+
+def test_a_relation_is_a_set_of_index_tuples():
+    e = _parsed_relations("(c, a), (a, b), (b, b)").relations["e"]
+    want = {(2, 0), (0, 1), (1, 1)}
+    assert e == want and want == e
+    assert e == frozenset(want) and frozenset(want) == e
+    assert e != want - {(1, 1)} and want | {(0, 0)} != e
+    assert e == Relation(want) and hash(e) == hash(frozenset(want))
+    assert len(e) == 3 and (0, 1) in e and (1, 0) not in e and (0, 1, 2) not in e
+    rows = list(e)
+    assert rows == [(2, 0), (0, 1), (1, 1)]  # text order
+    assert all(type(i) is int for row in rows for i in row)
+    assert e.buffer.typecode == "q" and list(e.buffer) == [2, 0, 0, 1, 1, 1]
+    assert e <= want | {(0, 0)} and e & {(0, 1), (2, 2)} == {(0, 1)}
+
+
+def test_structures_compare_relations_by_value_in_any_order():
+    one = _parsed_relations("(a, b), (b, c), (c, a)")
+    other = _parsed_relations("(c, a), (a, b), (b, c)")
+    assert list(one.relations["e"]) != list(other.relations["e"])
+    assert one == other
+    assert one != _parsed_relations("(a, b), (b, c)")
+    given = Structure(one.voc, one.domains, {"e": {(0, 1), (1, 2), (2, 0)}, "on": {()}})
+    assert given == one and isinstance(given.relations["e"], Relation)
+
+
+@pytest.mark.parametrize("flag", ["true", "false", "{()}", "{}"])
+def test_a_zero_ary_relation_is_a_count(flag):
+    on = _parsed_relations("(a, b)", flag).relations["on"]
+    holds = flag in ("true", "{()}")
+    assert len(on) == int(holds) and (() in on) == holds
+    assert list(on) == [()] * holds and on == ({()} if holds else set())
+    assert on.arity == 0 and len(on.buffer) == 0
+
+
+def test_a_relation_beyond_64_bit_indices_keeps_its_set():
+    big = Relation({(2**63, 1), (0, 1)})
+    assert big.buffer is None and big == {(0, 1), (2**63, 1)} and len(big) == 2
+    assert sorted(big) == [(0, 1), (2**63, 1)]
+    assert list(Relation({(2**63 - 1, 1)}).buffer) == [2**63 - 1, 1]

@@ -6,6 +6,7 @@ the order of errors and the spans the offset scanner reports."""
 import json
 import os
 import subprocess
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -416,3 +417,81 @@ def test_the_character_check_agrees_with_its_regex_on_every_ascii_character():
             assert not clean, repr(c)
         else:
             assert clean, repr(c)
+
+
+class _CountingRegex:
+    """Stands in for parser._CLEAN_RE and counts its matches."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def match(self, text):
+        self.calls += 1
+        return self.pattern.match(text)
+
+
+# (text, offset of its first bad character or None, regex matches made)
+CHARACTER_CASES = [
+    ("a // café ✓ $\nb", None, 0),
+    ("a // first\nb // second\r\n// third\n  c", None, 0),
+    ("a // a comment at the end, with no newline", None, 0),
+    ("a /// three slashes start a comment / too\nb", None, 0),
+    ("a\u00a0b // non-ASCII whitespace is whitespace to the regex", None, 1),
+    ("a $ // x\nb // y\nc", 2, 1),
+    ("a // x\nb $ // y\nc", 9, 1),
+    ("a // x\nb // y\nc é", 16, 1),
+    ("a / b", 2, 1),
+    ("a /", 2, 1),
+    ("/", 0, 1),
+    ("a // x\n/ b", 7, 1),
+]
+
+
+@pytest.mark.parametrize("text, bad, matches", CHARACTER_CASES)
+def test_the_character_check_skips_comments_without_the_regex(monkeypatch, text, bad, matches):
+    """Comments are skipped by find, so clean text, with comments or with
+    non-ASCII characters inside them, never reaches the regex; a bad
+    character outside them is located by the regex, with the message and
+    span the whole-text regex gives."""
+    regex = _CountingRegex(parser._CLEAN_RE)
+    assert (regex.pattern.match(text).end() == len(text)) == (bad is None)
+    monkeypatch.setattr(parser, "_CLEAN_RE", regex)
+    if bad is None:
+        parser._check_characters(text, "in.sli")
+    else:
+        span = parser._span(text, "in.sli", bad, 1)
+        with pytest.raises(ParseError) as err:
+            parser._check_characters(text, "in.sli")
+        assert str(err.value) == f"{span}: unexpected character {text[bad]!r}"
+    assert regex.calls == matches
+
+
+def test_a_parsed_colour_literal_holds_its_tuples_as_int64():
+    """50000 border pairs over 5000 vertices: the parsed problem keeps
+    them as one int64 buffer of 0.76 MiB, not as a set of tuples (about
+    5 MiB), and builds no set of them while it is not asked for one."""
+    rng = np.random.default_rng(11)
+    pairs = set()
+    while len(pairs) < 50000:
+        a, b = (int(i) for i in rng.integers(0, 5000, 2))
+        if a != b:
+            pairs.add((a, b))
+    text = (
+        "vocabulary {\n  type V := {" + ", ".join(f"v{i}" for i in range(5000)) + "}.\n"
+        "  type C := {c0, c1, c2, c3}.\n  pred border(V, V).\n  func colour(V) -> C.\n}\n"
+        "theory {\n  !x, y in V: x ~= y & border(x, y) => colour(x) ~= colour(y).\n}\n"
+        "structure {\n  border := {" + ", ".join(f"(v{a}, v{b})" for a, b in sorted(pairs))
+        + "}.\n}\n"
+    )
+    parse_problem(text)  # compile the regexes and warm any caches first
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        problem = parse_problem(text)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    border = problem.structure.relations["border"]
+    assert len(border) == 50000 and border.buffer is not None
+    assert held <= 1.5 * 2**20, held
+    assert border == pairs

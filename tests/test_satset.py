@@ -642,3 +642,18 @@ def test_the_relation_fast_path_packs_the_tuples_unsorted():
             rows = np.array(sorted(rel), dtype=np.int64).reshape(len(rel), arity)
             assert got == BitTensor.from_ones(ev.shape_for(vars), rows)
             assert set(got.iter_ones()) == rel
+
+
+def test_relation_rows_are_a_view_of_its_buffer():
+    """_rows hands the kernels the relation's own int64 buffer, read-only
+    and in its order, without building an array per call."""
+    s = two_pred_structure()
+    ev = SatSetEvaluator(s)
+    rows = ev._rows("p", 2)
+    p = s.relations["p"]
+    assert rows.shape == (2, 2) and rows.dtype == np.int64
+    assert rows.tolist() == [list(t) for t in p]
+    assert np.shares_memory(rows, np.frombuffer(p.buffer, dtype=np.int64))
+    assert not rows.flags.writeable
+    empty = Structure(s.voc, s.domains, {"p": frozenset(), "q": frozenset()}, {})
+    assert SatSetEvaluator(empty)._rows("q", 2).shape == (0, 2)

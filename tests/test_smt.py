@@ -1,6 +1,7 @@
 """SMT-LIB emission: goldens, naming, declarations, determinism, sharing."""
 
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -649,3 +650,20 @@ PINNED_SHAPES = {
     'queens': ('8b0550ba9c2e2094', '8b0550ba9c2e2094', 'cf640fe4cb775454'),
     'colour': ('8676f533a670fd3b', '8676f533a670fd3b', 'ac471addb02f92e5'),
 }
+
+
+def test_document_text_is_built_as_one_copy():
+    """text() joins the lines once: its traced peak is the text and the
+    list of lines, not a second copy of the text to end it with a newline."""
+    body = tuple(f"(assert (distinct queen!{i} queen!{i + 1}))" for i in range(40000))
+    doc = SmtDocument("QF_UFDT", ("(declare-datatypes ((T 0)) (((T!a))))",), (), body)
+    want = "\n".join(("(set-logic QF_UFDT)", doc.sort_decls[0], *body, "(check-sat)")) + "\n"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = doc.text()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert text == want
+    assert peak < 1.5 * len(text), (peak, len(text))
