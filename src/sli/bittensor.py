@@ -34,14 +34,17 @@ packed input and output:
 Every allocating kernel checks its output's size against one module
 constant, `BIT_BUDGET`, before it allocates, so that budget bounds the
 memory the kernels really use: each holds its packed inputs and output
-plus O(_CHUNK_BITS), junctions included.
-The piece loops call an optional `tick` once per piece, so a cooperative
-deadline also holds inside one large kernel.
+plus O(_CHUNK_BITS), junctions included.  Likewise every piece loop
+checks the one context-local deadline that `deadline` sets before each
+piece (`check_deadline`), so a timeout also holds inside a long kernel.
 """
 
 from __future__ import annotations
 
 import math
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -51,6 +54,7 @@ from .errors import (
     ArithmeticOverflow,
     BitBudgetOverflow,
     DuplicateVariable,
+    GroundingTimeout,
     IndexOutOfRange,
     InvalidPermutation,
     ShapeMismatch,
@@ -65,6 +69,9 @@ from .logic import Variable
 # byte per bit.
 BIT_BUDGET = 2**33
 
+# check_deadline's monotonic end time, or None; context-local, so per thread
+_DEADLINE: ContextVar[float | None] = ContextVar("deadline", default=None)
+
 # Bits a piecewise kernel unpacks or computes at a time (one byte each).
 _CHUNK_BITS = 2**20
 
@@ -78,7 +85,6 @@ _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 # ones of the others by lowest-set-bit extraction
 _DENSE_WORD = 8
 
-Tick = Callable[[], None] | None
 # how a kernel combines into an output: None assigns into bits that are
 # still zero; np.bitwise_and / np.bitwise_or combine in place
 Op = np.ufunc | None
@@ -145,6 +151,28 @@ def check_budget(nbits: int) -> None:
         raise BitBudgetOverflow(f"tensor of {nbits} bits exceeds budget of {BIT_BUDGET}")
 
 
+def check_deadline() -> None:
+    """Raise GroundingTimeout once the current deadline has passed."""
+    if (end := _DEADLINE.get()) is not None and time.monotonic() > end:
+        raise GroundingTimeout("grounding exceeded its deadline")
+
+
+@contextmanager
+def deadline(timeout: float | None) -> Iterator[None]:
+    """Run the body under a deadline timeout seconds from now, or under the
+    enclosing deadline if that comes first; None keeps the enclosing one."""
+    end = _DEADLINE.get()
+    if timeout is not None:
+        if math.isnan(timeout):
+            raise ValueError("a timeout must be a number of seconds, not NaN")
+        end = min(math.inf if end is None else end, time.monotonic() + timeout)
+    token = _DEADLINE.set(end)
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
 def _nwords(nbits: int) -> int:
     return (nbits + 63) // 64
 
@@ -167,12 +195,11 @@ def _unpack(words: np.ndarray, nbits: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), count=nbits, bitorder="little").view(bool)
 
 
-def _pieces(n: int, step: int, tick: Tick, start: int = 0) -> Iterator[tuple[int, int]]:
-    """[lo, hi) pieces of range(start, n), `step` long, calling tick
-    before each."""
+def _pieces(n: int, step: int, start: int = 0) -> Iterator[tuple[int, int]]:
+    """[lo, hi) pieces of range(start, n), `step` long, checking the
+    deadline before each."""
     for lo in range(start, n, step):
-        if tick is not None:
-            tick()
+        check_deadline()
         yield lo, min(n, lo + step)
 
 
@@ -227,7 +254,7 @@ def _get_runs(words: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
     if n < 8:
         # a short run lies within two bytes: shift it down to bit 0; a
         # few dozen bytes per run, so in batches of _CHUNK_BITS / 32 runs
-        for lo, hi in _pieces(starts.size, max(1, _CHUNK_BITS // 32), None):
+        for lo, hi in _pieces(starts.size, max(1, _CHUNK_BITS // 32)):
             idx = starts[lo:hi] >> 3
             pair = b8[idx].astype(np.uint16)
             pair |= b8[np.minimum(idx + 1, b8.size - 1)].astype(np.uint16) << 8
@@ -249,7 +276,7 @@ def _get_runs(words: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
 
 
 def _tile_bits(
-    src: np.ndarray, s: int, n: int, out: np.ndarray, d: int, times: int, tick: Tick, op: Op
+    src: np.ndarray, s: int, n: int, out: np.ndarray, d: int, times: int, op: Op
 ) -> None:
     """Combine bits [s, s+n) of src, `times` times back to back, into out
     from bit d on through _put_bits, in pieces of about _CHUNK_BITS bits."""
@@ -257,7 +284,7 @@ def _tile_bits(
     for off in range(0, n, _CHUNK_BITS):
         m = min(_CHUNK_BITS, n - off)
         block = np.tile(_get_bits(src, s + off, m), min(reps, times))
-        for lo, hi in _pieces(times, reps, tick):
+        for lo, hi in _pieces(times, reps):
             _put_bits(out, d + lo * n + off, block[: (hi - lo) * m], op)
 
 
@@ -360,9 +387,8 @@ class BitTensor:
         per tuple: the tuples are taken _CHUNK_BITS // 64 at a time."""
         check_budget(shape.nbits)
         words = np.zeros(_nwords(shape.nbits), dtype=_WORD)
-        step = max(1, _CHUNK_BITS // 64)
-        for lo in range(0, len(ones), step):
-            _set_ones(words, ones[lo : lo + step], shape.extents)
+        for lo, hi in _pieces(len(ones), max(1, _CHUNK_BITS // 64)):
+            _set_ones(words, ones[lo:hi], shape.extents)
         return _fresh(shape, words)
 
     # -- word-level connectives --------------------------------------------
@@ -402,13 +428,7 @@ class BitTensor:
         return _unpack(self.words, self.shape.nbits)
 
     def insert_axis(
-        self,
-        pos: int,
-        var: Variable,
-        extent: int,
-        tick: Tick = None,
-        out: np.ndarray | None = None,
-        op: Op = None,
+        self, pos: int, var: Variable, extent: int, out: np.ndarray | None = None, op: Op = None
     ) -> "BitTensor | None":
         """Replicate along a new axis at position pos (Cartesian product):
         each input row of the axes from pos on is written extent times.
@@ -436,7 +456,7 @@ class BitTensor:
                 nbytes, times = k * inner // 8, extent // k
                 dst = out.view(np.uint8)[: outer * row // 8].reshape(outer, times, nbytes)
                 per = max(1, _CHUNK_BITS // (k * inner))  # blocks per piece
-                for lo, hi in _pieces(outer, max(1, per // times), tick):
+                for lo, hi in _pieces(outer, max(1, per // times)):
                     if k == 1:
                         blocks = self.words.view(np.uint8)[lo * nbytes : hi * nbytes]
                     else:
@@ -445,7 +465,7 @@ class BitTensor:
                             np.tile(bits.reshape(-1, inner), k), axis=1, bitorder="little"
                         )
                     blocks = blocks.reshape(hi - lo, 1, nbytes)
-                    for a, b in _pieces(times, per, tick if per < times else None):
+                    for a, b in _pieces(times, per):
                         if op is None:
                             dst[lo:hi, a:b] = blocks
                         else:
@@ -463,22 +483,22 @@ class BitTensor:
                     rows = np.broadcast_to(rows.reshape(-1, g, 1, inner), (1 << w, g, extent, inner))
                     table = np.packbits(rows.reshape(1 << w, -1), axis=1, bitorder="little")
                     dst = out.view(np.uint8)[: first * row // 8].reshape(-1, table.shape[1])
-                    for lo, hi in _pieces(first // g, max(1, _CHUNK_BITS // (g * row)), tick):
+                    for lo, hi in _pieces(first // g, max(1, _CHUNK_BITS // (g * row))):
                         bits = _get_bits(self.words, lo * w, (hi - lo) * w).reshape(-1, w)
                         codes = np.packbits(bits, axis=1, bitorder="little").ravel()
                         if op is None:
                             np.take(table, codes, axis=0, out=dst[lo:hi], mode="clip")
                         else:
                             op(dst[lo:hi], np.take(table, codes, axis=0), out=dst[lo:hi])
-                for lo, hi in _pieces(outer, _CHUNK_BITS // row, tick, first):
+                for lo, hi in _pieces(outer, _CHUNK_BITS // row, first):
                     bits = _get_bits(self.words, lo * inner, (hi - lo) * inner)
                     _put_bits(out, lo * row, np.repeat(bits.reshape(-1, inner), extent, axis=0), op)
             else:
                 for o in range(outer):
-                    _tile_bits(self.words, o * inner, inner, out, o * row, extent, tick, op)
+                    _tile_bits(self.words, o * inner, inner, out, o * row, extent, op)
         return _fresh(shape, out) if fresh else None
 
-    def permute_axes(self, perm: tuple[int, ...], tick: Tick = None) -> "BitTensor":
+    def permute_axes(self, perm: tuple[int, ...]) -> "BitTensor":
         """Reorder the axes: output axis k is input axis perm[k].
 
         The output is built in pieces of consecutive output bits: output
@@ -511,7 +531,7 @@ class BitTensor:
             for k, i in enumerate(prefix):
                 base += i * strides[perm[k]]
                 first_row = first_row * out_ext[k] + i
-            for lo, hi in _pieces(out_ext[j - 1], max(1, target // row), tick):
+            for lo, hi in _pieces(out_ext[j - 1], max(1, target // row)):
                 piece = list(extents)
                 for k in perm[: j - 1]:
                     piece[k] = 1
@@ -549,7 +569,7 @@ class BitTensor:
             out[-1] &= _last_mask(shape.nbits)
         return _fresh(shape, out)
 
-    def _reduce(self, var: Variable, conj: bool, tick: Tick = None) -> "BitTensor":
+    def _reduce(self, var: Variable, conj: bool) -> "BitTensor":
         k = self.shape.axis_of(var)
         extents = self.shape.extents
         shape = self.shape.drop(k)
@@ -571,7 +591,7 @@ class BitTensor:
         if shape.nbits:
             outer = shape.nbits // inner
             if e * inner <= _CHUNK_BITS:
-                for lo, hi in _pieces(outer, _CHUNK_BITS // (e * inner), tick):
+                for lo, hi in _pieces(outer, _CHUNK_BITS // (e * inner)):
                     bits = _get_bits(self.words, lo * e * inner, (hi - lo) * e * inner)
                     _put_bits(out, lo * inner, fold.reduce(bits.reshape(-1, e, inner), axis=1))
             else:
@@ -582,7 +602,7 @@ class BitTensor:
                     for off in range(0, inner, _CHUNK_BITS):
                         n = min(_CHUNK_BITS, inner - off)
                         acc = None
-                        for lo, hi in _pieces(e, slices, tick):
+                        for lo, hi in _pieces(e, slices):
                             start = (o * e + lo) * inner + off
                             bits = _get_bits(self.words, start, (hi - lo - 1) * inner + n)
                             part = fold.reduce(bits.reshape(-1, n), axis=0)
@@ -590,11 +610,11 @@ class BitTensor:
                         _put_bits(out, o * inner + off, acc)
         return _fresh(shape, out)
 
-    def reduce_all(self, var: Variable, tick: Tick = None) -> "BitTensor":
-        return self._reduce(var, conj=True, tick=tick)
+    def reduce_all(self, var: Variable) -> "BitTensor":
+        return self._reduce(var, conj=True)
 
-    def reduce_any(self, var: Variable, tick: Tick = None) -> "BitTensor":
-        return self._reduce(var, conj=False, tick=tick)
+    def reduce_any(self, var: Variable) -> "BitTensor":
+        return self._reduce(var, conj=False)
 
     def iter_ones(self) -> Iterator[tuple[int, ...]]:
         """Index tuples whose bit is 1, in lexicographic order."""
@@ -616,7 +636,7 @@ class BitTensor:
                 yield np.zeros((0, 1), dtype=np.intp)
             return
         per = max(64, _CHUNK_BITS // 256)
-        for lo, hi in _pieces(words.size, max(1, _CHUNK_BITS // 64), None):
+        for lo, hi in _pieces(words.size, max(1, _CHUNK_BITS // 64)):
             at = np.flatnonzero(words[lo:hi])
             nonzero = words[lo:hi][at]
             counts = _popcounts(nonzero)
@@ -672,19 +692,16 @@ class BitTensor:
         return f"BitTensor({names}; {self.popcount()}/{self.shape.nbits} ones)"
 
 
-def in_order(t: BitTensor, index: dict[Variable, int], tick: Tick = None) -> BitTensor:
+def in_order(t: BitTensor, index: dict[Variable, int]) -> BitTensor:
     """t with its axes sorted by their variables' positions in index: t
     itself when they already are, else permute_axes."""
     have = t.shape.vars
     order = tuple(sorted(range(len(have)), key=lambda k: index[have[k]]))
-    return t if order == tuple(range(len(have))) else t.permute_axes(order, tick)
+    return t if order == tuple(range(len(have))) else t.permute_axes(order)
 
 
 def junction(
-    tensors: Sequence[BitTensor],
-    conj: bool,
-    tick: Tick = None,
-    axes: Sequence[tuple[Variable, int]] | None = None,
+    tensors: Sequence[BitTensor], conj: bool, axes: Sequence[tuple[Variable, int]] | None = None
 ) -> BitTensor:
     """The AND (conj) or OR of tensors over the output axes `axes`, which
     must hold every tensor's variables and may hold more; by default the
@@ -716,15 +733,15 @@ def junction(
                 raise UnknownVariable(f"variable {v.name} not among the output axes")
 
     if all(len(t.shape.axes) == len(names) for t in tensors):
-        acc = in_order(tensors[0], index, tick)
+        acc = in_order(tensors[0], index)
         for t in tensors[1:]:
-            t = in_order(t, index, tick)
+            t = in_order(t, index)
             acc = acc.bit_and(t) if conj else acc.bit_or(t)
         return acc
     op = np.bitwise_and if conj else np.bitwise_or
     out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
     for i, t in enumerate(tensors):
-        t = in_order(t, index, tick)
+        t = in_order(t, index)
         missing = [k for k, v in enumerate(names) if v not in t.shape.vars]
         if not missing:
             # ORing the first tensor into the zeros copies it
@@ -733,17 +750,14 @@ def junction(
         last = max(missing, key=lambda k: shape.extents[k])
         for k in missing:
             if k != last:
-                t = t.insert_axis(k - (k > last), names[k], shape.extents[k], tick)
+                t = t.insert_axis(k - (k > last), names[k], shape.extents[k])
         mode = op if i else None
-        t.insert_axis(last, names[last], shape.extents[last], tick, out=out, op=mode)
+        t.insert_axis(last, names[last], shape.extents[last], out=out, op=mode)
     return _fresh(shape, out)
 
 
 def pack_pointwise(
-    shape: Shape,
-    fn: Callable[..., np.ndarray],
-    arrays: Sequence[np.ndarray],
-    tick: Tick = None,
+    shape: Shape, fn: Callable[..., np.ndarray], arrays: Sequence[np.ndarray]
 ) -> BitTensor:
     """The tensor whose bit at index i is fn(*arrays) at i.
 
@@ -767,7 +781,7 @@ def pack_pointwise(
             for i, e in zip(prefix, extents):
                 first = first * e + i
             fixed = tuple(slice(i, i + 1) for i in prefix)
-            for lo, hi in _pieces(extents[j], max(1, _CHUNK_BITS // row), tick):
+            for lo, hi in _pieces(extents[j], max(1, _CHUNK_BITS // row)):
                 cut = fixed + (slice(lo, hi),)
                 parts = [
                     a[tuple(c if n > 1 else slice(None) for c, n in zip(cut, a.shape))]

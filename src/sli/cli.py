@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage, 2 parse or type error in the input,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -51,6 +52,13 @@ def _fail(code: int, message: str, *, prog: str = "sli") -> int:
     return code
 
 
+def seconds(text: str) -> float:
+    """A --timeout value: a float, but not NaN, which no clock passes."""
+    if math.isnan(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sli", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -63,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     ground.add_argument("--out", help="output .smt2 path (default: stdout)")
     ground.add_argument("--stats", help="write per-sentence stats CSV to this path")
     ground.add_argument(
-        "--timeout", type=float, default=600.0, help="grounding timeout in seconds"
+        "--timeout", type=seconds, default=600.0, help="grounding timeout in seconds"
     )
     ground.add_argument(
         "--cap",
@@ -82,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--strategies", nargs="+", choices=STRATEGIES, default=list(STRATEGIES)
     )
-    bench.add_argument("--timeout", type=float, default=600.0)
+    bench.add_argument("--timeout", type=seconds, default=600.0)
     bench.add_argument("--no-emit", action="store_true", help="skip emission timing")
     bench.add_argument("--out", help="results CSV path (default: stdout)")
 

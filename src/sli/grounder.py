@@ -33,7 +33,8 @@ stops at the first deciding part.
   than the same bit budget is a resource error.
 
 naive and noreduce count a block's tuples up one at a time (_tuples),
-checking the deadline at each.
+checking the deadline at each.  Every walk checks the one deadline that
+ground_problem enters (bittensor.deadline), so it spans every sentence.
 
 vec and naive emit the same instantiations (each tuple realizes exactly one
 sign vector), differing only in conjunct order and in how the interpreted
@@ -66,9 +67,8 @@ so the error raised, or the deciding part that leaves it unreached, is the
 one that instantiating tuple by tuple gives.
 
 One run object, _SentenceGrounder, serves a grounding call: it owns the
-deadline check (also the evaluator's tick), the evaluator, the constant
-and fold tables, the relation tries, and the SentenceStats row it fills
-in place.
+evaluator, the constant and fold tables, the relation tries, and the
+SentenceStats row it fills in place.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import bittensor
+from .bittensor import check_deadline, deadline
 from .errors import (
     ArithmeticOverflow,
     BitBudgetOverflow,
@@ -181,7 +182,7 @@ def _simp_quant(forall: bool, var: Variable, body: Formula, s: Structure) -> For
 
 def boolean_simplify(f: Formula, s: Structure) -> Formula:
     """Bottom-up constant propagation; leaves atoms and comparisons alone."""
-    return _residual(f, {}, (), s, lambda: None)
+    return _residual(f, {}, (), s)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def maximal_interpreted_subformulas(
 
     Leading negations are peeled off before deduplication, so a condition
     and its desugared negation collapse onto the same core formula."""
-    return _collect_guards(f, sigma0, None, lambda: None)[0]
+    return _collect_guards(f, sigma0, None)[0]
 
 
 @frozen
@@ -245,16 +246,16 @@ Occurrences = dict[int, "tuple[int, bool] | Formula"]
 
 
 def _collect_guards(
-    body: Formula, sigma0, block: frozenset[Variable] | None, check: Callable[[], None]
+    body: Formula, sigma0, block: frozenset[Variable] | None
 ) -> tuple[list[Formula], Occurrences]:
     """Negation-stripped, deduplicated guards of one block, in order of
     first appearance, and their occurrences in body; block None admits any
     variables.  Subformulas whose variables are bound deeper stay in the
-    residual and are lifted when the inner block is ground.  check is
-    called at every node visited."""
+    residual and are lifted when the inner block is ground.  The deadline
+    is checked at every node visited."""
     guards: list[Formula] = []
     occurrences: Occurrences = {}
-    _find_guards(body, sigma0, block, check, guards, occurrences)
+    _find_guards(body, sigma0, block, guards, occurrences)
     return guards, occurrences
 
 
@@ -262,13 +263,12 @@ def _find_guards(
     n: Formula,
     sigma0,
     block: frozenset[Variable] | None,
-    check: Callable[[], None],
     guards: list[Formula],
     occurrences: Occurrences,
 ) -> None:
     """One node of `_collect_guards`: records the guard occurrences under
     n, appending to guards those it does not hold yet."""
-    check()
+    check_deadline()
     if _liftable(n, sigma0, block):
         flipped, core = _strip_negations(n)
         if core is TRUE or core is FALSE:
@@ -279,23 +279,23 @@ def _find_guards(
         occurrences[id(n)] = (guards.index(core), flipped)
         return
     if isinstance(n, Not):
-        _find_guards(n.child, sigma0, block, check, guards, occurrences)
+        _find_guards(n.child, sigma0, block, guards, occurrences)
     elif isinstance(n, (And, Or)):
         for c in n.children:
-            _find_guards(c, sigma0, block, check, guards, occurrences)
+            _find_guards(c, sigma0, block, guards, occurrences)
     elif isinstance(n, (ForAll, Exists)):
         # a block variable that the quantifier rebinds is not the block's in its body
         inner = block if block is None else block - {n.var}
-        _find_guards(n.body, sigma0, inner, check, guards, occurrences)
+        _find_guards(n.body, sigma0, inner, guards, occurrences)
 
 
 def _residual(
-    n: Formula, occurrences: Occurrences, signs: tuple[bool, ...], s: Structure, check
+    n: Formula, occurrences: Occurrences, signs: tuple[bool, ...], s: Structure
 ) -> Formula:
     """A block body under one sign vector, in one pass: each guard
     occurrence becomes its constant and every node is simplified bottom-up.
-    check is called at every node visited."""
-    check()
+    The deadline is checked at every node visited."""
+    check_deadline()
     occurrence = occurrences.get(id(n))
     if occurrence is not None:
         if isinstance(occurrence, tuple):
@@ -303,15 +303,15 @@ def _residual(
             return TRUE if signs[i] != flipped else FALSE
         return occurrence
     if isinstance(n, Not):
-        return _simp_not(_residual(n.child, occurrences, signs, s, check))
+        return _simp_not(_residual(n.child, occurrences, signs, s))
     if isinstance(n, (And, Or)):
         return _simp_junction(
             isinstance(n, And),
-            (_residual(c, occurrences, signs, s, check) for c in n.children),
+            (_residual(c, occurrences, signs, s) for c in n.children),
         )
     if isinstance(n, (ForAll, Exists)):
         return _simp_quant(
-            isinstance(n, ForAll), n.var, _residual(n.body, occurrences, signs, s, check), s
+            isinstance(n, ForAll), n.var, _residual(n.body, occurrences, signs, s), s
         )
     return n
 
@@ -325,12 +325,13 @@ def _guard_formula(guards: list[Formula], signs: tuple[bool, ...]) -> Formula:
 def guard_split(
     f: Formula, structure: Structure, cap: int = DEFAULT_GUARD_CAP
 ) -> list[GuardSplit]:
-    """All non-vacuous sign splits of the leading quantifier block of f."""
+    """All non-vacuous sign splits of the leading quantifier block of f,
+    under the caller's deadline (bittensor.deadline), if any."""
     if not isinstance(f, (ForAll, Exists)):
         raise UnsupportedFormula("guard_split expects a quantified formula")
     forall, vars, body = _block_of(f)
     g = _SentenceGrounder(structure, "naive", cap)
-    guards, occurrences = _collect_guards(body, g.sigma0, frozenset(vars), g.check)
+    guards, occurrences = _collect_guards(body, g.sigma0, frozenset(vars))
     if len(guards) > cap:
         raise GuardCapExceeded(
             f"{len(guards)} guards exceed the split cap of {cap}"
@@ -471,15 +472,15 @@ def _holds_block(f: Formula) -> bool:
     return False
 
 
-def _tuples(sizes: list[int], check: Callable[[], None]) -> Iterator[tuple[int, ...]]:
+def _tuples(sizes: list[int]) -> Iterator[tuple[int, ...]]:
     """Every index tuple over the given sizes, in lexicographic order,
     lazily: each is counted up from the last in mixed radix, so no range
-    is built up front, and check is called before each."""
+    is built up front, and the deadline is checked before each."""
     if not all(sizes):
         return
     idx = [0] * len(sizes)
     while True:
-        check()
+        check_deadline()
         yield tuple(idx)
         k = len(sizes) - 1
         while k >= 0 and idx[k] == sizes[k] - 1:
@@ -492,34 +493,18 @@ def _tuples(sizes: list[int], check: Callable[[], None]) -> Iterator[tuple[int, 
 
 class _SentenceGrounder:
     """The run object of one grounding call: strategy and guard cap, the
-    deadline `check`, the evaluator (vec only; shared by all sentences), the
-    constant and fold tables, the relation tries of interpreted-atom
-    expansion, and the row of the sentence being ground."""
+    evaluator (vec only; shared by all sentences), the constant and fold
+    tables, the relation tries of interpreted-atom expansion, and the row
+    of the sentence being ground."""
 
-    def __init__(
-        self,
-        structure: Structure,
-        strategy: str,
-        cap: int = DEFAULT_GUARD_CAP,
-        timeout: float | None = None,
-    ):
+    def __init__(self, structure: Structure, strategy: str, cap: int = DEFAULT_GUARD_CAP):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy: {strategy}")
         self.s = structure
         self.sigma0 = structure.interpreted_symbols
         self.strategy = strategy
         self.cap = cap
-        deadline = None if timeout is None else time.monotonic() + timeout
-
-        def check() -> None:
-            """Raise GroundingTimeout past the deadline.  Not a method: the
-            evaluator keeps its tick, and a bound method would make a cycle
-            that keeps the evaluator's memo alive after the call."""
-            if deadline is not None and time.monotonic() > deadline:
-                raise GroundingTimeout("grounding exceeded its deadline")
-
-        self.check = check
-        self.ev = SatSetEvaluator(structure, check) if strategy == "vec" else None
+        self.ev = SatSetEvaluator(structure) if strategy == "vec" else None
         # blocks whose parts are being drawn; 1 while an outermost block's are
         self._open_blocks = 0
         self._const_cache: dict[tuple[str, int], Term] = {}
@@ -572,7 +557,7 @@ class _SentenceGrounder:
         vacuous (TRUE under a forall block, FALSE under an exists block), lazily."""
         vacuous = TRUE if forall else FALSE
         for signs in itertools.product((True, False), repeat=m):
-            residual = _residual(body, occurrences, signs, self.s, self.check)
+            residual = _residual(body, occurrences, signs, self.s)
             if residual is not vacuous:
                 yield signs, residual
 
@@ -641,7 +626,7 @@ class _SentenceGrounder:
         while some tuple agrees with the ones before it, as testing tuple
         by tuple would; so the work, and the Compares built, grow with the
         tuples that agree, not the relation.  It checks the deadline."""
-        self.check()
+        check_deadline()
         sig = self.s.voc.predicates[f.pred]
         fixed = tuple(j for j, a in enumerate(f.args) if _is_constant_term(a))
         node = self._relation_trie(f.pred, fixed)
@@ -688,7 +673,7 @@ class _SentenceGrounder:
         """Evaluate ground interpreted leaves, fold interpreted terms, and
         propagate constants.  Quantified subformulas are never evaluated
         here; they are lifted as guards instead."""
-        self.check()
+        check_deadline()
         if f is TRUE or f is FALSE:
             return f
         if isinstance(f, Atom):
@@ -731,7 +716,7 @@ class _SentenceGrounder:
 
     def _ground_block(self, f: Formula) -> Formula:
         forall, vars, body = _block_of(f)
-        guards, occurrences = _collect_guards(body, self.sigma0, frozenset(vars), self.check)
+        guards, occurrences = _collect_guards(body, self.sigma0, frozenset(vars))
         if not self._open_blocks:  # an outermost block
             self.row.guards += len(guards)
         if self.ev is not None and len(guards) <= self.cap:
@@ -853,10 +838,10 @@ class _SentenceGrounder:
             for r in range(len(cols[0])):
                 yield from self._instances(form, _select(cols, [r]), nested)
             return
-        row, check = self.row, self.check
+        row = self.row
         for part in parts:
             row.instantiations += 1
-            check()
+            check_deadline()
             yield self._ground_folded(part) if nested else part
 
     # The block generators yield the ground parts of a block, constants
@@ -893,7 +878,7 @@ class _SentenceGrounder:
             id(g): bool(eval_formula(g, self.s, {})) for g in closed
         }
         # _tuples checks the deadline per tuple: vacuous ones reach no instantiation
-        for idx_tuple in _tuples(self._block_sizes(vars), self.check):
+        for idx_tuple in _tuples(self._block_sizes(vars)):
             env = {
                 v.name: self.s.index_to_value(v.type, i)
                 for v, i in zip(vars, idx_tuple)
@@ -906,7 +891,7 @@ class _SentenceGrounder:
             )
             residual = residuals.get(signs)
             if residual is None:
-                residual = _residual(body, occurrences, signs, self.s, self.check)
+                residual = _residual(body, occurrences, signs, self.s)
                 residuals[signs] = residual
             if residual is TRUE or residual is FALSE:
                 yield residual
@@ -921,14 +906,14 @@ class _SentenceGrounder:
     # -- the non-reducing strategy -----------------------------------------
 
     def ground_noreduce(self, f: Formula) -> Formula:
-        self.check()
+        check_deadline()
         if f is TRUE or f is FALSE:
             return f
         if isinstance(f, (ForAll, Exists)):
             forall, vars, body = _block_of(f)
             out = [
                 self.ground_noreduce(self._bind(body, vars, idx_tuple))
-                for idx_tuple in _tuples(self._block_sizes(vars), self.check)
+                for idx_tuple in _tuples(self._block_sizes(vars))
             ]
             if not out:
                 # a block over an empty domain unfolds to its neutral constant
@@ -967,8 +952,9 @@ def ground_sentence(
     *,
     cap: int = DEFAULT_GUARD_CAP,
 ) -> SentenceStats:
-    """Ground one sentence into its row, sentence_id 0, with no deadline.
-    Under vec, a block past the guard cap is grounded the naive way."""
+    """Ground one sentence into its row, sentence_id 0, under the caller's
+    deadline (bittensor.deadline), if any.  Under vec, a block past the
+    guard cap is grounded the naive way."""
     return _SentenceGrounder(structure, strategy, cap).sentence(f)
 
 
@@ -1026,9 +1012,7 @@ class GroundTheory:
         )
 
 
-def _structure_facts(
-    s: Structure, symbols: Iterable[str], check: Callable[[], None]
-) -> list[Formula]:
+def _structure_facts(s: Structure, symbols: Iterable[str]) -> list[Formula]:
     """The interpreted symbols' tables as ground assertions.  A table of
     more entries than bittensor.BIT_BUDGET, read at the call, is a
     resource error, raised before any table is enumerated."""
@@ -1047,7 +1031,7 @@ def _structure_facts(
         tables.append((name, rel, sig, arg_types, sizes))
     out: list[Formula] = []
     for name, rel, sig, arg_types, sizes in tables:
-        for tup in _tuples(sizes, check):
+        for tup in _tuples(sizes):
             args = tuple(
                 s.constant_for(t, s.index_to_value(t, i))
                 for t, i in zip(arg_types, tup)
@@ -1076,34 +1060,35 @@ def ground_problem(
     cap: int = DEFAULT_GUARD_CAP,
     timeout: float | None = None,
 ) -> GroundTheory:
-    """Ground every sentence, short-circuiting on a refuted one."""
-    s = problem.structure
-    g = _SentenceGrounder(s, strategy, cap, timeout)
-    rows: list[SentenceStats] = []
-    assertions: list[Formula] = []
-    refuted = False
-    for i, sentence in enumerate(problem.sentences):
-        row = g.sentence(sentence, i)
-        rows.append(row)
-        if row.formula is FALSE:
-            refuted = True
-            break
-        if row.formula is not TRUE:
-            assertions.extend(_split_assertions(row.formula))
-    stats = GroundingStats(tuple(rows))
-    mode = "unfolded" if strategy == "noreduce" else "reduced"
-    if refuted:
-        return GroundTheory(s, (), VERDICT_UNSAT, mode, stats)
-    if strategy == "noreduce" and assertions:
-        used = set()
-        for sentence in problem.sentences:
-            used |= symbols_of(sentence)
-        fact_symbols = [
-            n
-            for n in itertools.chain(s.voc.predicates, s.voc.functions)
-            if n in used and s.interprets(n)
-        ]
-        assertions = _structure_facts(s, fact_symbols, g.check) + assertions
-    if not assertions:
-        return GroundTheory(s, (), VERDICT_SAT, mode, stats)
-    return GroundTheory(s, tuple(assertions), VERDICT_OPEN, mode, stats)
+    """Ground every sentence, short-circuiting on a refuted one, within timeout seconds."""
+    with deadline(timeout):
+        s = problem.structure
+        g = _SentenceGrounder(s, strategy, cap)
+        rows: list[SentenceStats] = []
+        assertions: list[Formula] = []
+        refuted = False
+        for i, sentence in enumerate(problem.sentences):
+            row = g.sentence(sentence, i)
+            rows.append(row)
+            if row.formula is FALSE:
+                refuted = True
+                break
+            if row.formula is not TRUE:
+                assertions.extend(_split_assertions(row.formula))
+        stats = GroundingStats(tuple(rows))
+        mode = "unfolded" if strategy == "noreduce" else "reduced"
+        if refuted:
+            return GroundTheory(s, (), VERDICT_UNSAT, mode, stats)
+        if strategy == "noreduce" and assertions:
+            used = set()
+            for sentence in problem.sentences:
+                used |= symbols_of(sentence)
+            fact_symbols = [
+                n
+                for n in itertools.chain(s.voc.predicates, s.voc.functions)
+                if n in used and s.interprets(n)
+            ]
+            assertions = _structure_facts(s, fact_symbols) + assertions
+        if not assertions:
+            return GroundTheory(s, (), VERDICT_SAT, mode, stats)
+        return GroundTheory(s, tuple(assertions), VERDICT_OPEN, mode, stats)

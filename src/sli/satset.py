@@ -19,7 +19,8 @@ never the block's whole tensor.  A slab slices the parts over the
 leading variable (`BitTensor.slab`), and the junction replicates the
 others over the slab's axes.  The bit budget, the one constant
 bittensor.BIT_BUDGET that every kernel checks, is checked on the whole
-shape all the same, and peak_bits counts the whole shape.
+shape all the same, and peak_bits counts the whole shape.  The caller's
+deadline (bittensor.deadline), if any, is checked per node, slab and piece.
 
 Terms are evaluated by broadcasting: a term's value is an int64 array
 with one axis per variable of the shape, of size 1 along every variable
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .bittensor import (
     BitTensor,
     Shape,
     check_budget,
+    check_deadline,
     checked_arith,
     checked_gather,
     in_order,
@@ -108,19 +110,13 @@ class SatSetEvaluator:
     """Evaluates satisfying sets against one fixed structure.
 
     Not thread-safe; one serves all sentences of a grounding task, and
-    `peak_bits` may be reset between them.  `tick`, when given, is called
-    once per node evaluation and once per piece of a long kernel; the
-    grounder passes its run object's deadline check, which raises
-    GroundingTimeout once the deadline has passed.
+    `peak_bits` may be reset between them.  It runs under the caller's
+    deadline (bittensor.deadline), if any, and raises GroundingTimeout
+    once that has passed.
     """
 
-    def __init__(
-        self,
-        structure: Structure,
-        tick: Callable[[], None] | None = None,
-    ):
+    def __init__(self, structure: Structure):
         self.s = structure
-        self.tick = tick
         self.memo: dict[Formula, BitTensor] = {}
         self._memo_peak: dict[Formula, int] = {}  # peak bits of computing each entry
         self.peak_bits = 0
@@ -156,8 +152,7 @@ class SatSetEvaluator:
         if hit is not None:
             self.peak_bits = max(self.peak_bits, self._memo_peak[f])
             return hit
-        if self.tick is not None:
-            self.tick()
+        check_deadline()
         outer, self.peak_bits = self.peak_bits, 0
         t = self._eval(f)
         self.memo[f] = t
@@ -188,7 +183,7 @@ class SatSetEvaluator:
         shape = self.shape_for(vars)
         if self._ordered is None or self._ordered[0] != (f, vars):
             index = {v: k for k, v in enumerate(vars)}
-            self._ordered = ((f, vars), [in_order(t, index, self.tick) for t in parts])
+            self._ordered = ((f, vars), [in_order(t, index) for t in parts])
         parts, axes = self._ordered[1], shape.axes
         if rows is not None:
             lo, hi = rows
@@ -196,22 +191,21 @@ class SatSetEvaluator:
                 raise IndexOutOfRange(f"rows {rows} outside the leading axis")
             parts = [t.slab(lo, hi) if vars[0] in t.shape.vars else t for t in parts]
             axes = ((vars[0], hi - lo),) + axes[1:]
-        out = junction(parts, not isinstance(f, Or), self.tick, axes)
+        out = junction(parts, not isinstance(f, Or), axes)
         self.peak_bits = max(self.peak_bits, shape.nbits)
         return out
 
     def slabs(self, f: Formula, vars: tuple[Variable, ...]) -> Iterator[tuple[int, BitTensor]]:
         """(lo, tensor) of f's satisfying set over vars, one slab of rows
         lo.. of the first variable at a time (eval_over with rows),
-        lazily, calling tick before each.  A slab holds at most _SLAB_BITS
+        lazily, checking the deadline before each.  A slab holds at most _SLAB_BITS
         bits, or as many as f's largest part if that is more, and at least
         one row."""
         largest = max(math.prod(map(self.extent, free_variables(p))) for p in parts_of(f))
         first, row = self.extent(vars[0]), math.prod(map(self.extent, vars[1:]))
         step = max(1, max(_SLAB_BITS, largest) // row if row else first)
         for lo in range(0, first, step):
-            if self.tick is not None:
-                self.tick()
+            check_deadline()
             yield lo, self.eval_over(f, vars, (lo, min(first, lo + step)))
 
     # -- core recursion -----------------------------------------------------------
@@ -229,7 +223,7 @@ class SatSetEvaluator:
             return self._track(self.eval(f.child).bit_not())
         if isinstance(f, (And, Or)):
             children = [self.eval(c) for c in f.children]
-            return self._track(junction(children, isinstance(f, And), self.tick))
+            return self._track(junction(children, isinstance(f, And)))
         if isinstance(f, (ForAll, Exists)):
             conj = isinstance(f, ForAll)
             body = self.eval(f.body)
@@ -239,8 +233,7 @@ class SatSetEvaluator:
                     return self._track(blank(body.shape))
                 return body
             reduce = body.reduce_all if conj else body.reduce_any
-            out = reduce(f.var, tick=self.tick)
-            return self._track(out)
+            return self._track(reduce(f.var))
         raise TypeError(f"satisfying sets need the desugared core, got {f!r}")
 
     # -- atoms and terms ---------------------------------------------------------------
@@ -327,14 +320,14 @@ class SatSetEvaluator:
             pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
             return (keys[pos] == key) & ok
 
-        return self._track(pack_pointwise(shape, members, cols, self.tick))
+        return self._track(pack_pointwise(shape, members, cols))
 
     def _compare(self, f: Compare) -> BitTensor:
         shape = self.shape_for(free_variables(f))
         left = self._term(f.left, shape)
         right = self._term(f.right, shape)
         fn = COMPARISONS[f.op]
-        return self._track(pack_pointwise(shape, fn, (left, right), self.tick))
+        return self._track(pack_pointwise(shape, fn, (left, right)))
 
     @staticmethod
     def _unit(shape: Shape) -> tuple[int, ...]:

@@ -8,12 +8,13 @@ implementation.
 import collections
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sli import bittensor
-from sli.bittensor import BIT_BUDGET, BitTensor, Shape, ValueTensor
+from sli.bittensor import BIT_BUDGET, BitTensor, Shape, ValueTensor, check_deadline, deadline
 from sli.errors import (
     ArithmeticOverflow,
     BitBudgetOverflow,
@@ -593,19 +594,109 @@ def test_tick_stops_a_multi_piece_insert_partway(monkeypatch):
     rng = np.random.default_rng(2)
     t = BitTensor.from_bools(Shape(((v("x"), 50), (v("y"), 7))), rng.random(350) < 0.5)
     pieces = []
-    t.insert_axis(1, v("z"), 9, tick=lambda: pieces.append(1))
+    monkeypatch.setattr(bittensor, "check_deadline", lambda: pieces.append(1))
+    t.insert_axis(1, v("z"), 9)
     assert len(pieces) > 3
 
     calls = []
 
-    def tick():
+    def check_deadline():
         calls.append(1)
         if len(calls) == 3:
             raise GroundingTimeout("grounding exceeded its deadline")
 
+    monkeypatch.setattr(bittensor, "check_deadline", check_deadline)
     with pytest.raises(GroundingTimeout):
-        t.insert_axis(1, v("z"), 9, tick=tick)
+        t.insert_axis(1, v("z"), 9)
     assert len(calls) == 3
+
+
+def _looping_kernel_calls():
+    """Every kernel entry point that loops over pieces, each called on a
+    40x30 tensor that takes it several pieces at _CHUNK_BITS = 256."""
+    rng = np.random.default_rng(19)
+    x, y, z = v("x"), v("y"), v("z")
+    xy = Shape(((x, 40), (y, 30)))
+    t = BitTensor.from_bools(xy, rng.random(xy.nbits) < 0.5)
+    px = BitTensor.from_bools(Shape(((x, 40),)), rng.random(40) < 0.5)
+    py = BitTensor.from_bools(Shape(((y, 30),)), rng.random(30) < 0.5)
+    ones = tuple_rows(list(t.iter_ones()), 2)
+    cols = (np.arange(40).reshape(40, 1), np.arange(30).reshape(1, 30))
+    return {
+        "insert_axis": lambda: t.insert_axis(1, z, 9),
+        "permute_axes": lambda: t.permute_axes((1, 0)),
+        "reduce_all": lambda: t.reduce_all(x),
+        "reduce_any": lambda: t.reduce_any(y),
+        "junction": lambda: bittensor.junction((px, py), True),
+        "pack_pointwise": lambda: bittensor.pack_pointwise(xy, np.less, cols),
+        "from_ones": lambda: BitTensor.from_ones(xy, ones),
+        "iter_ones_chunks": lambda: list(t.iter_ones_chunks()),
+    }
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "insert_axis",
+        "permute_axes",
+        "reduce_all",
+        "reduce_any",
+        "junction",
+        "pack_pointwise",
+        "from_ones",
+        "iter_ones_chunks",
+    ],
+)
+def test_every_looping_kernel_stops_partway_at_the_deadline(monkeypatch, entry):
+    """On a clock that advances one second per reading, a deadline two
+    seconds after its entry reading passes at the kernel's third check:
+    the kernel has read the clock more than once, and fewer times than it
+    reads it to finish."""
+    monkeypatch.setattr(bittensor, "_CHUNK_BITS", 256)
+    call = _looping_kernel_calls()[entry]
+    now = [0]
+
+    def monotonic():
+        now[0] += 1
+        return now[0]
+
+    monkeypatch.setattr(bittensor, "time", SimpleNamespace(monotonic=monotonic))
+    with deadline(10**6):
+        call()
+    finishing = now[0] - 1  # the readings after the deadline's own
+    now[0] = 0
+    with pytest.raises(GroundingTimeout), deadline(2):
+        call()
+    assert 1 < now[0] - 1 == 3 < finishing
+
+
+def test_a_deadline_is_scoped_and_never_extended(monkeypatch):
+    """check_deadline never raises outside a deadline, whatever the clock
+    reads; a nested deadline, or None, keeps an enclosing one that passes
+    first, a nearer one holds inside its body only, and leaving the
+    outermost deadline drops it."""
+    now = [0]
+    monkeypatch.setattr(bittensor, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    check_deadline()
+    with deadline(5):  # until 5
+        for inner in (100, None, 5):
+            with deadline(inner):
+                now[0] = 5
+                check_deadline()
+                now[0] = 6
+                with pytest.raises(GroundingTimeout):
+                    check_deadline()
+            now[0] = 0
+        with deadline(1):  # until 1, nearer
+            now[0] = 2
+            with pytest.raises(GroundingTimeout):
+                check_deadline()
+        check_deadline()  # the enclosing deadline again
+    now[0] = 10**9
+    check_deadline()
+    with pytest.raises(ValueError):
+        with deadline(float("nan")):
+            pass
 
 
 def _words_of_every_density(rng, nbits):

@@ -117,6 +117,22 @@ def test_ground_timeout_exit_code(tmp_path, capsys):
     assert "deadline" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "-nan"])
+@pytest.mark.parametrize(
+    "command",
+    [["ground", str(DATA / "mapcolour3.sli")], ["bench", "--family", "tg", "--size", "3"]],
+    ids=["ground", "bench"],
+)
+def test_a_nan_timeout_is_a_usage_error(capsys, command, value):
+    """No clock reading passes a NaN deadline, so NaN would mean no limit
+    at all; inf still does, and it grounds."""
+    with pytest.raises(SystemExit) as e:
+        main(command + [f"--timeout={value}"])
+    assert e.value.code == 1
+    assert "--timeout" in capsys.readouterr().err
+    assert main(command + ["--timeout", "inf"]) == 0
+
+
 def test_ground_unsupported_nesting_exit_code(tmp_path, capsys):
     src = tmp_path / "nested.sli"
     src.write_text(

@@ -7,7 +7,7 @@ the theory under the full structure iff it satisfies the ground theory.
 
 import gc
 import itertools
-import time
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -29,6 +29,7 @@ from randgen import (
     random_structure,
     theory_holds,
 )
+from sli.bittensor import check_deadline, deadline
 from sli.errors import (
     ArithmeticOverflow,
     GroundingTimeout,
@@ -278,12 +279,12 @@ def test_one_pass_residuals_match_substitution_then_simplification():
         body = Or((b1, And((Not(Not(copy)), b2, Not(TRUE)))))
         assert boolean_simplify(body, s) == _simplify(body, s)
         sigma0, block = s.interpreted_symbols, frozenset((x, y))
-        guards, occurrences = _collect_guards(body, sigma0, block, lambda: None)
+        guards, occurrences = _collect_guards(body, sigma0, block)
         if len(guards) > 6:
             continue
         for signs in itertools.product((True, False), repeat=len(guards)):
             want = _simplify(_substitute_guards(body, guards, signs, sigma0, block), s)
-            assert _residual(body, occurrences, signs, s, lambda: None) == want
+            assert _residual(body, occurrences, signs, s) == want
             seen["splits"] += 1
         found = [o for o in occurrences.values() if isinstance(o, tuple)]
         seen.update("negated" if flipped else "plain" for _, flipped in found)
@@ -1260,16 +1261,16 @@ structure {{
 
 
 @pytest.mark.parametrize("strategy", ["vec", "naive"])
-def test_each_instantiation_checks_the_deadline(strategy):
+def test_each_instantiation_checks_the_deadline(monkeypatch, strategy):
     prob = _colour_like(30, 4)
     g = _SentenceGrounder(prob.structure, strategy)
-    check, calls = g.check, []
+    check, calls = sli.grounder.check_deadline, []
 
     def counting_check():
         calls.append(None)
         check()
 
-    g.check = counting_check
+    monkeypatch.setattr(sli.grounder, "check_deadline", counting_check)
     row = g.sentence(prob.sentences[0])
     assert row.instantiations == 30 * 4
     assert len(calls) >= row.instantiations
@@ -1283,12 +1284,10 @@ def test_timeout_stops_a_block_partway(monkeypatch, strategy):
     # a clock that advances 1 ms per reading: the 1 s deadline passes at
     # the thousandth deadline check, whatever the machine's speed
     ticks = itertools.count()
-    fake_time = SimpleNamespace(
-        monotonic=lambda: next(ticks) * 1e-3, perf_counter=sli.grounder.time.perf_counter
-    )
-    monkeypatch.setattr(sli.grounder, "time", fake_time)
-    g = _SentenceGrounder(prob.structure, strategy, timeout=1.0)
-    with pytest.raises(GroundingTimeout):
+    fake_time = SimpleNamespace(monotonic=lambda: next(ticks) * 1e-3)
+    monkeypatch.setattr(sli.bittensor, "time", fake_time)
+    g = _SentenceGrounder(prob.structure, strategy)
+    with pytest.raises(GroundingTimeout), deadline(1.0):
         g.sentence(prob.sentences[0])
     assert 0 < g.row.instantiations < total
 
@@ -1317,13 +1316,11 @@ def test_a_large_residual_checks_the_deadline_within_a_chunk(monkeypatch):
         return fold_atom(g, pred, args)
 
     ticks = itertools.count()
-    fake_time = SimpleNamespace(
-        monotonic=lambda: next(ticks) * 1e-3, perf_counter=sli.grounder.time.perf_counter
-    )
+    fake_time = SimpleNamespace(monotonic=lambda: next(ticks) * 1e-3)
     monkeypatch.setattr(_SentenceGrounder, "_fold_atom", counting_fold_atom)
-    monkeypatch.setattr(sli.grounder, "time", fake_time)
-    g = _SentenceGrounder(prob.structure, "vec", timeout=1.0)
-    with pytest.raises(GroundingTimeout):
+    monkeypatch.setattr(sli.bittensor, "time", fake_time)
+    g = _SentenceGrounder(prob.structure, "vec")
+    with pytest.raises(GroundingTimeout), deadline(1.0):
         g.sentence(prob.sentences[0])
     drawn = g.row.instantiations
     assert 0 < drawn < 3000
@@ -1389,6 +1386,103 @@ def test_pipeline_leaves_no_cyclic_garbage(make, strategy):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _fake_clock(monkeypatch) -> list[int]:
+    """Make the deadline's clock advance one second per reading; the list
+    holds the last reading, and may be reset."""
+    now = [0]
+
+    def monotonic():
+        now[0] += 1
+        return now[0]
+
+    monkeypatch.setattr(sli.bittensor, "time", SimpleNamespace(monotonic=monotonic))
+    return now
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _colour_like(40, 5),
+        lambda: _queens(6),
+        lambda: generate(BenchSpec("tg", 12, seed=13)),
+    ],
+    ids=["colour", "queens", "triangle"],
+)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("timed_out", [False, True], ids=["timeout", "timed-out"])
+def test_a_deadline_leaves_no_cyclic_garbage(monkeypatch, make, strategy, timed_out):
+    """As above, under timeout=600, and unwound by a GroundingTimeout
+    raised about halfway through the grounding on a fake clock: neither
+    the deadline nor the walks it stops leave a reference cycle behind."""
+    timeout = 600
+    if timed_out:
+        now = _fake_clock(monkeypatch)
+        ground_problem(make(), strategy, timeout=10**6)
+        readings, now[0] = now[0], 0
+        assert readings > 4
+        timeout = readings // 2
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            emit(ground_problem(make(), strategy, timeout=timeout))
+        except GroundingTimeout:
+            assert timed_out
+        else:
+            assert not timed_out
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_timeout_ends_with_its_grounding(monkeypatch):
+    """After a grounding stops at its deadline on a fake clock, the next
+    grounding in the same thread, with no timeout, grounds in full, and
+    check_deadline outside a grounding never raises."""
+    prob = _colour_like(30, 4)
+    want = emit(ground_problem(prob, "vec"))
+    now = _fake_clock(monkeypatch)
+    with pytest.raises(GroundingTimeout):
+        ground_problem(prob, "vec", timeout=50)
+    assert 50 < now[0] < 100
+    check_deadline()
+    assert emit(ground_problem(prob, "vec")) == want
+    check_deadline()
+
+
+def test_a_deadline_holds_in_its_own_thread_only():
+    """Two threads ground at once: the one inside an expired deadline
+    times out, even asking for 600 s, since a nested deadline cannot
+    extend it; the other, with none, grounds in full meanwhile."""
+    prob = _colour_like(30, 4)
+    want = emit(ground_problem(prob, "vec"))
+    start, done, got = threading.Barrier(2), threading.Event(), {}
+
+    def expired():
+        with deadline(-1):
+            start.wait(60)
+            try:
+                ground_problem(prob, "vec", timeout=600)
+            except GroundingTimeout as e:
+                got["expired"] = type(e)
+            done.wait(60)  # the deadline stays set while the other grounds
+
+    def free():
+        start.wait(60)
+        try:
+            got["free"] = emit(ground_problem(prob, "vec"))
+        finally:
+            done.set()
+
+    threads = [threading.Thread(target=expired), threading.Thread(target=free)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(120)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {"expired": GroundingTimeout, "free": want}
 
 
 # ---------------------------------------------------------------------------
@@ -1527,13 +1621,8 @@ def test_a_deadline_stops_the_guard_between_slabs(monkeypatch):
     that passes right after the fifth slab's junction stops the block at
     the sixth slab's deadline check, before its junction starts."""
     monkeypatch.setattr(sli.satset, "_SLAB_BITS", 64)
-    now = [0]
+    now = _fake_clock(monkeypatch)
     exits = []
-
-    def monotonic():
-        now[0] += 1
-        return now[0]
-
     junction = sli.satset.junction
 
     def recording_junction(*args, **kwargs):
@@ -1541,9 +1630,6 @@ def test_a_deadline_stops_the_guard_between_slabs(monkeypatch):
         exits.append(now[0])
         return out
 
-    monkeypatch.setattr(
-        sli.grounder, "time", SimpleNamespace(monotonic=monotonic, perf_counter=time.perf_counter)
-    )
     monkeypatch.setattr(sli.satset, "junction", recording_junction)
     prob = _pairs(29)
     ground_problem(prob, "vec", timeout=10**6)
@@ -1574,15 +1660,16 @@ def test_a_block_guard_holds_a_slab_not_the_block_tensor(monkeypatch):
     assert peak < 0.25 * n**3 / 8, peak
 
 
-def test_tuples_count_up_lazily_and_check_each():
+def test_tuples_count_up_lazily_and_check_each(monkeypatch):
     calls = []
+    monkeypatch.setattr(sli.grounder, "check_deadline", lambda: calls.append(1))
     for sizes in ([], [0], [3], [2, 0, 4], [2, 3, 1], [1, 4, 2]):
         calls.clear()
-        got = list(sli.grounder._tuples(sizes, lambda: calls.append(1)))
+        got = list(sli.grounder._tuples(sizes))
         assert got == list(itertools.product(*map(range, sizes)))
         assert len(calls) == len(got)
     # no range is built: the first tuple of a 2^64-value type comes at once
-    huge = sli.grounder._tuples([2**64, 2**64], lambda: None)
+    huge = sli.grounder._tuples([2**64, 2**64])
     assert next(huge) == (0, 0) and next(huge) == (0, 1)
 
 
@@ -1655,7 +1742,7 @@ def _expansion_before_tries(g, f):
     """The interpreted-atom expansion as it was before the relation tries:
     every tuple of the freshly sorted relation is tested position by
     position, building the Compares of its non-constant arguments first."""
-    g.check()
+    check_deadline()
     sig = g.s.voc.predicates[f.pred]
     disjuncts = []
     for tup in sorted(g.s.relations[f.pred]):

@@ -4,7 +4,6 @@ Expected values for the worked examples were first computed by hand and
 cross-checked with `enumerate_satset`, then frozen here.
 """
 
-import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -343,18 +342,26 @@ def test_evaluator_ticks_inside_long_kernels(monkeypatch):
     x, y, z = Variable("x", "T"), Variable("y", "T"), Variable("z", "T")
     f = And((Atom("p", (x,)), Atom("q", (y,)), Atom("p", (z,))))
     calls = []
-    SatSetEvaluator(s, tick=lambda: calls.append(1)).eval(f)
+
+    def use(check):
+        # the evaluator's own checks and its kernels' pieces
+        for module in (satset, bittensor):
+            monkeypatch.setattr(module, "check_deadline", check)
+
+    use(lambda: calls.append(1))
+    SatSetEvaluator(s).eval(f)
     nodes = 4
     assert len(calls) > nodes
 
-    def tick():
+    def check_deadline():
         calls.append(1)
         if len(calls) > nodes:
             raise GroundingTimeout("grounding exceeded its deadline")
 
     calls.clear()
+    use(check_deadline)
     with pytest.raises(GroundingTimeout):
-        SatSetEvaluator(s, tick=tick).eval(f)
+        SatSetEvaluator(s).eval(f)
 
 
 # -- junctions ------------------------------------------------------------------------
@@ -384,10 +391,10 @@ class _PairwiseEvaluator(SatSetEvaluator):
         have = t.shape.vars
         order = [have.index(v) for v in target if v in have]
         if order != sorted(order):
-            t = self._track(t.permute_axes(tuple(order), tick=self.tick))
+            t = self._track(t.permute_axes(tuple(order)))
         for pos, v in enumerate(target):
             if v not in t.shape.vars:
-                t = self._track(t.insert_axis(pos, v, self.extent(v), self.tick))
+                t = self._track(t.insert_axis(pos, v, self.extent(v)))
         return t
 
 
@@ -551,9 +558,7 @@ def test_a_deadline_stops_a_junction_partway(monkeypatch):
         now[0] += 1
         return now[0]
 
-    monkeypatch.setattr(
-        grounder, "time", SimpleNamespace(monotonic=monotonic, perf_counter=time.perf_counter)
-    )
+    monkeypatch.setattr(bittensor, "time", SimpleNamespace(monotonic=monotonic))
     fused = []  # [readings at entry, at exit] of each replication into an output
     original = BitTensor.insert_axis
 
