@@ -60,11 +60,14 @@ row's constants and folding would, in row order:
   it rebinds shadowed in its body; its block is ground when the row's part
   is drawn.
 
-The block's parts are drawn one at a time, each counted and checked
-against the deadline, and drawing stops at the first deciding one.  A
-chunk in which some row raises is instantiated again one row at a time,
-so the error raised, or the deciding part that leaves it unreached, is the
-one that instantiating tuple by tuple gives.
+The block's parts are drawn a chunk at a time: the deadline is checked
+once per chunk, the chunk's parts are counted, and drawing stops at the
+first deciding one.  A chunk's rows are cut to at most _CHUNK_NODES node
+builds, so that bounds the work between two checks.  A part holding a
+nested block is counted, checked and ground one at a time, when it is
+drawn.  A chunk in which some row raises is instantiated again one row at
+a time, so the error raised, or the deciding part that leaves it
+unreached, is the one that instantiating tuple by tuple gives.
 
 One run object, _SentenceGrounder, serves a grounding call: it owns the
 evaluator, the constant and fold tables, the relation tries, and the
@@ -73,10 +76,13 @@ SentenceStats row it fills in place.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import operator
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -165,8 +171,14 @@ def _simp_junction(conj: bool, children: Iterable[Formula]) -> Formula:
             return absorbing
         if c is not unit:
             out.append(c)
+    return _junction(conj, out)
+
+
+def _junction(conj: bool, out: list[Formula]) -> Formula:
+    """A conjunction (conj) or disjunction of children that hold neither
+    its unit nor its absorbing constant."""
     if not out:
-        return unit
+        return TRUE if conj else FALSE
     if len(out) == 1:
         return out[0]
     return (And if conj else Or)(tuple(out))
@@ -727,9 +739,45 @@ class _SentenceGrounder:
             parts = self._block_naive(vars, body, guards, occurrences)
         self._open_blocks += 1
         try:
-            return _simp_junction(forall, parts)
+            return self._draw(forall, parts)
         finally:
             self._open_blocks -= 1
+
+    def _draw(self, forall: bool, chunks: Iterable[tuple[list, bool | None]]) -> Formula:
+        """The conjunction (forall) or disjunction of a block's parts,
+        which chunks yields a chunk at a time as (parts, nested) pairs:
+        nested says whether the parts hold a block, and is None for a
+        constant that no instantiator made, which is not counted.  Each
+        chunk is checked against the deadline once and counted as a whole,
+        unless it holds the first deciding part, where drawing stops and
+        counting ends with that part.  A nested chunk's parts are counted,
+        checked and ground one at a time instead."""
+        unit, absorbing = (TRUE, FALSE) if forall else (FALSE, TRUE)
+        row, out = self.row, []
+        for parts, nested in chunks:
+            if nested:
+                for part in parts:
+                    row.instantiations += 1
+                    check_deadline()
+                    part = self._ground_folded(part)
+                    if part is absorbing:
+                        return absorbing
+                    if part is not unit:
+                        out.append(part)
+                continue
+            check_deadline()
+            if any(map(operator.is_, parts, itertools.repeat(absorbing))):
+                if nested is not None:
+                    hits = list(map(operator.is_, parts, itertools.repeat(absorbing)))
+                    row.instantiations += hits.index(True) + 1
+                return absorbing
+            if nested is not None:
+                row.instantiations += len(parts)
+            if any(map(operator.is_, parts, itertools.repeat(unit))):
+                kept = map(operator.is_not, parts, itertools.repeat(unit))
+                parts = list(itertools.compress(parts, kept))
+            out.extend(parts)
+        return _junction(forall, out)
 
     def _count_split(self) -> None:
         """A kept split of the block being drawn, if that block is outermost."""
@@ -822,12 +870,12 @@ class _SentenceGrounder:
         return frozenset(), lambda cols: [n] * len(cols[0])
 
     def _instances(self, form: Instantiator, cols: Columns, nested: bool):
-        """The ground parts of one chunk of a kept split, in row order, each
-        counted and checked against the deadline as it is drawn; a nested
-        block is ground only then.  If the chunk raises, it is instantiated
-        again one row at a time, so that the rows before the failing one are
-        drawn first and a deciding part among them ends the block with no
-        error, as it would have tuple by tuple."""
+        """The folded parts of one chunk of a kept split, in row order, as
+        one (parts, nested) chunk for _draw.  If the chunk raises, it is
+        instantiated again one row at a time, each row a chunk, so that the
+        rows before the failing one are drawn first and a deciding part
+        among them ends the block with no error, as it would have tuple by
+        tuple."""
         try:
             parts = form(cols)
         except GroundingTimeout:
@@ -838,15 +886,11 @@ class _SentenceGrounder:
             for r in range(len(cols[0])):
                 yield from self._instances(form, _select(cols, [r]), nested)
             return
-        row = self.row
-        for part in parts:
-            row.instantiations += 1
-            check_deadline()
-            yield self._ground_folded(part) if nested else part
+        yield parts, nested
 
-    # The block generators yield the ground parts of a block, constants
-    # included; _ground_block's fold stops drawing at the first deciding
-    # one, so no later tensor is evaluated and no later chunk instantiated.
+    # The block generators yield the chunks of a block, constants included;
+    # _draw stops drawing at the first deciding part, so no later tensor is
+    # evaluated and no later chunk instantiated.
 
     def _block_vec(self, forall, vars, body, guards, occurrences):
         """Each kept split's satisfying set, a slab of leading-variable
@@ -859,7 +903,7 @@ class _SentenceGrounder:
             slabs = self.ev.slabs(_guard_formula(guards, signs), tuple(vars))
             if residual is TRUE or residual is FALSE:  # decides the block
                 if any(tensor.any() for _, tensor in slabs):
-                    yield residual
+                    yield [residual], None
                 continue
             form, nested = self._columns(residual, vars), _holds_block(residual)
             rows = max(1, _CHUNK_NODES // _tree_size(residual))
@@ -894,7 +938,7 @@ class _SentenceGrounder:
                 residual = _residual(body, occurrences, signs, self.s)
                 residuals[signs] = residual
             if residual is TRUE or residual is FALSE:
-                yield residual
+                yield [residual], None
                 continue
             compiled = kept.get(signs)
             if compiled is None:
@@ -1053,6 +1097,22 @@ def _split_assertions(g: Formula) -> list[Formula]:
     return [g]
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the body with the cyclic garbage collector disabled, enabling it
+    again at the end only if it was enabled at the start.  Grounding makes
+    no reference cycles, so a collection during it would only traverse the
+    live ground theory as it grows.  The collector is process-wide: while
+    the body runs, no thread's cyclic garbage is collected."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def ground_problem(
     problem: Problem,
     strategy: str,
@@ -1060,8 +1120,10 @@ def ground_problem(
     cap: int = DEFAULT_GUARD_CAP,
     timeout: float | None = None,
 ) -> GroundTheory:
-    """Ground every sentence, short-circuiting on a refuted one, within timeout seconds."""
-    with deadline(timeout):
+    """Ground every sentence, short-circuiting on a refuted one, within
+    timeout seconds, with the cyclic garbage collector paused
+    (_collector_paused)."""
+    with _collector_paused(), deadline(timeout):
         s = problem.structure
         g = _SentenceGrounder(s, strategy, cap)
         rows: list[SentenceStats] = []

@@ -9,7 +9,9 @@ are declared with declare-fun instead.  Output is byte-deterministic.
 
 from __future__ import annotations
 
+import re
 import string
+
 from .grounder import GroundTheory, VERDICT_OPEN, VERDICT_SAT
 from .logic import (
     FALSE,
@@ -32,6 +34,8 @@ from .logic import (
 )
 
 _SYMBOL_CHARS = frozenset(string.ascii_letters + string.digits + "~!@$%^&*_-+=<>.?/")
+# a name that _sanitize leaves as it is: symbol characters, no leading digit
+_SIMPLE_SYMBOL = re.compile(f"(?![0-9])[{re.escape(''.join(sorted(_SYMBOL_CHARS)))}]+")
 
 # term-namespace words that must never be produced as constant names
 _RESERVED = frozenset(
@@ -48,6 +52,8 @@ def _int(n: int) -> str:
 
 
 def _sanitize(name: str) -> str:
+    if _SIMPLE_SYMBOL.fullmatch(name):
+        return name
     out = "".join(c if c in _SYMBOL_CHARS else "_" for c in name)
     if not out:
         out = "_"
@@ -299,8 +305,20 @@ class _Emitter:
 
 
 def _walk(gt: GroundTheory, taken: frozenset[str]) -> tuple[_Emitter, list[str]]:
+    """The emitter after one walk, and the assertion lines it rendered.  A
+    comparison, the usual assertion of a reduced theory, is rendered as
+    formula would render it, in the one string of its line."""
     em = _Emitter(gt, taken)
-    return em, [f"(assert {em.formula(a)})" for a in gt.assertions]
+    memo, term, formula = em.memo, em.term, em.formula
+    lines = []
+    for a in gt.assertions:
+        if type(a) is Compare:
+            left = memo.get(id(a.left)) or term(a.left)
+            right = memo.get(id(a.right)) or term(a.right)
+            lines.append(f"(assert ({_COMPARE_OPS[a.op]} {left} {right}))")
+        else:
+            lines.append(f"(assert {formula(a)})")
+    return em, lines
 
 
 def document(gt: GroundTheory) -> SmtDocument:

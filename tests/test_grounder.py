@@ -41,6 +41,7 @@ from sli.errors import (
 from sli.grounder import (
     GroundTheory,
     GroundingStats,
+    SentenceStats,
     _SentenceGrounder,
     _collect_guards,
     _liftable,
@@ -1018,6 +1019,70 @@ def test_a_junction_skips_the_rows_it_decided(monkeypatch, strategy):
     assert got == _reference_columns(g, residual, vars)(cols)
 
 
+def _chunk_rows(monkeypatch) -> list[int]:
+    """The rows of every chunk that _instances instantiates, recorded."""
+    rows, instances = [], _SentenceGrounder._instances
+
+    def recording(g, form, cols, nested):
+        rows.append(len(cols[0]))
+        return instances(g, form, cols, nested)
+
+    monkeypatch.setattr(_SentenceGrounder, "_instances", recording)
+    return rows
+
+
+def test_a_deciding_row_midway_through_a_chunk_ends_the_count(monkeypatch):
+    # ok(50, pick(50)) folds to FALSE, in the middle of vec's one chunk of
+    # all 100 rows: counting ends with it, as under naive, which draws
+    # nothing after it
+    prob = _out_of_range("!x in N: ok(x, pick(x)).", {50})
+    rows = _chunk_rows(monkeypatch)
+    vec = ground_problem(prob, "vec")
+    assert rows == [100]
+    naive = ground_problem(prob, "naive")
+    assert len(rows) == 1 + 50
+    for gt in (vec, naive):
+        assert gt.verdict == "unsat-trivial"
+        assert gt.stats.rows[0].instantiations == 50
+
+
+def test_unit_parts_are_counted_as_drawn_but_not_kept(monkeypatch):
+    # ~ok(x, pick(x)) folds to TRUE, the unit of the forall block, at x in
+    # 10, 20, 30, in vec's one chunk: those parts count as instantiations,
+    # as under naive, and are dropped from the conjunction
+    prob = _out_of_range("!x in N: ~ok(x, pick(x)).", {10, 20, 30})
+    rows = _chunk_rows(monkeypatch)
+    vec, naive = ground_problem(prob, "vec"), ground_problem(prob, "naive")
+    assert rows[0] == 100
+    for gt in (vec, naive):
+        assert gt.stats.rows[0].instantiations == 100
+        assert len(gt.assertions) == 97 and TRUE not in gt.assertions
+    assert vec.assertions == naive.assertions
+
+
+def test_draw_counts_instantiated_parts_up_to_the_deciding_one():
+    g = _SentenceGrounder(_out_of_range("!x in N: u(x).", set()).structure, "vec")
+    a, b, c = (Atom("u", (IntConstant(i),)) for i in (1, 2, 3))
+    # a constant that no instantiator made (nested None) is not counted; a
+    # unit part is counted but not kept
+    g.row = SentenceStats(0, "vec")
+    assert g._draw(True, iter([([a, TRUE, b], False), ([TRUE], None), ([c], False)])) == And(
+        (a, b, c)
+    )
+    assert g.row.instantiations == 4
+    # the count ends with the first deciding part, and no later chunk is drawn
+    g.row = SentenceStats(0, "vec")
+    later = iter([([c], False)])
+    chunks = itertools.chain([([a, TRUE], False), ([b, FALSE, c, FALSE], False)], later)
+    assert g._draw(True, chunks) is FALSE
+    assert g.row.instantiations == 2 + 2
+    assert next(later) == ([c], False)
+    # a disjunction decides on TRUE, and a constant chunk decides uncounted
+    g.row = SentenceStats(0, "vec")
+    assert g._draw(False, iter([([a, FALSE], False), ([TRUE], None), ([b], False)])) is TRUE
+    assert g.row.instantiations == 2
+
+
 def test_per_value_tables_hold_only_the_values_seen(monkeypatch):
     # w(x, y) mentions two of the block's three variables: it is folded
     # once per (x, y) pair of the satisfying set, over several chunks, and
@@ -1262,18 +1327,27 @@ structure {{
 
 @pytest.mark.parametrize("strategy", ["vec", "naive"])
 def test_each_instantiation_checks_the_deadline(monkeypatch, strategy):
+    """naive checks the deadline at every part it draws, vec at every chunk
+    of parts: here chunks of 8 rows, as the residual colour(x) ~= colour(y)
+    has 5 nodes, so the block's 120 parts span 15 chunks."""
     prob = _colour_like(30, 4)
+    monkeypatch.setattr(sli.grounder, "_CHUNK_NODES", 8 * 5)
     g = _SentenceGrounder(prob.structure, strategy)
-    check, calls = sli.grounder.check_deadline, []
+    check, drawn = sli.grounder.check_deadline, []
 
     def counting_check():
-        calls.append(None)
+        row = getattr(g, "row", None)
+        drawn.append(0 if row is None else row.instantiations)
         check()
 
     monkeypatch.setattr(sli.grounder, "check_deadline", counting_check)
     row = g.sentence(prob.sentences[0])
     assert row.instantiations == 30 * 4
-    assert len(calls) >= row.instantiations
+    if strategy == "naive":
+        assert len(drawn) >= row.instantiations
+    # the parts counted between two checks, and after the last one
+    between = [b - a for a, b in zip(drawn, drawn[1:] + [row.instantiations])]
+    assert max(between) == (1 if strategy == "naive" else 8)
 
 
 @pytest.mark.parametrize("strategy", ["vec", "naive"])
@@ -1281,13 +1355,16 @@ def test_timeout_stops_a_block_partway(monkeypatch, strategy):
     prob = _colour_like(100, 20)
     total = ground_problem(prob, strategy).stats.rows[0].instantiations
     assert total == 100 * 20
-    # a clock that advances 1 ms per reading: the 1 s deadline passes at
-    # the thousandth deadline check, whatever the machine's speed
+    # a clock that advances 1 ms per reading: the 0.1 s deadline passes at
+    # the hundredth deadline check, whatever the machine's speed; vec
+    # checks once per chunk, here of 4 rows of 5 nodes, so its block's
+    # parts span 500 chunks
     ticks = itertools.count()
     fake_time = SimpleNamespace(monotonic=lambda: next(ticks) * 1e-3)
     monkeypatch.setattr(sli.bittensor, "time", fake_time)
+    monkeypatch.setattr(sli.grounder, "_CHUNK_NODES", 4 * 5)
     g = _SentenceGrounder(prob.structure, strategy)
-    with pytest.raises(GroundingTimeout), deadline(1.0):
+    with pytest.raises(GroundingTimeout), deadline(0.1):
         g.sentence(prob.sentences[0])
     assert 0 < g.row.instantiations < total
 
@@ -1295,7 +1372,8 @@ def test_timeout_stops_a_block_partway(monkeypatch, strategy):
 def test_a_large_residual_checks_the_deadline_within_a_chunk(monkeypatch):
     # 3000 kept (x, y) rows in one chunk of the satisfying set, each with a
     # part of 100 atoms over both variables: the chunk is cut so that no
-    # more than _CHUNK_NODES node builds run past the last deadline check
+    # more than _CHUNK_NODES node builds run past the last deadline check.
+    # The deadline passes once the first cut is drawn.
     n = 300
     prob = problem(
         "vocabulary {\n"
@@ -1315,16 +1393,25 @@ def test_a_large_residual_checks_the_deadline_within_a_chunk(monkeypatch):
         folds[not any(isinstance(a, Variable) for a in args)] += 1
         return fold_atom(g, pred, args)
 
-    ticks = itertools.count()
-    fake_time = SimpleNamespace(monotonic=lambda: next(ticks) * 1e-3)
     monkeypatch.setattr(_SentenceGrounder, "_fold_atom", counting_fold_atom)
-    monkeypatch.setattr(sli.bittensor, "time", fake_time)
     g = _SentenceGrounder(prob.structure, "vec")
+    _clock_from_the_first_part(monkeypatch, g)
     with pytest.raises(GroundingTimeout), deadline(1.0):
         g.sentence(prob.sentences[0])
     drawn = g.row.instantiations
     assert 0 < drawn < 3000
     assert folds[True] - 100 * drawn <= sli.grounder._CHUNK_NODES
+
+
+def _clock_from_the_first_part(monkeypatch, g: _SentenceGrounder) -> None:
+    """Make the deadline's clock read 0 until g has counted a part, and
+    2 seconds from then on."""
+
+    def monotonic():
+        row = getattr(g, "row", None)
+        return 2.0 if row is not None and row.instantiations else 0.0
+
+    monkeypatch.setattr(sli.bittensor, "time", SimpleNamespace(monotonic=monotonic))
 
 
 def _queens(n):
@@ -1444,9 +1531,12 @@ def test_a_timeout_ends_with_its_grounding(monkeypatch):
     prob = _colour_like(30, 4)
     want = emit(ground_problem(prob, "vec"))
     now = _fake_clock(monkeypatch)
+    ground_problem(prob, "vec", timeout=10**6)
+    readings, now[0] = now[0], 0
+    timeout = readings // 2
     with pytest.raises(GroundingTimeout):
-        ground_problem(prob, "vec", timeout=50)
-    assert 50 < now[0] < 100
+        ground_problem(prob, "vec", timeout=timeout)
+    assert timeout < now[0] < readings
     check_deadline()
     assert emit(ground_problem(prob, "vec")) == want
     check_deadline()
@@ -1483,6 +1573,47 @@ def test_a_deadline_holds_in_its_own_thread_only():
         t.join(120)
     assert not any(t.is_alive() for t in threads)
     assert got == {"expired": GroundingTimeout, "free": want}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("ends", ["grounded", "timed-out", "input-error"])
+def test_grounding_leaves_the_collector_as_it_found_it(monkeypatch, enabled, ends):
+    """ground_problem pauses the cyclic collector while it runs, and leaves
+    it enabled or disabled as it was, however the call ends."""
+    check, paused = sli.grounder.check_deadline, []
+
+    def recording_check():
+        paused.append(not gc.isenabled())
+        check()
+
+    monkeypatch.setattr(sli.grounder, "check_deadline", recording_check)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if ends == "grounded":
+            assert ground_problem(_colour_like(30, 4), "vec").verdict == "open"
+        elif ends == "timed-out":
+            with pytest.raises(GroundingTimeout):
+                ground_problem(_colour_like(30, 4), "vec", timeout=-1)
+        else:
+            prob = _out_of_range("!x in N: ok(x, pick(x)) & u(f(x + 1)).", set())
+            with pytest.raises(IndexOutOfRange):
+                ground_problem(prob, "vec")
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert paused and all(paused)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_two_groundings_at_once_leave_the_collector_as_they_found_it(enabled):
+    """The two threads of test_a_deadline_holds_in_its_own_thread_only, each
+    grounding with the collector paused: they leave it as they found it."""
+    (gc.enable if enabled else gc.disable)()
+    try:
+        test_a_deadline_holds_in_its_own_thread_only()
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,16 @@ from sli.logic import (
     Vocabulary,
 )
 from sli.parser import Problem, parse_problem
-from sli.smt import SmtDocument, document, emit
+from sli.smt import (
+    _COMPARE_OPS,
+    _SYMBOL_CHARS,
+    SmtDocument,
+    _Emitter,
+    _sanitize,
+    _walk,
+    document,
+    emit,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -258,6 +267,76 @@ def test_name_sanitization_and_collision_suffix():
     assert "(assert p!a_b!b)" in lines
     assert "(assert p!a_b!b!2)" in lines
     assert "(assert p!a_b!b!3)" in lines
+
+
+def _sanitize_by_character(name):
+    """_sanitize one character at a time, with no whole-name fast path."""
+    out = "".join(c if c in _SYMBOL_CHARS else "_" for c in name)
+    if not out:
+        out = "_"
+    if out[0].isdigit():
+        out = "_" + out
+    return out
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "colour!v12",
+        "p",
+        "_",
+        "~!@$%^&*_-+=<>.?/",
+        "A0z9",
+        "0",
+        "9lives",
+        "1!2",
+        "café",
+        "a→b",
+        "名前",
+        "١٢٣",  # Arabic-Indic digits: str.isdigit, but not symbol characters
+        "ⅷ",
+        "",
+        "|",
+        "a|b",
+        "|quoted|",
+        "a b",
+        "tab\there",
+        "new\n",
+    ],
+)
+def test_sanitize_matches_the_character_path(name):
+    got = _sanitize(name)
+    assert got == _sanitize_by_character(name)
+    if got == name:
+        assert got is name
+
+
+@pytest.mark.parametrize("mode", ["reduced", "unfolded"])
+@pytest.mark.parametrize("op", sorted(_COMPARE_OPS))
+def test_a_comparison_line_is_its_formula_asserted(op, mode):
+    """_walk renders a top-level comparison's whole line in one string: the
+    line formula would give, Int terms with negative values included."""
+    voc = Vocabulary()
+    voc.types["T"] = EnumType("T")
+    voc.functions.update(f=FuncSig(("T",), Interval(-9, 9)), k=FuncSig((), Interval(-2, 2)))
+    s = Structure(voc, {"T": ("a", "b")}, {}, {})
+    a, b = (s.constant_for("T", i) for i in range(2))
+    fa, fb, k = FunctionApp("f", (a,)), FunctionApp("f", (b,)), FunctionApp("k", ())
+    minus = Arith("-", fa, IntConstant(-4))
+    comparisons = [
+        Compare(op, fa, fb),
+        Compare(op, fa, IntConstant(-3)),
+        Compare(op, IntConstant(-7), k),
+        Compare(op, minus, Arith("*", IntConstant(-1), fb)),
+        Compare(op, minus, IntConstant(0)),  # minus again, from the memo
+    ]
+    assertions = comparisons + [Not(comparisons[0]), Or((comparisons[1], Compare(op, k, k)))]
+    gt = _manual_theory(voc, s, assertions, mode)
+    _, lines = _walk(gt, frozenset())
+    em = _Emitter(gt, frozenset())
+    assert lines == ["(assert " + em.formula(f) + ")" for f in assertions]
+    fa_text = "f!a" if mode == "reduced" else "(f T!a)"
+    assert lines[1] == f"(assert ({_COMPARE_OPS[op]} {fa_text} (- 3)))"
 
 
 def test_reserved_words_are_not_shadowed():
