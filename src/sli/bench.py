@@ -16,6 +16,7 @@ implementation.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 
@@ -254,26 +255,7 @@ class RunRecord:
     timeout: int
 
     def csv_row(self) -> str:
-        def cell(v) -> str:
-            return "" if v is None else str(v)
-
-        return ",".join(
-            cell(v)
-            for v in (
-                self.benchmark,
-                self.instance,
-                self.strategy,
-                self.size,
-                self.ratio,
-                self.seed,
-                self.ground_us,
-                self.emit_us,
-                self.verdict,
-                self.assertions,
-                self.peak_bits,
-                self.timeout,
-            )
-        )
+        return ",".join("" if v is None else str(v) for v in dataclasses.astuple(self))
 
 
 def run_one(

@@ -46,7 +46,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class Shape:
 
     @property
     def nbits(self) -> int:
-        return _prod(self.extents)
+        return math.prod(self.extents)
 
     def axis_of(self, var: Variable) -> int:
         for i, (v, _) in enumerate(self.axes):
@@ -137,13 +137,6 @@ class Shape:
 
     def insert(self, k: int, var: Variable, extent: int) -> "Shape":
         return Shape(self.axes[:k] + ((var, extent),) + self.axes[k:])
-
-
-def _prod(extents: Iterable[int]) -> int:
-    n = 1
-    for e in extents:
-        n *= e
-    return n
 
 
 def check_budget(nbits: int) -> None:
@@ -182,17 +175,6 @@ def _last_mask(nbits: int) -> np.uint64:
     if rem == 0:
         return _FULL_WORD
     return np.uint64((1 << rem) - 1)
-
-
-def _pack(bools: np.ndarray, nbits: int) -> np.ndarray:
-    packed = np.packbits(bools, bitorder="little")
-    out = np.zeros(_nwords(nbits) * 8, dtype=np.uint8)
-    out[: packed.size] = packed
-    return out.view(_WORD)
-
-
-def _unpack(words: np.ndarray, nbits: int) -> np.ndarray:
-    return np.unpackbits(words.view(np.uint8), count=nbits, bitorder="little").view(bool)
 
 
 def _pieces(n: int, step: int, start: int = 0) -> Iterator[tuple[int, int]]:
@@ -378,7 +360,9 @@ class BitTensor:
         flat = np.asarray(bools, dtype=bool).ravel()
         if flat.size != shape.nbits:
             raise ShapeMismatch("boolean data does not match shape")
-        return _fresh(shape, _pack(flat, shape.nbits))
+        words = np.zeros(_nwords(shape.nbits), dtype=_WORD)
+        _put_bits(words, 0, flat)
+        return _fresh(shape, words)
 
     @staticmethod
     def from_ones(shape: Shape, ones: np.ndarray) -> "BitTensor":
@@ -425,7 +409,7 @@ class BitTensor:
     def to_bools(self) -> np.ndarray:
         """Every bit as one bool: a full-size array, for callers outside
         the kernels (tests, `dump`)."""
-        return _unpack(self.words, self.shape.nbits)
+        return _get_bits(self.words, 0, self.shape.nbits)
 
     def insert_axis(
         self, pos: int, var: Variable, extent: int, out: np.ndarray | None = None, op: Op = None
@@ -446,7 +430,7 @@ class BitTensor:
         elif out.dtype != _WORD or out.shape != (_nwords(shape.nbits),):
             raise ShapeMismatch("output word array does not match shape")
         if shape.nbits:
-            inner = _prod(self.shape.extents[pos:])
+            inner = math.prod(self.shape.extents[pos:])
             outer = self.shape.nbits // inner
             row = extent * inner
             k = 8 // math.gcd(inner, 8)
@@ -517,13 +501,13 @@ class BitTensor:
         if not shape.nbits:
             return _fresh(shape, out)
         extents, out_ext = self.shape.extents, shape.extents
-        strides = [_prod(extents[k + 1 :]) for k in range(m)]
+        strides = [math.prod(extents[k + 1 :]) for k in range(m)]
         # a piece costs about four bytes per bit
         target = max(1, _CHUNK_BITS // 4)
         j = 1
-        while j < m and _prod(out_ext[j:]) > target:
+        while j < m and math.prod(out_ext[j:]) > target:
             j += 1
-        row = _prod(out_ext[j:])
+        row = math.prod(out_ext[j:])
         ranged = perm[j - 1]
         last = max(perm[:j])  # input axes after `last` are whole in every piece
         for prefix in np.ndindex(*out_ext[: j - 1]):
@@ -558,7 +542,7 @@ class BitTensor:
         if (lo, hi) == (0, axes[0][1]):
             return self
         shape = Shape(((axes[0][0], hi - lo),) + axes[1:])
-        q, r = divmod(lo * _prod(self.shape.extents[1:]), 64)
+        q, r = divmod(lo * math.prod(self.shape.extents[1:]), 64)
         n = _nwords(shape.nbits)
         out = self.words[q : q + n].copy()
         if r:
@@ -579,9 +563,8 @@ class BitTensor:
             return BitTensor.full(shape) if conj else BitTensor.empty(shape)
         if len(extents) == 1:
             value = self.popcount() == e if conj else self.any()
-            scalar = BitTensor.full(shape) if value else BitTensor.empty(shape)
-            return scalar
-        inner = _prod(extents[k + 1 :])
+            return BitTensor.full(shape) if value else BitTensor.empty(shape)
+        inner = math.prod(extents[k + 1 :])
         if inner and inner % 64 == 0:
             groups = self.words.reshape(-1, e, inner // 64)
             op = np.bitwise_and if conj else np.bitwise_or
@@ -708,14 +691,13 @@ def junction(
     union of their variables: the first tensor's, then each later one's
     new ones in its own order.
 
-    Tensors over every output variable are combined word by word.
-    Otherwise the output is allocated once: each tensor is permuted into
-    the output order, at its own size, and replicated along its missing
-    axes straight into the output by insert_axis, which assigns the first
-    and ANDs or ORs the later ones in place.  Of a tensor missing several
-    axes, all but the widest are inserted first, at most output/extent
-    bits.  A single tensor already in order over the whole output is
-    returned as it is.
+    The output is allocated once: each tensor is permuted into the
+    output order, at its own size, and replicated along its missing axes
+    straight into the output by insert_axis, which assigns the first and
+    ANDs or ORs the later ones in place; one missing none is assigned or
+    combined as it is.  Of a tensor missing several axes, all but the widest
+    are inserted first, at most output/extent bits.  A single tensor over
+    the whole output is returned as in_order gives it.
     """
     if axes is None:
         seen: dict[Variable, int] = {}
@@ -725,34 +707,34 @@ def junction(
         axes = tuple(seen.items())
     shape = Shape(tuple(axes))
     check_budget(shape.nbits)
-    names = shape.vars
+    names, extents = shape.vars, shape.extents
     index = {v: k for k, v in enumerate(names)}
     for t in tensors:
-        for v in t.shape.vars:
+        for v, e in t.shape.axes:
             if v not in index:
                 raise UnknownVariable(f"variable {v.name} not among the output axes")
+            if e != extents[index[v]]:
+                raise ShapeMismatch(f"variable {v.name} has extent {e}, not {extents[index[v]]}")
 
-    if all(len(t.shape.axes) == len(names) for t in tensors):
-        acc = in_order(tensors[0], index)
-        for t in tensors[1:]:
-            t = in_order(t, index)
-            acc = acc.bit_and(t) if conj else acc.bit_or(t)
-        return acc
+    if not tensors:  # the empty conjunction holds everywhere, the empty disjunction nowhere
+        return BitTensor.full(shape) if conj else BitTensor.empty(shape)
+    if len(tensors) == 1 and len(tensors[0].shape.axes) == len(names):
+        return in_order(tensors[0], index)
     op = np.bitwise_and if conj else np.bitwise_or
     out = np.zeros(_nwords(shape.nbits), dtype=_WORD)
     for i, t in enumerate(tensors):
         t = in_order(t, index)
         missing = [k for k, v in enumerate(names) if v not in t.shape.vars]
         if not missing:
-            # ORing the first tensor into the zeros copies it
-            (op if i else np.bitwise_or)(out, t.words, out=out)
+            # the first is copied in: ORing it would read the fresh zeros too
+            op(out, t.words, out=out) if i else np.copyto(out, t.words)
             continue
-        last = max(missing, key=lambda k: shape.extents[k])
+        last = max(missing, key=lambda k: extents[k])
         for k in missing:
             if k != last:
-                t = t.insert_axis(k - (k > last), names[k], shape.extents[k])
+                t = t.insert_axis(k - (k > last), names[k], extents[k])
         mode = op if i else None
-        t.insert_axis(last, names[last], shape.extents[last], out=out, op=mode)
+        t.insert_axis(last, names[last], extents[last], out=out, op=mode)
     return _fresh(shape, out)
 
 
@@ -773,9 +755,9 @@ def pack_pointwise(
     arrays = [np.reshape(a, np.shape(a) or (1,)) for a in arrays]
     if shape.nbits:
         j = 0
-        while _prod(extents[j + 1 :]) > _CHUNK_BITS:
+        while math.prod(extents[j + 1 :]) > _CHUNK_BITS:
             j += 1
-        row = _prod(extents[j + 1 :])
+        row = math.prod(extents[j + 1 :])
         for prefix in np.ndindex(*extents[:j]):
             first = 0
             for i, e in zip(prefix, extents):

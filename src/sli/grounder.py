@@ -328,6 +328,16 @@ def _residual(
     return n
 
 
+def _splits(forall: bool, body: Formula, m: int, occurrences: Occurrences, s: Structure):
+    """(signs, residual) of every split of m guards whose residual is not
+    vacuous (TRUE under a forall block, FALSE under an exists block), lazily."""
+    vacuous = TRUE if forall else FALSE
+    for signs in itertools.product((True, False), repeat=m):
+        residual = _residual(body, occurrences, signs, s)
+        if residual is not vacuous:
+            yield signs, residual
+
+
 def _guard_formula(guards: list[Formula], signs: tuple[bool, ...]) -> Formula:
     return _simp_junction(
         True, (g if sign else Not(g) for g, sign in zip(guards, signs))
@@ -342,15 +352,14 @@ def guard_split(
     if not isinstance(f, (ForAll, Exists)):
         raise UnsupportedFormula("guard_split expects a quantified formula")
     forall, vars, body = _block_of(f)
-    g = _SentenceGrounder(structure, "naive", cap)
-    guards, occurrences = _collect_guards(body, g.sigma0, frozenset(vars))
+    guards, occurrences = _collect_guards(body, structure.interpreted_symbols, frozenset(vars))
     if len(guards) > cap:
         raise GuardCapExceeded(
             f"{len(guards)} guards exceed the split cap of {cap}"
         )
     return [
         GuardSplit(tuple(guards), signs, _guard_formula(guards, signs), residual)
-        for signs, residual in g._splits(forall, body, len(guards), occurrences)
+        for signs, residual in _splits(forall, body, len(guards), occurrences, structure)
     ]
 
 
@@ -561,17 +570,6 @@ class _SentenceGrounder:
                     f"{symbol} {name} applied to an argument containing an "
                     "uninterpreted symbol"
                 )
-
-    # -- sign splits ------------------------------------------------------
-
-    def _splits(self, forall: bool, body, m: int, occurrences: Occurrences):
-        """(signs, residual) of every split of m guards whose residual is not
-        vacuous (TRUE under a forall block, FALSE under an exists block), lazily."""
-        vacuous = TRUE if forall else FALSE
-        for signs in itertools.product((True, False), repeat=m):
-            residual = _residual(body, occurrences, signs, self.s)
-            if residual is not vacuous:
-                yield signs, residual
 
     # -- folding ----------------------------------------------------------
 
@@ -898,7 +896,7 @@ class _SentenceGrounder:
         the block is drawn at the first slab holding a one, and no later
         slab is evaluated; otherwise each slab's ones are instantiated in
         order."""
-        for signs, residual in self._splits(forall, body, len(guards), occurrences):
+        for signs, residual in _splits(forall, body, len(guards), occurrences, self.s):
             self._count_split()
             slabs = self.ev.slabs(_guard_formula(guards, signs), tuple(vars))
             if residual is TRUE or residual is FALSE:  # decides the block

@@ -28,6 +28,7 @@ identity.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections.abc import Set
 from dataclasses import FrozenInstanceError, dataclass, field, fields
@@ -307,17 +308,10 @@ def _free_variables(g: Formula, bound: frozenset[Variable], out: list[Variable])
     variables of g outside bound that it does not hold yet."""
     if isinstance(g, (TrueFormula, FalseFormula)):
         return
-    if isinstance(g, Atom):
+    if isinstance(g, (Atom, Compare)):
         found: list[Variable] = []
-        for a in g.args:
+        for a in g.args if isinstance(g, Atom) else (g.left, g.right):
             term_variables(a, found)
-        for v in found:
-            if v not in bound and v not in out:
-                out.append(v)
-    elif isinstance(g, Compare):
-        found = []
-        term_variables(g.left, found)
-        term_variables(g.right, found)
         for v in found:
             if v not in bound and v not in out:
                 out.append(v)
@@ -644,9 +638,7 @@ class FunctionTable:
     """Total map from argument-index tuples to values (index or integer)."""
 
     def __init__(self, arg_sizes: tuple[int, ...], entries: dict[tuple[int, ...], int]):
-        expected = 1
-        for s in arg_sizes:
-            expected *= s
+        expected = math.prod(arg_sizes)
         if len(entries) != expected:
             raise TypeCheckError(
                 f"function table has {len(entries)} entries, expected {expected}"

@@ -67,6 +67,7 @@ from .errors import (
     UnknownElement,
 )
 from .logic import (
+    COMPARE_OPS,
     FALSE,
     TRUE,
     And,
@@ -544,12 +545,12 @@ class Parser:
                     self.expect(")")
                 args = tuple(parts)
             nxt = self.tok
-            if nxt.kind == "op" and nxt.text in ("=", "~=", "<", "=<", ">", ">="):
+            if nxt.kind == "op" and nxt.text in COMPARE_OPS:
                 raise self.error(f"predicate {t.text} used as a term", nxt)
             return Atom(t.text, args)
         left = self.parse_term(scope)
         op = self.tok
-        if op.kind == "op" and op.text in ("=", "~=", "<", "=<", ">", ">="):
+        if op.kind == "op" and op.text in COMPARE_OPS:
             self.next()
             right = self.parse_term(scope)
             return Compare(op.text, left, right)
@@ -659,6 +660,10 @@ class Parser:
                     f"value {value} outside Int[{decl.lo}..{decl.hi}]", t
                 )
             return value - decl.lo
+        return self._element(type_name)
+
+    def _element(self, type_name: str) -> int:
+        """The index of one element name of type type_name."""
         tok = self.ident("element name")
         info = self.elements.get(tok.text)
         if info is None:
@@ -801,14 +806,7 @@ class Parser:
             if not lo <= value <= hi:
                 raise self.error(f"value {value} outside Int[{lo}..{hi}]", t)
             return value
-        tok = self.ident("element name")
-        info = self.elements.get(tok.text)
-        if info is None:
-            raise UnknownElement(f"unknown element: {tok.text}", self.span(tok))
-        etype, index = info
-        if etype != cod:
-            raise self.error(f"element {tok.text} has type {etype}, expected {cod}", tok)
-        return index
+        return self._element(cod)
 
     def parse_function(self, sig: FuncSig) -> FunctionTable:
         arg_sizes = tuple(self._type_size(t) for t in sig.args)

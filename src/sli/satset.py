@@ -154,7 +154,7 @@ class SatSetEvaluator:
             return hit
         check_deadline()
         outer, self.peak_bits = self.peak_bits, 0
-        t = self._eval(f)
+        t = self._track(self._eval(f))
         self.memo[f] = t
         self._memo_peak[f] = self.peak_bits
         self.peak_bits = max(outer, self.peak_bits)
@@ -212,28 +212,28 @@ class SatSetEvaluator:
 
     def _eval(self, f: Formula) -> BitTensor:
         if isinstance(f, TrueFormula):
-            return self._track(BitTensor.full(Shape(())))
+            return BitTensor.full(Shape(()))
         if isinstance(f, FalseFormula):
-            return self._track(BitTensor.empty(Shape(())))
+            return BitTensor.empty(Shape(()))
         if isinstance(f, Atom):
             return self._atom(f)
         if isinstance(f, Compare):
             return self._compare(f)
         if isinstance(f, Not):
-            return self._track(self.eval(f.child).bit_not())
+            return self.eval(f.child).bit_not()
         if isinstance(f, (And, Or)):
             children = [self.eval(c) for c in f.children]
-            return self._track(junction(children, isinstance(f, And)))
+            return junction(children, isinstance(f, And))
         if isinstance(f, (ForAll, Exists)):
             conj = isinstance(f, ForAll)
             body = self.eval(f.body)
             if f.var not in body.shape.vars:
                 if self.extent(f.var) == 0:
                     blank = BitTensor.full if conj else BitTensor.empty
-                    return self._track(blank(body.shape))
+                    return blank(body.shape)
                 return body
             reduce = body.reduce_all if conj else body.reduce_any
-            return self._track(reduce(f.var))
+            return reduce(f.var)
         raise TypeError(f"satisfying sets need the desugared core, got {f!r}")
 
     # -- atoms and terms ---------------------------------------------------------------
@@ -295,7 +295,7 @@ class SatSetEvaluator:
         if not arg_types:
             rel = self.s.relations[f.pred]
             blank = BitTensor.full if () in rel else BitTensor.empty
-            return self._track(blank(shape))
+            return blank(shape)
         # fast path: distinct variables in shape order with matching types;
         # the tuples are set as bits straight from the unsorted array
         if (
@@ -304,7 +304,7 @@ class SatSetEvaluator:
                 isinstance(a, Variable) and a.type == t for a, t in zip(f.args, arg_types)
             )
         ):
-            return self._track(BitTensor.from_ones(shape, self._rows(f.pred, len(arg_types))))
+            return BitTensor.from_ones(shape, self._rows(f.pred, len(arg_types)))
         # argument indices; one outside its type matches no tuple
         cols = [self._arg_space(t, self._term(a, shape))[0] for a, t in zip(f.args, arg_types)]
         values, keys = self._relation(f.pred, len(arg_types))
@@ -320,14 +320,14 @@ class SatSetEvaluator:
             pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
             return (keys[pos] == key) & ok
 
-        return self._track(pack_pointwise(shape, members, cols))
+        return pack_pointwise(shape, members, cols)
 
     def _compare(self, f: Compare) -> BitTensor:
         shape = self.shape_for(free_variables(f))
         left = self._term(f.left, shape)
         right = self._term(f.right, shape)
         fn = COMPARISONS[f.op]
-        return self._track(pack_pointwise(shape, fn, (left, right)))
+        return pack_pointwise(shape, fn, (left, right))
 
     @staticmethod
     def _unit(shape: Shape) -> tuple[int, ...]:

@@ -283,6 +283,17 @@ def test_shape_and_kernel_errors():
         a.permute_axes((1,))
     with pytest.raises(UnknownVariable):
         a.reduce_all(v("q"))
+    # a child whose extent differs from the output's, over every output
+    # variable (one word each, which numpy would broadcast) or fewer
+    wide = BitTensor.full(Shape(((v("x"), 100),)))
+    y = BitTensor.full(Shape(((v("y"), 2),)))
+    for children, axes in [
+        ((wide, a), None),
+        ((a, wide), wide.shape.axes),
+        ((y, a), wide.shape.axes + y.shape.axes),
+    ]:
+        with pytest.raises(ShapeMismatch):
+            bittensor.junction(children, False, axes)
 
 
 # -- differential tests against whole-tensor bool-array references ----------
@@ -584,6 +595,22 @@ def test_structural_kernels_allocate_packed_sizes(monkeypatch):
     rows = tuple_rows(list(sparse.iter_ones()), 2)
     peak = _peak_bytes(lambda: BitTensor.from_ones(sparse.shape, rows))
     assert peak <= _packed(sparse.shape.nbits) + scratch
+
+
+@pytest.mark.parametrize("conj", [True, False])
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_junction_of_children_over_its_variables_holds_one_output(conj, n):
+    """n children over the same 2048x2048 variables are ANDed or ORed into
+    one packed output in place: combining them pair by pair would hold two
+    outputs at once."""
+    rng = np.random.default_rng(n)
+    shape = Shape(((v("x"), 2048), (v("y"), 2048)))
+    children = [random_tensor(rng, shape) for _ in range(n)]
+    out = []
+    peak = _peak_bytes(lambda: out.append(bittensor.junction(children, conj)))
+    op = np.bitwise_and if conj else np.bitwise_or
+    assert np.array_equal(out[0].words, op.reduce([c.words for c in children]))
+    assert peak <= 1.1 * _packed(shape.nbits), peak
 
 
 # -- deadline inside a kernel ------------------------------------------------------

@@ -627,6 +627,16 @@ def test_eval_over_returns_a_part_in_order_as_it_is():
     assert ev.eval_over(f, (y, x)) == ev.eval(Compare("~=", y, x))
 
 
+def test_an_empty_junction_is_its_unit():
+    s = cover_structure()
+    x = Variable("x", "T")
+    ev = SatSetEvaluator(s)
+    assert ev.eval(And(())) == BitTensor.full(Shape(()))
+    assert ev.eval(Or(())) == BitTensor.empty(Shape(()))
+    assert ev.eval_over(And(()), (x,)).popcount() == ev.extent(x)
+    assert not ev.eval_over(Or(()), (x,)).any()
+
+
 def test_the_relation_fast_path_packs_the_tuples_unsorted():
     """An atom over distinct variables in shape order sets its relation's
     tuples as bits straight from their unsorted array, and builds no
