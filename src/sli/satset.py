@@ -17,7 +17,10 @@ guard into such slabs and evaluates them one at a time, so the grounder
 holds the guard's parts, each permuted once per block, and one slab,
 never the block's whole tensor.  A slab slices the parts over the
 leading variable (`BitTensor.slab`), and the junction replicates the
-others over the slab's axes.  The bit budget, the one constant
+others over the slab's axes.  A slab holds at most bittensor._SLAB_BITS
+bits (or a whole part, if one is larger), the same bound that caps the
+bits one piece of `insert_axis` writes, so the junction writes each part
+into a slab in a piece or two.  The bit budget, the one constant
 bittensor.BIT_BUDGET that every kernel checks, is checked on the whole
 shape all the same, and peak_bits counts the whole shape.  The caller's
 deadline (bittensor.deadline), if any, is checked per node, slab and piece.
@@ -44,6 +47,7 @@ from typing import Iterator
 import numpy as np
 
 from .bittensor import (
+    _SLAB_BITS,
     COMPARISONS,
     BitTensor,
     Shape,
@@ -79,10 +83,6 @@ from .logic import (
 )
 
 _INT64 = np.iinfo(np.int64)
-# slabs cuts a guard into slabs of leading-variable rows of at most this
-# many bits, or of its largest part's if that is more, so the memory a
-# guard holds is about a slab, not the block's whole tensor.
-_SLAB_BITS = 2**24
 
 
 def parts_of(f: Formula) -> tuple[Formula, ...]:

@@ -6,6 +6,7 @@ implementation.
 """
 
 import collections
+import functools
 import itertools
 import tracemalloc
 from types import SimpleNamespace
@@ -127,6 +128,25 @@ def test_padding_bits_stay_zero_after_not():
     t = BitTensor.empty(s).bit_not()
     assert t.words[0] == np.uint64(0b111)
     assert t.popcount() == 3
+
+
+def test_any_sees_only_a_set_bit():
+    """any() is false on empty tensors, on a zero-extent shape of no words
+    and on a scalar without its bit, and true when only the last valid bit
+    is set, in a word of its own or at the end of a partial one."""
+    x, y = v("x"), v("y")
+    assert not BitTensor.empty(Shape(())).any()
+    assert BitTensor.full(Shape(())).any()
+    for extents in [(0,), (5, 0), (0, 64)]:
+        shape = Shape(tuple(zip((x, y), extents)))
+        assert BitTensor.empty(shape).words.size == 0
+        assert not BitTensor.empty(shape).any() and not BitTensor.full(shape).any()
+    for extents in [(1,), (63,), (64,), (65,), (20, 900), (2**12, 2**12)]:
+        shape = Shape(tuple(zip((x, y), extents)))
+        assert not BitTensor.empty(shape).any()
+        last = tuple(e - 1 for e in extents)
+        t = BitTensor.from_ones(shape, tuple_rows([last], len(extents)))
+        assert t.popcount() == 1 and t.any()
 
 
 def test_connectives_and_structure_match_oracle():
@@ -314,10 +334,14 @@ def ref_insert(t, pos, extent):
 
 
 def check_insert(rng, t, pos, extent):
-    """insert_axis into a fresh tensor, and ANDed and ORed in place into a
-    random tensor of the output shape, against ref_insert."""
+    """insert_axis into a fresh tensor, assigned over random words
+    (padding bits included), and ANDed and ORed in place into a random
+    tensor of the output shape, against ref_insert."""
     want = ref_insert(t, pos, extent)
     assert t.insert_axis(pos, v("n"), extent) == want
+    out = rng.integers(0, 2**64, want.words.size, dtype=np.uint64)
+    assert t.insert_axis(pos, v("n"), extent, out=out) is None
+    assert np.array_equal(out, want.words)
     base = random_density_tensor(rng, want.shape)
     for op in (np.bitwise_and, np.bitwise_or):
         out = base.words.copy()
@@ -362,11 +386,22 @@ def random_density_tensor(rng, shape):
     return BitTensor.from_bools(shape, rng.random(shape.nbits) < density)
 
 
-@pytest.mark.parametrize("chunk_bits", [64, 100, 4096, 2**20])
-def test_kernels_match_bool_references(monkeypatch, chunk_bits):
-    """Random shapes, with small chunk sizes so that multi-piece loops,
-    piece boundaries inside rows and rows longer than a piece all run."""
+def piece_sizes(chunks, caps):
+    """(_CHUNK_BITS, _SLAB_BITS) parameters: each chunk size at the default
+    write cap, with its plain id, and at each small write cap, so that
+    pieces cut outer rows, repetitions and long byte blocks."""
+    return [pytest.param(c, bittensor._SLAB_BITS, id=str(c)) for c in chunks] + [
+        pytest.param(c, cap, id=f"{c}-writes{cap}") for c in chunks for cap in caps
+    ]
+
+
+@pytest.mark.parametrize("chunk_bits, slab_bits", piece_sizes([64, 100, 4096, 2**20], [64, 1000]))
+def test_kernels_match_bool_references(monkeypatch, chunk_bits, slab_bits):
+    """Random shapes, with small chunk sizes and write caps so that
+    multi-piece loops, piece boundaries inside rows and rows longer than
+    a piece all run."""
     monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(bittensor, "_SLAB_BITS", slab_bits)
     rng = np.random.default_rng(chunk_bits)
     bases = np.random.default_rng(chunk_bits + 1)
     for _ in range(120):
@@ -386,10 +421,11 @@ def test_kernels_match_bool_references(monkeypatch, chunk_bits):
             assert t.reduce_any(shape.axes[k][0]) == ref_reduce(t, k, False)
 
 
-@pytest.mark.parametrize("chunk_bits", [64, 2**20])
-def test_kernel_paths_on_chosen_shapes(monkeypatch, chunk_bits):
+@pytest.mark.parametrize("chunk_bits, slab_bits", piece_sizes([64, 2**20], [64, 1000]))
+def test_kernel_paths_on_chosen_shapes(monkeypatch, chunk_bits, slab_bits):
     """Each aligned and unaligned path on a shape picked to reach it."""
     monkeypatch.setattr(bittensor, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(bittensor, "_SLAB_BITS", slab_bits)
     rng = np.random.default_rng(11)
     bases = np.random.default_rng(12)
     cases = [
@@ -595,6 +631,19 @@ def test_structural_kernels_allocate_packed_sizes(monkeypatch):
     rows = tuple_rows(list(sparse.iter_ones()), 2)
     peak = _peak_bytes(lambda: BitTensor.from_ones(sparse.shape, rows))
     assert peak <= _packed(sparse.shape.nbits) + scratch
+    # a triangle slab's inserts into a given output: 20x900 replicated 900
+    # times at axis 1 (byte-aligned pairs of rows) and at axis 2 (bytes
+    # looked up), assigned over it and ANDed and ORed into it in place
+    slab = BitTensor.from_bools(Shape(((x, 20), (y, 900))), rng.random(18000) < 0.5)
+    for pos in (1, 2):
+        want = ref_insert(slab, pos, 900)
+        base = random_density_tensor(rng, want.shape).words
+        for op in (None, np.bitwise_and, np.bitwise_or):
+            out = base.copy()
+            peak = _peak_bytes(lambda: slab.insert_axis(pos, v("n"), 900, out=out, op=op))
+            assert peak <= _packed(slab.shape.nbits) + scratch, (pos, op, peak)
+            expect = want.words if op is None else op(base, want.words)
+            assert np.array_equal(out, expect), (pos, op)
 
 
 @pytest.mark.parametrize("conj", [True, False])
@@ -611,6 +660,27 @@ def test_a_junction_of_children_over_its_variables_holds_one_output(conj, n):
     op = np.bitwise_and if conj else np.bitwise_or
     assert np.array_equal(out[0].words, op.reduce([c.words for c in children]))
     assert peak <= 1.1 * _packed(shape.nbits), peak
+
+
+@pytest.mark.parametrize("conj", [True, False])
+def test_a_junction_mixes_whole_and_partial_children_in_any_order(conj):
+    """Children over both output variables, in the output's order and
+    reversed, and children over one of them, given in every order and
+    any number from one up: the junction over (x, y) is the fold of their
+    bool arrays broadcast over (x, y)."""
+    rng = np.random.default_rng(conj)
+    x, y = v("x"), v("y")
+    axes = ((x, 13), (y, 7))
+    shapes = [axes, axes, ((y, 7), (x, 13)), ((x, 13),), ((y, 7),)]
+    children = [random_tensor(rng, Shape(s)) for s in shapes]
+    arrays = [c.to_bools().reshape(c.shape.extents) for c in children]
+    arrays = [arrays[0], arrays[1], arrays[2].T, arrays[3][:, None], arrays[4][None, :]]
+    fold = np.logical_and if conj else np.logical_or
+    for n in range(1, 6):
+        for order in itertools.permutations(range(5), n):
+            got = bittensor.junction([children[k] for k in order], conj, axes)
+            want = np.broadcast_to(functools.reduce(fold, [arrays[k] for k in order]), (13, 7))
+            assert got == BitTensor.from_bools(Shape(axes), want), order
 
 
 # -- deadline inside a kernel ------------------------------------------------------
@@ -636,6 +706,39 @@ def test_tick_stops_a_multi_piece_insert_partway(monkeypatch):
     with pytest.raises(GroundingTimeout):
         t.insert_axis(1, v("z"), 9)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("rows", [20, 40])
+def test_an_insert_checks_the_deadline_once_per_slab_it_writes(monkeypatch, rows):
+    """Each insertion of the triangle junction into a slab of rows x 900 x
+    900 bits (byte blocks at axis 1, looked-up bytes at axis 2, a whole
+    900x900 row at axis 0) checks the deadline once per _SLAB_BITS bits it
+    writes, rounded up: once for a slab of 20 rows, where pieces of
+    _CHUNK_BITS took 16 to 40 checks, and twice for 40 rows, over the cap."""
+    rng = np.random.default_rng(rows)
+    x, y, z = v("x"), v("y"), v("z")
+    xy = BitTensor.from_bools(Shape(((x, rows), (y, 900))), rng.random(rows * 900) < 0.5)
+    yz = BitTensor.from_bools(Shape(((y, 900), (z, 900))), rng.random(900 * 900) < 0.5)
+    checks = []
+    monkeypatch.setattr(bittensor, "check_deadline", lambda: checks.append(1))
+    written = rows * 900 * 900
+    for t, pos, var, extent in ((xy, 1, z, 900), (xy, 2, z, 900), (yz, 0, x, rows)):
+        checks.clear()
+        t.insert_axis(pos, var, extent)
+        assert len(checks) == -(-written // bittensor._SLAB_BITS) == rows // 20, (pos, checks)
+
+
+def test_a_block_longer_than_the_write_cap_is_written_in_column_ranges(monkeypatch):
+    """A 900x900 input replicated 3 times at axis 0 is three byte blocks
+    of 810000 bits: at a write cap of 2^16 bits each is written in 13
+    column ranges, the deadline checked before each."""
+    monkeypatch.setattr(bittensor, "_SLAB_BITS", 2**16)
+    rng = np.random.default_rng(3)
+    t = BitTensor.from_bools(Shape(((v("y"), 900), (v("z"), 900))), rng.random(810000) < 0.5)
+    checks = []
+    monkeypatch.setattr(bittensor, "check_deadline", lambda: checks.append(1))
+    assert t.insert_axis(0, v("n"), 3) == ref_insert(t, 0, 3)
+    assert len(checks) == 3 * -(-810000 // 2**16) == 39
 
 
 def _looping_kernel_calls():
