@@ -39,21 +39,37 @@ ground_problem enters (bittensor.deadline), so it spans every sentence.
 vec and naive emit the same instantiations (each tuple realizes exactly one
 sign vector), differing only in conjunct order and in how the interpreted
 part is evaluated.  Both instantiate through one path, the column
-instantiator of the split (_columns).  Called on a chunk of tuples, given
-as one index list per block variable, it returns what substituting each
-row's constants and folding would, in row order:
+instantiator of the split (_columns).  Called on a chunk of tuples, it
+returns what substituting each row's constants and folding would, in row
+order.  vec's chunk is an int64 array sliced from the satisfying set's
+coordinates, one row of indices per block variable and one column per
+tuple; naive's holds one tuple, as one one-element list per variable, and
+is instantiated with no numpy call.
 
 - a node that mentions only some of the block variables is folded once
   per value of those variables seen, on the first chunk holding that
-  value, and gathered for the chunk by value: a part over none of them is folded
-  once, colouring's colour(x) once per x rather than once per (x, y).
-  Those shared parts are immutable and appear as one object in every
-  instantiation that holds them.  A function application among them is
-  folded through one table of the run, keyed by symbol and folded
-  arguments, so colour(x) and colour(y) fold each vertex's colour once
-  between them, into one object.
-- only the nodes over all of them are built per row, each in one list
-  comprehension over the chunk.
+  value, and gathered for the chunk per distinct value: each row is keyed
+  by the mixed-radix index of the variables the node mentions, which stays
+  below the block's bit count and so fits int64.  One np.unique finds an
+  array chunk's distinct keys, the first row of each and the row's place
+  among them; the node is built only for the keys its table lacks, from
+  their first rows, and its values are spread over the rows by that
+  inverse.  A part over none of them is folded once, colouring's
+  colour(x) once per x rather than once per (x, y).  Those shared parts
+  are immutable and appear as one object in every instantiation that
+  holds them.  A function application among them is folded through one
+  table of the run, keyed by symbol and folded arguments, so colour(x)
+  and colour(y) fold each vertex's colour once between them, into one
+  object.
+- only the nodes over all of them are built per row, each in one pass
+  over the chunk; a block variable among them turns its column into
+  Python ints with one tolist().
+- each node records, when compiled, whether its folded value can ever be
+  a constant.  Only two constants fold in a comparison or arithmetic, so
+  one with a side that never folds (an uninterpreted symbol, or a
+  variable bound deeper) is built with its constructor, with no test per
+  row, and a residual that never folds makes parts that _draw keeps whole
+  (_Parts.WHOLE).
 - a junction stays lazy by row selection: its k-th part is built only for
   the rows that its earlier parts left undecided.
 - a nested quantifier is compiled like any other node, a block variable
@@ -62,12 +78,14 @@ row's constants and folding would, in row order:
 
 The block's parts are drawn a chunk at a time: the deadline is checked
 once per chunk, the chunk's parts are counted, and drawing stops at the
-first deciding one.  A chunk's rows are cut to at most _CHUNK_NODES node
-builds, so that bounds the work between two checks.  A part holding a
-nested block is counted, checked and ground one at a time, when it is
-drawn.  A chunk in which some row raises is instantiated again one row at
-a time, so the error raised, or the deciding part that leaves it
-unreached, is the one that instantiating tuple by tuple gives.
+first deciding one; a chunk that never folds has none, and no unit, so it
+is counted and kept with no look at its parts.  A chunk's rows are cut to
+at most _CHUNK_NODES node builds, so that bounds the work between two
+checks.  A part holding a nested block is counted, checked and ground one
+at a time, when it is drawn.  A chunk in which some row raises is
+instantiated again one row at a time, so the error raised, or the
+deciding part that leaves it unreached, is the one that instantiating
+tuple by tuple gives.
 
 One run object, _SentenceGrounder, serves a grounding call: it owns the
 evaluator, the constant and fold tables, the relation tries, and the
@@ -76,6 +94,7 @@ SentenceStats row it fills in place.
 
 from __future__ import annotations
 
+import enum
 import gc
 import itertools
 import math
@@ -85,6 +104,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from . import bittensor
 from .bittensor import check_deadline, deadline
@@ -129,15 +150,26 @@ from .satset import SatSetEvaluator
 
 DEFAULT_GUARD_CAP = 8
 
-# A chunk of a block's tuples: one list of indices per block variable, all
-# of one length, one entry per row.
-Columns = list[list[int]]
+# A chunk of a block's tuples: an int64 array of indices with one row per
+# block variable and one column per tuple, as vec draws them; or, for one
+# tuple, as naive draws them and a failing chunk is retried, one
+# one-element list per block variable.
+Columns = np.ndarray | list[list[int]]
 # a compiled residual node: a chunk -> the node's folded value at each row
 Instantiator = Callable[[Columns], list]
 # vec cuts a chunk so that its rows times its residual's nodes stay within
 # this, which bounds the work done, and the memory held, between two
 # deadline checks.
 _CHUNK_NODES = 2**17
+
+
+class _Parts(enum.Enum):
+    """How _draw takes a chunk of a block's parts."""
+
+    CONSTANT = "a constant that no instantiator made: not counted"
+    FOLDED = "instantiations that may be constants: scanned for both"
+    WHOLE = "instantiations that never are: counted and kept whole"
+    NESTED = "instantiations holding a block: ground one at a time"
 
 STRATEGIES = ("vec", "naive", "noreduce")
 
@@ -389,55 +421,51 @@ def _codomain_const(s: Structure, codomain, value: int) -> Term:
     return s.constant_for(codomain, value)
 
 
-_CONSTANT_TYPES = frozenset((DomainConstant, IntConstant))
-
-
-def _select(cols: Columns, rows: list[int]) -> Columns:
-    """The given rows of a chunk."""
-    return [[c[r] for r in rows] for c in cols]
+def _ints(column) -> list[int]:
+    """A column of a chunk as Python ints: an array's through tolist(), a
+    one-row chunk's list as it is."""
+    return column if isinstance(column, list) else column.tolist()
 
 
 def _per_value(
-    mentions: frozenset[int], build: Instantiator, every: frozenset[int]
+    mentions: frozenset[int], build: Instantiator, radix: dict[int, int]
 ) -> Instantiator:
-    """build itself if it mentions every block variable.  Otherwise build
-    runs once per value of the variables it mentions, on the first chunk
-    holding that value, and its result is gathered for each row by value;
-    the table holds only the values seen."""
-    if mentions == every:
+    """build itself if it mentions every block variable.  Otherwise each
+    row is keyed by the mixed-radix index of the variables build mentions,
+    build runs once per key, on the first chunk holding it, and its result
+    is gathered for each row by key; the table holds only the keys seen.
+    An array chunk is gathered per distinct key: one np.unique finds the
+    chunk's keys and the first row of each, and build runs on the first
+    rows of the keys not in the table yet.  A one-row chunk, as naive
+    draws them, is looked up with no numpy."""
+    if mentions == radix.keys():
         return build
     ps = sorted(mentions)
     table: dict = {}
 
     def gather(cols: Columns) -> list:
-        if len(ps) == 1:
-            keys = cols[ps[0]]
-        else:  # a tuple per row; () when the node mentions none of them
-            keys = list(zip(*[cols[p] for p in ps])) if ps else [()] * len(cols[0])
-        if len(keys) == 1:  # a one-row chunk, as naive draws them
-            hit = table.get(keys[0])
+        one_row = isinstance(cols, list)
+        if one_row or not ps:  # one key for the whole chunk
+            key = 0
+            for p in ps:
+                key = key * radix[p] + cols[p][0]
+            hit = table.get(key)
             if hit is None:
-                hit = table[keys[0]] = build(cols)[0]
-            return [hit]
-        # one row per value not in the table yet (the last row holding it)
-        new = [r for k, r in dict(zip(keys, range(len(keys)))).items() if k not in table]
+                hit = table[key] = build(cols if one_row else cols[:, :1])[0]
+            return [hit] * len(cols[0])
+        keys = cols[ps[0]]
+        for p in ps[1:]:  # below the block's bit count, which the budget bounds
+            keys = keys * radix[p] + cols[p]
+        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        distinct = distinct.tolist()
+        values = list(map(table.get, distinct))
+        new = [i for i, v in enumerate(values) if v is None]
         if new:
-            table.update(zip([keys[r] for r in new], build(_select(cols, new))))
-        return [table[k] for k in keys]
+            for i, v in zip(new, build(cols[:, first[new]])):
+                values[i] = table[distinct[i]] = v
+        return np.fromiter(values, object, len(values))[inverse].tolist()
 
     return gather
-
-
-def _compare_column(op: str, lefts: list, rights: list) -> list[Formula]:
-    """The folded comparisons of a chunk's rows.  Only a comparison of two
-    constants folds, so a side holding no constant makes every row a
-    Compare."""
-    if _CONSTANT_TYPES.isdisjoint(map(type, lefts)) or _CONSTANT_TYPES.isdisjoint(
-        map(type, rights)
-    ):
-        return [Compare(op, l, r) for l, r in zip(lefts, rights)]
-    fold = _SentenceGrounder._fold_compare
-    return [fold(op, l, r) for l, r in zip(lefts, rights)]
 
 
 def _junction_column(conj: bool, children: list[Instantiator]) -> Instantiator:
@@ -446,7 +474,7 @@ def _junction_column(conj: bool, children: list[Instantiator]) -> Instantiator:
     absorbing = FALSE if conj else TRUE
 
     def build(cols: Columns) -> list[Formula]:
-        parts: list = [[] for _ in cols[0]]  # a decided row's is None
+        parts: list = [[] for _ in range(len(cols[0]))]  # a decided row's is None
         rows, sub = range(len(parts)), cols
         for child in children:
             undecided = []
@@ -458,8 +486,8 @@ def _junction_column(conj: bool, children: list[Instantiator]) -> Instantiator:
                     parts[r].append(v)
             if not undecided:
                 break
-            if len(undecided) < len(rows):
-                rows, sub = undecided, _select(cols, undecided)
+            if len(undecided) < len(rows):  # only an array chunk has rows to drop
+                rows, sub = undecided, cols[:, undecided]
         return [absorbing if p is None else _simp_junction(conj, p) for p in parts]
 
     return build
@@ -741,19 +769,20 @@ class _SentenceGrounder:
         finally:
             self._open_blocks -= 1
 
-    def _draw(self, forall: bool, chunks: Iterable[tuple[list, bool | None]]) -> Formula:
+    def _draw(self, forall: bool, chunks: Iterable[tuple[list, _Parts]]) -> Formula:
         """The conjunction (forall) or disjunction of a block's parts,
-        which chunks yields a chunk at a time as (parts, nested) pairs:
-        nested says whether the parts hold a block, and is None for a
-        constant that no instantiator made, which is not counted.  Each
-        chunk is checked against the deadline once and counted as a whole,
-        unless it holds the first deciding part, where drawing stops and
-        counting ends with that part.  A nested chunk's parts are counted,
-        checked and ground one at a time instead."""
+        which chunks yields a chunk at a time as (parts, how) pairs, how
+        one of _Parts.  Each chunk is checked against the deadline once and
+        counted as a whole, unless it holds the first deciding part, where
+        drawing stops and counting ends with that part; a chunk of parts
+        that never fold is kept whole with no scan.  A nested chunk's parts
+        are counted, checked and ground one at a time instead."""
         unit, absorbing = (TRUE, FALSE) if forall else (FALSE, TRUE)
         row, out = self.row, []
-        for parts, nested in chunks:
-            if nested:
+        # bound once: looking up an Enum member costs about 0.1 us
+        nested, folded, whole = _Parts.NESTED, _Parts.FOLDED, _Parts.WHOLE
+        for parts, how in chunks:
+            if how is nested:
                 for part in parts:
                     row.instantiations += 1
                     check_deadline()
@@ -764,12 +793,16 @@ class _SentenceGrounder:
                         out.append(part)
                 continue
             check_deadline()
+            if how is whole:
+                row.instantiations += len(parts)
+                out.extend(parts)
+                continue
             if any(map(operator.is_, parts, itertools.repeat(absorbing))):
-                if nested is not None:
+                if how is folded:
                     hits = list(map(operator.is_, parts, itertools.repeat(absorbing)))
                     row.instantiations += hits.index(True) + 1
                 return absorbing
-            if nested is not None:
+            if how is folded:
                 row.instantiations += len(parts)
             if any(map(operator.is_, parts, itertools.repeat(unit))):
                 kept = map(operator.is_not, parts, itertools.repeat(unit))
@@ -800,80 +833,102 @@ class _SentenceGrounder:
         self.row.instantiations += 1
         return substitute(f, {v: self._const(v.type, i) for v, i in zip(vars, idx_tuple)})
 
-    def _columns(self, residual: Formula, vars: list[Variable]) -> Instantiator:
+    def _columns(self, residual: Formula, vars: list[Variable]) -> tuple[Instantiator, _Parts]:
         """The column instantiator of one kept split, as the module
         docstring describes it: maps a chunk of the block variables' indices
-        to fold(substitute(residual, constants)) at each row, in row order.
-        A chunk raises if one of its rows would, and a one-row chunk raises
-        what that row would.  Each node of the residual is compiled once,
-        a nested quantifier's body included; a node that mentions fewer
-        block variables than its parent goes through _per_value.  A nested
-        quantifier's block is left for _instances to ground.
+        to fold(substitute(residual, constants)) at each row, in row order,
+        and how _draw takes those parts.  A chunk raises if one of its rows
+        would, and a one-row chunk raises what that row would.  Each node of
+        the residual is compiled once, a nested quantifier's body included;
+        a node that mentions fewer block variables than its parent goes
+        through _per_value.  A nested quantifier's block is left for
+        _instances to ground.
 
         The compiler is methods, not nested functions: a recursive nested
         function is a reference cycle, which would keep this grounder, and
         with it the evaluator's memo, alive until a cycle collection."""
         pos = {v: i for i, v in enumerate(vars)}  # a repeated name binds last
-        every = frozenset(pos.values())
-        return _per_value(*self._column_node(residual, pos, every), every)
+        radix = {p: self.s.domain_size(v.type) for v, p in pos.items()}
+        mentions, build, folds = self._column_node(residual, pos, radix)
+        if _holds_block(residual):
+            how = _Parts.NESTED
+        else:
+            how = _Parts.FOLDED if folds else _Parts.WHOLE
+        return _per_value(mentions, build, radix), how
 
-    def _column_parts(self, nodes, pos, every) -> tuple[frozenset[int], list[Instantiator]]:
+    def _column_parts(
+        self, nodes, pos, radix
+    ) -> tuple[frozenset[int], list[Instantiator], list[bool]]:
         """The block-variable positions a node over these children mentions,
-        and the children's builds, per value where they mention fewer."""
-        compiled = [self._column_node(n, pos, every) for n in nodes]
-        mentions = frozenset().union(*(m for m, _ in compiled))
-        return mentions, [b if m == mentions else _per_value(m, b, every) for m, b in compiled]
+        the children's builds, per value where they mention fewer, and
+        whether each can fold to a constant."""
+        compiled = [self._column_node(n, pos, radix) for n in nodes]
+        mentions = frozenset().union(*(m for m, _, _ in compiled))
+        builds = [b if m == mentions else _per_value(m, b, radix) for m, b, _ in compiled]
+        return mentions, builds, [f for _, _, f in compiled]
 
-    def _column_node(self, n, pos, every) -> tuple[frozenset[int], Instantiator]:
-        """The block-variable positions node n mentions, and its build."""
+    def _column_node(self, n, pos, radix) -> tuple[frozenset[int], Instantiator, bool]:
+        """The block-variable positions node n mentions, its build, and
+        whether its folded value can ever be a constant: radix maps each
+        block position to its domain size.  A node that never folds is
+        built with its constructor, not its _fold_* step."""
         if isinstance(n, (FunctionApp, Atom)):
-            mentions, args = self._column_parts(n.args, pos, every)
+            mentions, args, arg_folds = self._column_parts(n.args, pos, radix)
             if isinstance(n, FunctionApp):
                 # a node over every block variable differs on every row, so
                 # only one that is folded per value consults the run's table
                 name = n.name
-                step = self._fold_app if mentions == every else self._fold_app_shared
+                step = self._fold_app if mentions == radix.keys() else self._fold_app_shared
+                folds = name in self.sigma0 and all(arg_folds)
             else:
-                name, step = n.pred, self._fold_atom
+                name, step, folds = n.pred, self._fold_atom, n.pred in self.sigma0
             if not args:
-                return mentions, lambda cols: [step(name, ())] * len(cols[0])
+                return mentions, lambda cols: [step(name, ())] * len(cols[0]), folds
             return mentions, lambda cols: [
                 step(name, row) for row in zip(*[a(cols) for a in args])
-            ]
+            ], folds
         if isinstance(n, (Arith, Compare)):
-            mentions, (left, right) = self._column_parts((n.left, n.right), pos, every)
-            op = n.op
+            mentions, (left, right), (lf, rf) = self._column_parts((n.left, n.right), pos, radix)
+            # only two constants fold, so a side that never folds leaves
+            # every row as built
+            folds, op = lf and rf, n.op
             if isinstance(n, Compare):
-                return mentions, lambda cols: _compare_column(op, left(cols), right(cols))
-            step = self._fold_arith
-            return mentions, lambda cols: [
-                step(op, l, r) for l, r in zip(left(cols), right(cols))
-            ]
+                step = self._fold_compare if folds else Compare
+            else:
+                step = self._fold_arith if folds else Arith
+            return mentions, lambda cols: list(
+                map(step, itertools.repeat(op), left(cols), right(cols))
+            ), folds
         if isinstance(n, Not):
-            mentions, (child,) = self._column_parts((n.child,), pos, every)
-            return mentions, lambda cols: [_simp_not(c) for c in child(cols)]
+            mentions, (child,), (folds,) = self._column_parts((n.child,), pos, radix)
+            return mentions, lambda cols: list(map(_simp_not, child(cols))), folds
         if isinstance(n, (And, Or)):
-            mentions, children = self._column_parts(n.children, pos, every)
-            return mentions, _junction_column(isinstance(n, And), children)
+            mentions, children, folds = self._column_parts(n.children, pos, radix)
+            # a part that folds to the absorbing constant folds the junction,
+            # and so do no parts
+            return mentions, _junction_column(isinstance(n, And), children), any(folds) or not folds
         if isinstance(n, (ForAll, Exists)):
             # a block variable that the quantifier rebinds is shadowed in its body
             inner = {v: p for v, p in pos.items() if v != n.var}
-            mentions, body = self._column_node(n.body, inner, every)
+            mentions, body, folds = self._column_node(n.body, inner, radix)
             forall, var, s = isinstance(n, ForAll), n.var, self.s
-            return mentions, lambda cols: [_simp_quant(forall, var, b, s) for b in body(cols)]
+            folds = folds or s.domain_size(var.type) == 0
+            return mentions, lambda cols: [
+                _simp_quant(forall, var, b, s) for b in body(cols)
+            ], folds
         if isinstance(n, Variable) and n in pos:
             p, type_name, const = pos[n], n.type, self._const
-            return frozenset((p,)), lambda cols: [const(type_name, i) for i in cols[p]]
+            return frozenset((p,)), lambda cols: [const(type_name, i) for i in _ints(cols[p])], True
         # a constant, or a variable not of the block
-        return frozenset(), lambda cols: [n] * len(cols[0])
+        return frozenset(), lambda cols: [n] * len(cols[0]), not isinstance(n, Variable)
 
-    def _instances(self, form: Instantiator, cols: Columns, nested: bool):
+    def _instances(self, form: Instantiator, cols: Columns, how: _Parts):
         """The folded parts of one chunk of a kept split, in row order, as
-        one (parts, nested) chunk for _draw.  If the chunk raises, it is
-        instantiated again one row at a time, each row a chunk, so that the
-        rows before the failing one are drawn first and a deciding part
-        among them ends the block with no error, as it would have tuple by
-        tuple."""
+        one (parts, how) chunk for _draw.  If the chunk raises, it is
+        instantiated again one row at a time, each row a one-row chunk, so
+        that the rows before the failing one are drawn first and a deciding
+        part among them ends the block with no error, as it would have
+        tuple by tuple."""
         try:
             parts = form(cols)
         except GroundingTimeout:
@@ -881,10 +936,10 @@ class _SentenceGrounder:
         except SliError:
             if len(cols[0]) == 1:
                 raise
-            for r in range(len(cols[0])):
-                yield from self._instances(form, _select(cols, [r]), nested)
+            for r in range(cols.shape[1]):
+                yield from self._instances(form, cols[:, r : r + 1].tolist(), how)
             return
-        yield parts, nested
+        yield parts, how
 
     # The block generators yield the chunks of a block, constants included;
     # _draw stops drawing at the first deciding part, so no later tensor is
@@ -901,24 +956,25 @@ class _SentenceGrounder:
             slabs = self.ev.slabs(_guard_formula(guards, signs), tuple(vars))
             if residual is TRUE or residual is FALSE:  # decides the block
                 if any(tensor.any() for _, tensor in slabs):
-                    yield [residual], None
+                    yield [residual], _Parts.CONSTANT
                 continue
-            form, nested = self._columns(residual, vars), _holds_block(residual)
+            form, how = self._columns(residual, vars)
             rows = max(1, _CHUNK_NODES // _tree_size(residual))
             for lo, tensor in slabs:
                 for coords in tensor.iter_ones_chunks():
                     coords[0] += lo
                     for a in range(0, coords.shape[1], rows):
-                        yield from self._instances(form, coords[:, a : a + rows].tolist(), nested)
+                        yield from self._instances(form, coords[:, a : a + rows], how)
 
     def _block_naive(self, vars, body, guards, occurrences):
         """Tuple by tuple: each kept tuple is a one-row chunk."""
         residuals: dict[tuple[bool, ...], Formula] = {}
-        kept: dict[tuple[bool, ...], tuple[Instantiator, bool]] = {}
+        kept: dict[tuple[bool, ...], tuple[Instantiator, _Parts]] = {}
         closed = [g for g in guards if not free_variables(g)]
         closed_signs = {
             id(g): bool(eval_formula(g, self.s, {})) for g in closed
         }
+        constant = _Parts.CONSTANT
         # _tuples checks the deadline per tuple: vacuous ones reach no instantiation
         for idx_tuple in _tuples(self._block_sizes(vars)):
             env = {
@@ -936,14 +992,14 @@ class _SentenceGrounder:
                 residual = _residual(body, occurrences, signs, self.s)
                 residuals[signs] = residual
             if residual is TRUE or residual is FALSE:
-                yield [residual], None
+                yield [residual], constant
                 continue
             compiled = kept.get(signs)
             if compiled is None:
-                compiled = kept[signs] = (self._columns(residual, vars), _holds_block(residual))
+                compiled = kept[signs] = self._columns(residual, vars)
                 self._count_split()
-            form, nested = compiled
-            yield from self._instances(form, [[i] for i in idx_tuple], nested)
+            form, how = compiled
+            yield from self._instances(form, [[i] for i in idx_tuple], how)
 
     # -- the non-reducing strategy -----------------------------------------
 

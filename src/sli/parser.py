@@ -48,8 +48,12 @@ takes none.  The reader then stops and re-seats the scanner; the token
 path parses the rest of the list and raises every error, with the
 message and span it has without the reader.  Function tables and integer
 values always take the token path.  Both paths append a literal's tuples,
-in text order, to one int64 buffer that becomes its Relation; the set of
-the tuples seen, kept for the duplicate check, ends with the literal.
+in text order, to one int64 buffer that becomes its Relation.  The
+duplicate check keeps the keys of the tuples seen, and they end with the
+literal.  When every argument type is enumerated, a tuple's key is its
+mixed-radix index (_radix_keys), an int that both paths compute, so no
+tuple object is kept; otherwise it is the tuple itself, which the
+Relation of a literal holding an index of 2^63 or more is built from.
 """
 
 from __future__ import annotations
@@ -57,7 +61,9 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from itertools import repeat
+from operator import add, mul
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateDefinition,
@@ -244,6 +250,17 @@ def _tuple_item(arity: int) -> str:
     if arity == 1:
         item = f"(?:{item}|{_IDENT})"
     return item + r"\s*,\s*"
+
+
+def _radix_keys(flat: Sequence[int], sizes: list[int]) -> Iterable[int]:
+    """The mixed-radix index over sizes of each tuple in flat, whose tuples
+    of len(sizes) indices lie end to end: the keys are formed a position
+    at a time with map, so no tuple is built."""
+    k = len(sizes)
+    keys: Iterable[int] = flat[0::k]
+    for j in range(1, k):
+        keys = map(add, map(mul, keys, repeat(sizes[j])), flat[j::k])
+    return keys
 
 
 def _piece(item: str):
@@ -706,17 +723,19 @@ class Parser:
             self.next()
             return Relation({()} if t.text == "true" else ())
         self.expect("{")
-        # the tuples seen, for the duplicate check, and their buffer in text
-        # order, which an index of 2^63 or more drops
-        tuples: set[tuple[int, ...]] = set()
+        # the keys of the tuples seen, for the duplicate check, and their
+        # buffer in text order, which an index of 2^63 or more drops
+        sizes = self._enum_sizes(arg_types)
+        seen: set = set()
         rows: array | None = array("q")
         # after a bulk run the next token must start a tuple, even a "}"
-        if self._bulk_tuples(arg_types, tuples, rows) or not self.accept("}"):
+        if self._bulk_tuples(arg_types, sizes, seen, rows) or not self.accept("}"):
             while True:
                 tup = self.parse_tuple(arg_types)
-                if tup in tuples:
+                (key,) = _radix_keys(tup, sizes) if sizes else (tup,)
+                if key in seen:
                     raise self.error(f"duplicate tuple in relation")
-                tuples.add(tup)
+                seen.add(key)
                 if rows is not None:
                     try:
                         rows.extend(tup)
@@ -726,23 +745,33 @@ class Parser:
                     break
             self.expect("}")
         if rows is None:
-            return Relation(tuples)
-        return Relation.from_buffer(rows, len(arg_types), len(tuples))
+            return Relation(seen)
+        return Relation.from_buffer(rows, len(arg_types), len(seen))
 
-    def _bulk_tuples(self, arg_types: tuple[str, ...], tuples: set, rows: array) -> bool:
-        """Add the leading run of simple tuples of a relation literal, each
-        with its comma, read straight from the text from the current token
-        on a piece of at most _PIECE tuples at a time, to tuples and, in
-        text order, to rows; re-seat the scanner after the run and return
-        whether it took any.  A tuple is simple when it matches
-        _tuple_item, each name is an element of its declared type, and it
-        is not in tuples yet.  A piece of simple, distinct tuples is taken
-        whole; any other is taken up to its first tuple that is not
-        simple, where the run stops, so the token path parses that one and
-        raises any error it holds."""
-        indices = [self.indices.get(t) for t in arg_types]
-        if not indices or None in indices:
+    def _enum_sizes(self, arg_types: tuple[str, ...]) -> list[int] | None:
+        """The domain sizes of arg_types, if there are any and every one is
+        an enumerated type; else None."""
+        if not arg_types or not all(t in self.indices for t in arg_types):
+            return None
+        return [len(self.indices[t]) for t in arg_types]
+
+    def _bulk_tuples(
+        self, arg_types: tuple[str, ...], sizes: list[int] | None, seen: set, rows: array
+    ) -> bool:
+        """Add the leading run of simple tuples of a relation literal whose
+        argument types are enumerated, of those sizes, each with its comma,
+        read straight from the text from the current token on a piece of at
+        most _PIECE tuples at a time: their keys (_radix_keys) to seen and
+        the tuples, in text order, to rows.  Re-seat the scanner after the
+        run and return whether it took any.  A tuple is simple when it
+        matches _tuple_item, each name is an element of its declared type,
+        and its key is not in seen yet.  A piece of simple, distinct tuples
+        is taken whole; any other is taken up to its first tuple that is
+        not simple, where the run stops, so the token path parses that one
+        and raises any error it holds."""
+        if sizes is None:
             return False
+        indices = [self.indices[t] for t in arg_types]
         k, item = len(arg_types), _tuple_item(len(arg_types))
         piece, one = _piece(item), re.compile(item).match
         text = self.text
@@ -752,18 +781,23 @@ class Parser:
             flat = names[:]
             for j, ix in enumerate(indices):
                 flat[j::k] = map(ix.get, names[j::k])
-            fresh = set(zip(*[iter(flat)] * k))
-            if None in flat or len(fresh) * k < len(flat) or not fresh.isdisjoint(tuples):
-                for row in zip(*[iter(flat)] * k):
-                    if None in row or row in tuples:
-                        break
-                    tuples.add(row)
-                    rows.extend(row)
-                    pos = one(text, pos).end()
-                break
-            tuples |= fresh
-            rows.fromlist(flat)
-            pos = end
+            if None not in flat:
+                fresh = set(_radix_keys(flat, sizes))
+                if len(fresh) * k == len(flat) and fresh.isdisjoint(seen):
+                    seen |= fresh
+                    rows.fromlist(flat)
+                    pos = end
+                    continue
+            for row in zip(*[iter(flat)] * k):
+                if None in row:
+                    break
+                (key,) = _radix_keys(row, sizes)
+                if key in seen:
+                    break
+                seen.add(key)
+                rows.extend(row)
+                pos = one(text, pos).end()
+            break
         if pos == start:
             return False
         self._seat(pos)

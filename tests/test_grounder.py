@@ -42,8 +42,10 @@ from sli.grounder import (
     GroundTheory,
     GroundingStats,
     SentenceStats,
+    _Parts,
     _SentenceGrounder,
     _collect_guards,
+    _holds_block,
     _liftable,
     _residual,
     _simp_junction,
@@ -851,15 +853,23 @@ INSTANCE_ERRORS = (UnsupportedFormula, IndexOutOfRange, ArithmeticOverflow)
 
 def _reference_columns(g, residual, vars):
     """The per-tuple path the column instantiator replaces: substitute and
-    fold row by row, raising the first failing row's error."""
+    fold row by row, raising the first failing row's error; its parts are
+    taken as ones that may fold, unless they hold a block."""
 
     def form(cols):
+        rows = cols.tolist() if isinstance(cols, np.ndarray) else cols
         return [
             g.fold(substitute(residual, {v: g._const(v.type, i) for v, i in zip(vars, idx)}))
-            for idx in zip(*cols)
+            for idx in zip(*rows)
         ]
 
-    return form
+    return form, _Parts.NESTED if _holds_block(residual) else _Parts.FOLDED
+
+
+def _array_chunk(tuples):
+    """Index tuples as one chunk the way vec draws them: an int64 array
+    with a row per block variable and a column per tuple."""
+    return np.array(tuples, dtype=np.int64).T
 
 
 def _outcome(form, cols):
@@ -893,8 +903,8 @@ def test_compiled_instantiation_matches_substitute_and_fold(monkeypatch, strateg
 
     def checking_columns(g, residual, vars):
         # every tuple of the block as a one-row chunk of a fresh instantiator
-        form = columns(g, residual, vars)
-        reference = _reference_columns(g, residual, vars)
+        form, _ = columns(g, residual, vars)
+        reference, _ = _reference_columns(g, residual, vars)
         sizes = [g.s.domain_size(v.type) for v in vars]
         tuples = list(itertools.product(*(range(n) for n in sizes)))
         for idx in tuples:
@@ -902,14 +912,14 @@ def test_compiled_instantiation_matches_substitute_and_fold(monkeypatch, strateg
             got = _outcome(form, one)
             assert got == _outcome(reference, one), print_formula(residual)
             seen[got.__name__ if isinstance(got, type) else "formula"] += 1
-        # the tuples again, in multi-row chunks of random lengths, through
+        # the tuples again, in array chunks of random lengths, through
         # another fresh instantiator whose tables carry over between chunks:
         # a chunk equals its rows, or raises if one of them does
-        form = columns(g, residual, vars)
+        form, _ = columns(g, residual, vars)
         at = 0
         while at < len(tuples):
             n = int(lengths.integers(2, 40))
-            cols = [list(c) for c in zip(*tuples[at : at + n])]
+            cols = _array_chunk(tuples[at : at + n])
             got, want = _outcome(form, cols), _outcome(reference, cols)
             if isinstance(want, type):
                 assert got in INSTANCE_ERRORS, print_formula(residual)
@@ -948,6 +958,9 @@ def test_compiled_instantiation_matches_substitute_and_fold(monkeypatch, strateg
     # the shapes of the colouring and queens workloads, over 70 values
     compare(_colour_like(70, 3))
     compare(problem(QUEENS.format(n=70)))
+    # three block variables, a per-value node over x and z, and an Int
+    # type whose indices are not its values
+    compare(_three_variables())
     assert seen["formula"] > 1000 and seen["chunk"] > 100
     # UnsupportedFormula is raised by the sentence's own fold, before any
     # block is ground, so only IndexOutOfRange reaches an instantiator
@@ -1014,21 +1027,99 @@ def test_a_junction_skips_the_rows_it_decided(monkeypatch, strategy):
     g = _SentenceGrounder(prob.structure, strategy)
     forall = prob.sentences[0]
     residual, vars = g.fold(forall.body), [forall.var]
-    cols = [list(range(100))]
-    got = g._columns(residual, vars)(cols)
-    assert got == _reference_columns(g, residual, vars)(cols)
+    cols = _array_chunk([(i,) for i in range(100)])
+    got = g._columns(residual, vars)[0](cols)
+    assert got == _reference_columns(g, residual, vars)[0](cols)
 
 
-def _chunk_rows(monkeypatch) -> list[int]:
-    """The rows of every chunk that _instances instantiates, recorded."""
-    rows, instances = [], _SentenceGrounder._instances
+THREE_VARIABLES = """
+vocabulary {{
+  type T := {{{t}}}.
+  type N := Int[-5..4].
+  pred r(T, N, T).
+  pred w(T, T).
+  pred u(N).
+  func f(T, T) -> N.
+  func g(T) -> N.
+}}
+theory {{
+  !x in T: !y in N: !z in T: r(x, y, z) => w(x, z) | u(f(x, z)) | g(x) + y > 0.
+}}
+structure {{
+  r := {{{r}}}.
+  f := {{{f}}}.
+}}
+"""
 
-    def recording(g, form, cols, nested):
-        rows.append(len(cols[0]))
-        return instances(g, form, cols, nested)
+
+def _three_variables():
+    """A block over x, y and z whose w(x, z) and u(f(x, z)) mention the
+    non-adjacent x and z; y ranges over Int[-5..4], whose indices 0..9 are
+    not its values.  r holds 240 of the 360 tuples."""
+    t = [f"t{i}" for i in range(6)]
+    r = ", ".join(
+        f"(t{x}, {y}, t{z})"
+        for x in range(6)
+        for y in range(-5, 5)
+        for z in range(6)
+        if (x + 2 * y + z) % 3
+    )
+    f = ", ".join(f"(t{x}, t{z}) -> {(3 * x + z) % 10 - 5}" for x in range(6) for z in range(6))
+    return problem(THREE_VARIABLES.format(t=", ".join(t), r=r, f=f))
+
+
+def test_three_variables_gather_by_non_adjacent_keys(monkeypatch):
+    # with _CHUNK_BITS at 64 the 240 rows span several array chunks; the
+    # per-value nodes over x and z key each row by x * 6 + z
+    monkeypatch.setattr(sli.bittensor, "_CHUNK_BITS", 64)
+    prob = _three_variables()
+    columns, forms = _SentenceGrounder._columns, []
+
+    def recording_columns(g, residual, vars):
+        forms.append(columns(g, residual, vars))
+        return forms[-1]
+
+    monkeypatch.setattr(_SentenceGrounder, "_columns", recording_columns)
+    chunks = _chunks(monkeypatch)
+    vec = _grounding(prob, "vec", 8)
+    assert len(chunks) > 2 and all(isinstance(c, np.ndarray) for c in chunks)
+    assert sum(c.shape[1] for c in chunks) == vec[2][0][5] == 240
+    # w(x, z) and u(f(x, z)) are folded once per (x, z) pair the rows
+    # hold, g(x) + y > 0 once per (x, y); below them x, z, g(x) and y once
+    # per value, and the constant 0 once
+    assert _table_sizes(forms[0][0]) == [1, 6, 6, 6, 6, 6, 10, 36, 36, 60]
+    # y's index 0 is its value -5, and f(t0, t0) is -5
+    assert print_formula(vec[1][0]) == "w(t0, t0) | u(-5) | g(t0) + -5 > 0"
+    monkeypatch.setattr(_SentenceGrounder, "_columns", _reference_columns)
+    assert vec == _grounding(prob, "vec", 8)
+    assert vec[:2] == _grounding(prob, "naive", 8)[:2]
+
+
+def test_a_failing_array_chunk_is_retried_row_by_row(monkeypatch):
+    # under vec the rows 65..100 are one array chunk, which raises at
+    # x = 100; it is instantiated again as one-row chunks, the first five
+    # drawn and the sixth, x = 70, deciding the block
+    monkeypatch.setattr(sli.bittensor, "_CHUNK_BITS", 64)
+    prob = _out_of_range("!x in N: ok(x, pick(x)) & u(f(x + 1)).", {70})
+    chunks = _chunks(monkeypatch)
+    gt = ground_problem(prob, "vec")
+    assert gt.verdict == "unsat-trivial" and gt.stats.rows[0].instantiations == 70
+    first, second, *rows = chunks
+    assert isinstance(first, np.ndarray) and first.tolist() == [list(range(64))]
+    assert isinstance(second, np.ndarray) and second.tolist() == [list(range(64, 100))]
+    assert rows == [[[i]] for i in range(64, 70)]
+
+
+def _chunks(monkeypatch) -> list:
+    """Every chunk that _instances instantiates, recorded."""
+    chunks, instances = [], _SentenceGrounder._instances
+
+    def recording(g, form, cols, how):
+        chunks.append(cols)
+        return instances(g, form, cols, how)
 
     monkeypatch.setattr(_SentenceGrounder, "_instances", recording)
-    return rows
+    return chunks
 
 
 def test_a_deciding_row_midway_through_a_chunk_ends_the_count(monkeypatch):
@@ -1036,11 +1127,11 @@ def test_a_deciding_row_midway_through_a_chunk_ends_the_count(monkeypatch):
     # all 100 rows: counting ends with it, as under naive, which draws
     # nothing after it
     prob = _out_of_range("!x in N: ok(x, pick(x)).", {50})
-    rows = _chunk_rows(monkeypatch)
+    chunks = _chunks(monkeypatch)
     vec = ground_problem(prob, "vec")
-    assert rows == [100]
+    assert [len(c[0]) for c in chunks] == [100]
     naive = ground_problem(prob, "naive")
-    assert len(rows) == 1 + 50
+    assert len(chunks) == 1 + 50
     for gt in (vec, naive):
         assert gt.verdict == "unsat-trivial"
         assert gt.stats.rows[0].instantiations == 50
@@ -1051,36 +1142,89 @@ def test_unit_parts_are_counted_as_drawn_but_not_kept(monkeypatch):
     # 10, 20, 30, in vec's one chunk: those parts count as instantiations,
     # as under naive, and are dropped from the conjunction
     prob = _out_of_range("!x in N: ~ok(x, pick(x)).", {10, 20, 30})
-    rows = _chunk_rows(monkeypatch)
+    chunks = _chunks(monkeypatch)
     vec, naive = ground_problem(prob, "vec"), ground_problem(prob, "naive")
-    assert rows[0] == 100
+    assert len(chunks[0][0]) == 100
     for gt in (vec, naive):
         assert gt.stats.rows[0].instantiations == 100
         assert len(gt.assertions) == 97 and TRUE not in gt.assertions
     assert vec.assertions == naive.assertions
 
 
-def test_draw_counts_instantiated_parts_up_to_the_deciding_one():
+def test_draw_counts_instantiated_parts_up_to_the_deciding_one(monkeypatch):
     g = _SentenceGrounder(_out_of_range("!x in N: u(x).", set()).structure, "vec")
     a, b, c = (Atom("u", (IntConstant(i),)) for i in (1, 2, 3))
     # a constant that no instantiator made (nested None) is not counted; a
     # unit part is counted but not kept
+    folded, constant = _Parts.FOLDED, _Parts.CONSTANT
     g.row = SentenceStats(0, "vec")
-    assert g._draw(True, iter([([a, TRUE, b], False), ([TRUE], None), ([c], False)])) == And(
+    assert g._draw(True, iter([([a, TRUE, b], folded), ([TRUE], constant), ([c], folded)])) == And(
         (a, b, c)
     )
     assert g.row.instantiations == 4
     # the count ends with the first deciding part, and no later chunk is drawn
     g.row = SentenceStats(0, "vec")
-    later = iter([([c], False)])
-    chunks = itertools.chain([([a, TRUE], False), ([b, FALSE, c, FALSE], False)], later)
+    later = iter([([c], folded)])
+    chunks = itertools.chain([([a, TRUE], folded), ([b, FALSE, c, FALSE], folded)], later)
     assert g._draw(True, chunks) is FALSE
     assert g.row.instantiations == 2 + 2
-    assert next(later) == ([c], False)
+    assert next(later) == ([c], folded)
     # a disjunction decides on TRUE, and a constant chunk decides uncounted
     g.row = SentenceStats(0, "vec")
-    assert g._draw(False, iter([([a, FALSE], False), ([TRUE], None), ([b], False)])) is TRUE
+    assert g._draw(False, iter([([a, FALSE], folded), ([TRUE], constant), ([b], folded)])) is TRUE
     assert g.row.instantiations == 2
+    # a chunk of parts that never fold is counted whole after one deadline
+    # check, and kept as it is
+    checks = []
+    monkeypatch.setattr(sli.grounder, "check_deadline", lambda: checks.append(g.row.instantiations))
+    g.row = SentenceStats(0, "vec")
+    assert g._draw(True, iter([([a, b, c], _Parts.WHOLE), ([b], folded)])) == And((a, b, c, b))
+    assert g.row.instantiations == 4 and checks == [0, 3]
+
+
+def test_a_comparison_that_can_fold_decides_and_drops_units():
+    # guards lift every comparison of block variables, constants and
+    # interpreted functions out of a block, so no grounding leaves one that
+    # folds in a residual: this residual is compiled by hand.  f(x) = y
+    # folds at every row, to the unit TRUE of a forall block where x = y
+    # (f is the identity) and to FALSE elsewhere
+    prob = _out_of_range("!x in N: u(x).", set())
+    g = _SentenceGrounder(prob.structure, "vec")
+    x, y = Variable("x", "N"), Variable("y", "N")
+    equal = Compare("=", FunctionApp("f", (x,)), y)
+    rows = _array_chunk([(i, j) for i in range(10) for j in (i, (i + 1) % 10)])
+    # equal | u(x): a unit part where x = y, dropped but counted
+    form, how = g._columns(Or((equal, Atom("u", (x,)))), [x, y])
+    assert how is _Parts.FOLDED
+    g.row = SentenceStats(0, "vec")
+    got = g._draw(True, g._instances(form, rows, how))
+    assert got == And(tuple(Atom("u", (IntConstant(i + 1),)) for i in range(10)))
+    assert g.row.instantiations == 20
+    # equal alone: the second row, x = 1 and y = 2, decides the block
+    form, how = g._columns(equal, [x, y])
+    assert how is _Parts.FOLDED
+    g.row = SentenceStats(0, "vec")
+    assert g._draw(True, g._instances(form, rows, how)) is FALSE
+    assert g.row.instantiations == 2
+    # the same comparison over an uninterpreted pick(x) never folds
+    assert g._columns(Compare("=", FunctionApp("pick", (x,)), y), [x, y])[1] is _Parts.WHOLE
+
+
+@pytest.mark.parametrize("make", [lambda: _colour_like(30, 4), lambda: _queens(8)])
+def test_naive_instantiates_without_numpy(monkeypatch, make):
+    # naive draws one-row chunks, which are gathered with no np.unique
+    calls, unique = [], np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(args[0].size)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    naive = ground_problem(make(), "naive")
+    assert naive.stats.total_instantiations > 0 and calls == []
+    # vec's array chunks are gathered through it
+    vec = ground_problem(make(), "vec")
+    assert calls and sorted(map(str, vec.assertions)) == sorted(map(str, naive.assertions))
 
 
 def test_per_value_tables_hold_only_the_values_seen(monkeypatch):
@@ -1130,7 +1274,7 @@ structure {{
     assert folded["u"] == 30  # u(z) is folded once per z too
     assert len({a.children[0] for a in gt.assertions}) == 10
     # the tables of w(x, y), x, y and u(z)
-    assert _table_sizes(forms[0]) == [10, 10, 10, 30]
+    assert _table_sizes(forms[0][0]) == [10, 10, 10, 30]
 
 
 def _table_sizes(form):
