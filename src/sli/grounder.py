@@ -50,17 +50,18 @@ is instantiated with no numpy call.
   per value of those variables seen, on the first chunk holding that
   value, and gathered for the chunk per distinct value: each row is keyed
   by the mixed-radix index of the variables the node mentions, which stays
-  below the block's bit count and so fits int64.  One np.unique finds an
-  array chunk's distinct keys, the first row of each and the row's place
-  among them; the node is built only for the keys its table lacks, from
-  their first rows, and its values are spread over the rows by that
-  inverse.  A part over none of them is folded once, colouring's
-  colour(x) once per x rather than once per (x, y).  Those shared parts
-  are immutable and appear as one object in every instantiation that
-  holds them.  A function application among them is folded through one
-  table of the run, keyed by symbol and folded arguments, so colour(x)
-  and colour(y) fold each vertex's colour once between them, into one
-  object.
+  below the block's bit count and so fits int64.  An array chunk's
+  distinct keys, and each row's place among them, come from a dense
+  table over every key when the keys span at most 4x the chunk's rows,
+  and from one np.unique otherwise; the node is built only for the keys
+  its table lacks, from one row of each, and its values are spread over
+  the rows by that inverse.  A part over none of them is folded once,
+  colouring's colour(x) once per x rather than once per (x, y).  Those
+  shared parts are immutable and appear as one object in every
+  instantiation that holds them.  A function application among them is
+  folded through one table of the run, keyed by symbol and folded
+  arguments, so colour(x) and colour(y) fold each vertex's colour once
+  between them, into one object.
 - only the nodes over all of them are built per row, each in one pass
   over the chunk; a block variable among them turns its column into
   Python ints with one tolist().
@@ -100,6 +101,7 @@ import itertools
 import math
 import operator
 import sys
+import sysconfig
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -161,6 +163,9 @@ Instantiator = Callable[[Columns], list]
 # this, which bounds the work done, and the memory held, between two
 # deadline checks.
 _CHUNK_NODES = 2**17
+# a free-threaded build's gc.freeze walks the heap, where the GIL build's
+# splices two lists
+_FREE_THREADED = bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
 
 
 class _Parts(enum.Enum):
@@ -434,13 +439,16 @@ def _per_value(
     row is keyed by the mixed-radix index of the variables build mentions,
     build runs once per key, on the first chunk holding it, and its result
     is gathered for each row by key; the table holds only the keys seen.
-    An array chunk is gathered per distinct key: one np.unique finds the
-    chunk's keys and the first row of each, and build runs on the first
-    rows of the keys not in the table yet.  A one-row chunk, as naive
-    draws them, is looked up with no numpy."""
+    An array chunk is gathered per distinct key, found by a dense table
+    over every key when the keys span at most 4x the chunk's rows, and by
+    np.unique otherwise; build runs on one row of each key not in the
+    table yet (any row will do: build reads only the variables it
+    mentions).  A one-row chunk, as naive draws them, is looked up with no
+    numpy."""
     if mentions == radix.keys():
         return build
     ps = sorted(mentions)
+    span = math.prod(radix[p] for p in ps)
     table: dict = {}
 
     def gather(cols: Columns) -> list:
@@ -456,12 +464,20 @@ def _per_value(
         keys = cols[ps[0]]
         for p in ps[1:]:  # below the block's bit count, which the budget bounds
             keys = keys * radix[p] + cols[p]
-        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        if span <= 4 * keys.size:
+            seen = np.zeros(span, bool)
+            seen[keys] = True
+            distinct = np.flatnonzero(seen)
+            inverse = (np.cumsum(seen) - 1)[keys]
+        else:
+            distinct, inverse = np.unique(keys, return_inverse=True)
         distinct = distinct.tolist()
         values = list(map(table.get, distinct))
         new = [i for i, v in enumerate(values) if v is None]
         if new:
-            for i, v in zip(new, build(cols[:, first[new]])):
+            row = np.empty(len(distinct), np.intp)
+            row[inverse] = np.arange(keys.size)  # one row of each key
+            for i, v in zip(new, build(cols[:, row[new]])):
                 values[i] = table[distinct[i]] = v
         return np.fromiter(values, object, len(values))[inverse].tolist()
 
@@ -1156,12 +1172,23 @@ def _collector_paused() -> Iterator[None]:
     """Run the body with the cyclic garbage collector disabled, enabling it
     again at the end only if it was enabled at the start.  Grounding makes
     no reference cycles, so a collection during it would only traverse the
-    live ground theory as it grows.  The collector is process-wide: while
-    the body runs, no thread's cyclic garbage is collected."""
+    live ground theory as it grows.  When the body returns, every tracked
+    object, the ground theory among them, is first moved to the oldest
+    generation (gc.freeze, then gc.unfreeze: two list splices, which also
+    zero gen 0's count), so that no young collection scans the theory the
+    caller keeps.  The move is skipped if the collector was disabled at
+    the start (the caller owns its state), if the body raised (its objects
+    are garbage, not a result), if the caller has frozen objects (they
+    stay frozen), and on a free-threaded build (where freezing walks the
+    heap).  The collector is process-wide: while the body runs, no
+    thread's cyclic garbage is collected."""
     collecting = gc.isenabled()
     gc.disable()
     try:
         yield
+        if collecting and not _FREE_THREADED and not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
     finally:
         if collecting:
             gc.enable()
@@ -1175,7 +1202,8 @@ def ground_problem(
     timeout: float | None = None,
 ) -> GroundTheory:
     """Ground every sentence, short-circuiting on a refuted one, within
-    timeout seconds, with the cyclic garbage collector paused
+    timeout seconds, with the cyclic garbage collector paused; a returned
+    theory is handed to the collector's oldest generation
     (_collector_paused)."""
     with _collector_paused(), deadline(timeout):
         s = problem.structure

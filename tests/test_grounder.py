@@ -46,7 +46,9 @@ from sli.grounder import (
     _SentenceGrounder,
     _collect_guards,
     _holds_block,
+    _ints,
     _liftable,
+    _per_value,
     _residual,
     _simp_junction,
     _simp_not,
@@ -1210,21 +1212,93 @@ def test_a_comparison_that_can_fold_decides_and_drops_units():
     assert g._columns(Compare("=", FunctionApp("pick", (x,)), y), [x, y])[1] is _Parts.WHOLE
 
 
+def _numpy_reads(monkeypatch) -> set[str]:
+    """The names the grounder reads from numpy from now on, recorded."""
+    names: set[str] = set()
+
+    class Recording:
+        def __getattr__(self, name):
+            names.add(name)
+            return getattr(np, name)
+
+    monkeypatch.setattr(sli.grounder, "np", Recording())
+    return names
+
+
 @pytest.mark.parametrize("make", [lambda: _colour_like(30, 4), lambda: _queens(8)])
 def test_naive_instantiates_without_numpy(monkeypatch, make):
-    # naive draws one-row chunks, which are gathered with no np.unique
-    calls, unique = [], np.unique
-
-    def counting_unique(*args, **kwargs):
-        calls.append(args[0].size)
-        return unique(*args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", counting_unique)
+    # naive draws one-row chunks, which are gathered with no numpy call
+    used = _numpy_reads(monkeypatch)
     naive = ground_problem(make(), "naive")
-    assert naive.stats.total_instantiations > 0 and calls == []
-    # vec's array chunks are gathered through it
+    assert naive.stats.total_instantiations > 0 and used == set()
+    want = sorted(map(str, naive.assertions))
+    # vec gathers its array chunks with numpy: a chunk of every kept tuple
+    # through the dense table, as its keys span at most 4x its rows ...
     vec = ground_problem(make(), "vec")
-    assert calls and sorted(map(str, vec.assertions)) == sorted(map(str, naive.assertions))
+    assert "flatnonzero" in used and "unique" not in used
+    assert sorted(map(str, vec.assertions)) == want
+    # ... and one-row array chunks through np.unique
+    used.clear()
+    monkeypatch.setattr(sli.grounder, "_CHUNK_NODES", 1)
+    vec = ground_problem(make(), "vec")
+    assert "unique" in used and "flatnonzero" not in used
+    assert sorted(map(str, vec.assertions)) == want
+
+
+@pytest.mark.parametrize("ordered", [False, True], ids=["unsorted", "sorted"])
+def test_per_value_gathers_each_row_by_its_key(monkeypatch, ordered):
+    """A node over variables 0 and 2 of three, whose keys span 7 x 9 = 63:
+    chunks of up to 15 rows are gathered through np.unique, chunks of 16
+    rows or more through the dense table.  On random chunks on both sides
+    of that switch, drawn in order or not, each row gets the value built
+    for its key, and each key is built once, from a row holding it."""
+    used = _numpy_reads(monkeypatch)
+    rng = np.random.default_rng(3)
+    radix = {0: 7, 1: 5, 2: 9}
+    built = []
+
+    def build(cols):
+        rows = list(zip(cols[0].tolist(), cols[2].tolist()))
+        built.extend(rows)
+        return rows
+
+    gather = _per_value(frozenset((0, 2)), build, radix)
+    seen = set()
+    for rows in [1, 2, 8, 15, 16, 17, 40, 200, 15, 16]:
+        cols = np.stack([rng.integers(0, radix[p], rows) for p in range(3)])
+        if ordered:
+            cols = cols[:, np.lexsort(cols[::-1])]
+        want = list(zip(cols[0].tolist(), cols[2].tolist()))
+        assert gather(cols) == want
+        seen.update(want)
+        assert sorted(built) == sorted(seen)
+    assert {"unique", "flatnonzero"} <= used
+
+
+@pytest.mark.parametrize("x_values", [10, 100], ids=["dense", "unique"])
+def test_a_failing_gather_raises_the_first_rows_error(x_values):
+    """A per-value node that raises at x = 3 and x = 8: its array chunk,
+    built in key order, fails at x = 3 first; _instances then retries the
+    chunk one row at a time, draws the row before the failing one, and
+    raises the error of the first failing row, x = 8."""
+
+    def build(cols):
+        xs = _ints(cols[0])
+        bad = [x for x in xs if x in (3, 8)]
+        if bad:
+            raise IndexOutOfRange(f"x = {bad[0]}")
+        return xs
+
+    gather = _per_value(frozenset((0,)), build, {0: x_values, 1: 5})
+    cols = np.array([[5, 8, 1, 3, 8], [0, 1, 2, 3, 4]])
+    with pytest.raises(IndexOutOfRange, match="x = 3"):
+        gather(cols)
+    g = _SentenceGrounder(_colour_like(3, 1).structure, "naive")
+    drawn = []
+    with pytest.raises(IndexOutOfRange, match="x = 8"):
+        for parts, how in g._instances(gather, cols, _Parts.FOLDED):
+            drawn.append(parts)
+    assert drawn == [[5]]
 
 
 def test_per_value_tables_hold_only_the_values_seen(monkeypatch):
@@ -1609,14 +1683,33 @@ structure {
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_pipeline_leaves_no_cyclic_garbage(make, strategy):
     """Parsing, grounding and emitting free every object they make by
-    reference counting alone: no walk leaves a reference cycle behind."""
+    reference counting alone: no walk leaves a reference cycle behind,
+    with the collector disabled, or enabled, when a grounding that returns
+    hands what it made to the oldest generation."""
+    for enabled in (False, True):
+        assert _cyclic_garbage(lambda: emit(ground_problem(make(), strategy)), enabled) == 0
+
+
+def _cyclic_garbage(run, enabled: bool) -> int:
+    """The objects the collector frees from the start of run(), called
+    with the collector enabled or disabled, to a full collection after
+    it: every collection in that window counts."""
+    collected = []
+
+    def probe(phase, info):
+        if phase == "stop":
+            collected.append(info["collected"])
+
     gc.collect()
-    gc.disable()
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(probe)
     try:
-        emit(ground_problem(make(), strategy))
-        assert gc.collect() == 0
+        run()
+        gc.collect()
     finally:
+        gc.callbacks.remove(probe)
         gc.enable()
+    return sum(collected)
 
 
 def _fake_clock(monkeypatch) -> list[int]:
@@ -1654,18 +1747,19 @@ def test_a_deadline_leaves_no_cyclic_garbage(monkeypatch, make, strategy, timed_
         readings, now[0] = now[0], 0
         assert readings > 4
         timeout = readings // 2
-    gc.collect()
-    gc.disable()
-    try:
+
+    def run():
+        if timed_out:
+            now[0] = 0
         try:
             emit(ground_problem(make(), strategy, timeout=timeout))
         except GroundingTimeout:
             assert timed_out
         else:
             assert not timed_out
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+
+    for enabled in (False, True):
+        assert _cyclic_garbage(run, enabled) == 0
 
 
 def test_a_timeout_ends_with_its_grounding(monkeypatch):
@@ -1723,8 +1817,11 @@ def test_a_deadline_holds_in_its_own_thread_only():
 @pytest.mark.parametrize("ends", ["grounded", "timed-out", "input-error"])
 def test_grounding_leaves_the_collector_as_it_found_it(monkeypatch, enabled, ends):
     """ground_problem pauses the cyclic collector while it runs, and leaves
-    it enabled or disabled as it was, however the call ends."""
+    it enabled or disabled as it was, however the call ends.  It freezes
+    the tracked objects, to promote them, only when it returns a theory
+    with the collector enabled at the start."""
     check, paused = sli.grounder.check_deadline, []
+    freezes = _freezes(monkeypatch)
 
     def recording_check():
         paused.append(not gc.isenabled())
@@ -1746,6 +1843,65 @@ def test_grounding_leaves_the_collector_as_it_found_it(monkeypatch, enabled, end
     finally:
         gc.enable()
     assert paused and all(paused)
+    assert len(freezes) == (enabled and ends == "grounded")
+
+
+def _freezes(monkeypatch) -> list[None]:
+    """One entry per gc.freeze call from now on; each still freezes."""
+    calls, freeze = [], gc.freeze
+
+    def recording_freeze():
+        calls.append(None)
+        freeze()
+
+    monkeypatch.setattr(gc, "freeze", recording_freeze)
+    return calls
+
+
+def test_a_ground_theory_skips_the_young_generations():
+    """A grounding that returns leaves none of its assertions in the two
+    young generations, and gen 0's count at 0, so no young collection
+    scans the theory: none starts inside ground_problem, and the emission
+    that follows runs no collection of generation 1 or 2."""
+    prob = _colour_like(600, 4)
+    starts = []
+
+    def probe(phase, info):
+        if phase == "start":
+            starts.append((stage, info["generation"]))
+
+    stage = "ground"
+    gc.collect()
+    gc.callbacks.append(probe)
+    try:
+        gt = ground_problem(prob, "vec")
+        count = gc.get_count()[0]
+        stage = "emit"
+        emit(gt)
+    finally:
+        gc.callbacks.remove(probe)
+    assert len(gt.assertions) >= 2000 and count == 0
+    assert not [s for s in starts if s[0] == "ground" or s[1] >= 1]
+    ids = set(map(id, gt.assertions))
+    for generation in (0, 1):
+        assert not any(id(o) in ids for o in gc.get_objects(generation=generation))
+
+
+def test_a_callers_frozen_objects_stay_frozen(monkeypatch):
+    """With objects frozen by the caller, ground_problem promotes nothing:
+    it does not freeze, and the freeze count is unchanged."""
+    prob = _colour_like(30, 4)
+    freezes = _freezes(monkeypatch)
+    gc.freeze()
+    try:
+        # the first grounding frees the context's old variable mapping,
+        # which the freeze caught, as it sets the deadline
+        assert ground_problem(prob, "vec").verdict == "open"
+        frozen = gc.get_freeze_count()
+        assert ground_problem(prob, "vec").verdict == "open"
+        assert frozen > 0 and gc.get_freeze_count() == frozen and freezes == [None]
+    finally:
+        gc.unfreeze()
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
