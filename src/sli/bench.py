@@ -282,7 +282,7 @@ def run_one(
         emit_us = (time.perf_counter_ns() - t1) // 1000
     return RunRecord(
         spec.benchmark, spec.instance, strategy, spec.size, spec.ratio,
-        spec.seed, ground_us, emit_us, gt.verdict, len(gt.assertions),
+        spec.seed, ground_us, emit_us, gt.verdict, gt.assertion_count,
         gt.stats.peak_bits, 0,
     )
 

@@ -137,7 +137,7 @@ def _cmd_ground(args) -> int:
     # the strategies the rows report, in order of first use
     ran = dict.fromkeys(r.strategy for r in gt.stats.rows) or [args.strategy]
     print(
-        f"{args.file}: verdict {gt.verdict}, {len(gt.assertions)} assertions"
+        f"{args.file}: verdict {gt.verdict}, {gt.assertion_count} assertions"
         f" ({', '.join(ran)}); parse {t1 - t0:.3f} s, ground {t2 - t1:.3f} s,"
         f" emit {t3 - t2:.3f} s",
         file=sys.stderr,

@@ -88,6 +88,20 @@ instantiated again one row at a time, so the error raised, or the
 deciding part that leaves it unreached, is the one that instantiating
 tuple by tuple gives.
 
+Segments (vec, ground_problem only).  When a sentence folds to a universal
+block, the block's parts are the theory's top-level assertions.  A kept
+split of such a block whose residual is a comparison that never folds,
+each side of which mentions some of the block variables but not all
+(colouring's colour(x) ~= colour(y), queens' queen(x) + x ~= queen(y) +
+y), has rows that differ only in their sides' values.  Those values are
+built per value as above, and the split is kept as one Segment: the
+operator, each side's distinct values, and one narrow unsigned array of
+two rows that holds each row's places among them.  No comparison is
+built.  GroundTheory.parts holds formulas and segments in assertion order,
+GroundTheory.assertions builds a segment's comparisons when first read,
+and assertion_count counts them without building any.  naive, noreduce,
+ground_sentence, and every other split keep node lists.
+
 One run object, _SentenceGrounder, serves a grounding call: it owns the
 evaluator, the constant and fold tables, the relation tries, and the
 SentenceStats row it fills in place.
@@ -175,6 +189,7 @@ class _Parts(enum.Enum):
     FOLDED = "instantiations that may be constants: scanned for both"
     WHOLE = "instantiations that never are: counted and kept whole"
     NESTED = "instantiations holding a block: ground one at a time"
+    SEGMENT = "a split's _SegmentBuilder and the rows it took: counted, kept as columns"
 
 STRATEGIES = ("vec", "naive", "noreduce")
 
@@ -432,56 +447,112 @@ def _ints(column) -> list[int]:
     return column if isinstance(column, list) else column.tolist()
 
 
-def _per_value(
-    mentions: frozenset[int], build: Instantiator, radix: dict[int, int]
-) -> Instantiator:
-    """build itself if it mentions every block variable.  Otherwise each
-    row is keyed by the mixed-radix index of the variables build mentions,
-    build runs once per key, on the first chunk holding it, and its result
-    is gathered for each row by key; the table holds only the keys seen.
-    An array chunk is gathered per distinct key, found by a dense table
-    over every key when the keys span at most 4x the chunk's rows, and by
-    np.unique otherwise; build runs on one row of each key not in the
-    table yet (any row will do: build reads only the variables it
-    mentions).  A one-row chunk, as naive draws them, is looked up with no
-    numpy."""
-    if mentions == radix.keys():
-        return build
-    ps = sorted(mentions)
-    span = math.prod(radix[p] for p in ps)
-    table: dict = {}
+class _Values:
+    """A node's values per key of the block variables it mentions, built
+    once each.  Each row is keyed by the mixed-radix index of those
+    variables, build runs once per key, on the first chunk holding it, and
+    its value is kept in nodes, at the key's place: the table holds only
+    the keys seen.  An array chunk is looked up per distinct key, found by
+    a dense table over every key when the keys span at most 4x the chunk's
+    rows, and by np.unique otherwise; build runs on one row of each key
+    not in the table yet (any row will do: build reads only the variables
+    it mentions).  A one-row chunk, as naive draws them, is looked up with
+    no numpy.  Called on a chunk, it gives each row's value, shared by the
+    rows of a key; `places` gives each row's place in nodes instead."""
 
-    def gather(cols: Columns) -> list:
+    def __init__(self, mentions: frozenset[int], build: Instantiator, radix: dict[int, int]):
+        self.ps = sorted(mentions)
+        self.radix = radix
+        self.span = math.prod(radix[p] for p in self.ps)
+        self.build = build
+        self.place: dict[int, int] = {}  # key -> its value's index in nodes
+        self.nodes: list = []
+
+    def _distinct(self, cols: Columns) -> tuple[list[int], np.ndarray | None]:
+        """The places of the chunk's distinct keys, building the values of
+        those not seen yet, and each row's index among them, or None when
+        the whole chunk has one key."""
+        ps, radix, place = self.ps, self.radix, self.place
         one_row = isinstance(cols, list)
-        if one_row or not ps:  # one key for the whole chunk
+        if one_row or not ps:
             key = 0
             for p in ps:
                 key = key * radix[p] + cols[p][0]
-            hit = table.get(key)
+            hit = place.get(key)
             if hit is None:
-                hit = table[key] = build(cols if one_row else cols[:, :1])[0]
-            return [hit] * len(cols[0])
+                self.nodes.append(self.build(cols if one_row else cols[:, :1])[0])
+                hit = place[key] = len(self.nodes) - 1
+            return [hit], None
         keys = cols[ps[0]]
         for p in ps[1:]:  # below the block's bit count, which the budget bounds
             keys = keys * radix[p] + cols[p]
-        if span <= 4 * keys.size:
-            seen = np.zeros(span, bool)
+        if self.span <= 4 * keys.size:
+            seen = np.zeros(self.span, bool)
             seen[keys] = True
             distinct = np.flatnonzero(seen)
             inverse = (np.cumsum(seen) - 1)[keys]
         else:
             distinct, inverse = np.unique(keys, return_inverse=True)
         distinct = distinct.tolist()
-        values = list(map(table.get, distinct))
-        new = [i for i, v in enumerate(values) if v is None]
+        places = list(map(place.get, distinct))
+        new = [i for i, v in enumerate(places) if v is None]
         if new:
             row = np.empty(len(distinct), np.intp)
             row[inverse] = np.arange(keys.size)  # one row of each key
-            for i, v in zip(new, build(cols[:, row[new]])):
-                values[i] = table[distinct[i]] = v
+            nodes = self.nodes
+            for i, v in zip(new, self.build(cols[:, row[new]])):
+                places[i] = place[distinct[i]] = len(nodes)
+                nodes.append(v)
+        return places, inverse
+
+    def __call__(self, cols: Columns) -> list:
+        places, inverse = self._distinct(cols)
+        values = list(map(self.nodes.__getitem__, places))
+        if inverse is None:
+            return values * len(cols[0])
         return np.fromiter(values, object, len(values))[inverse].tolist()
 
-    return gather
+    def places(self, cols: Columns, dtype: np.dtype) -> np.ndarray:
+        """Each row's place in nodes, as dtype, which must hold span - 1."""
+        places, inverse = self._distinct(cols)
+        if inverse is None:
+            return np.full(len(cols[0]), places[0], dtype)
+        return np.array(places, dtype)[inverse]
+
+
+def _per_value(
+    mentions: frozenset[int], build: Instantiator, radix: dict[int, int]
+) -> Instantiator:
+    """build itself if it mentions every block variable, else its _Values."""
+    return build if mentions == radix.keys() else _Values(mentions, build, radix)
+
+
+class _SegmentBuilder:
+    """The column instantiator of a kept split that becomes a Segment: a
+    chunk's rows are kept as the places of their two sides' values, and no
+    comparison is built.  Called on a chunk, it takes the chunk's rows and
+    returns itself and their count, a _Parts.SEGMENT chunk for _draw; a
+    chunk that raises takes none."""
+
+    def __init__(self, op: str, left: _Values, right: _Values):
+        self.op = op
+        self.sides = (left, right)
+        # a side has at most span distinct values
+        self.dtype = np.min_scalar_type(max(left.span, right.span) - 1)
+        self.pieces: list[np.ndarray] = []
+
+    def __call__(self, cols: Columns) -> tuple[_SegmentBuilder, int]:
+        # the left side first, as building the comparisons would
+        left, right = (side.places(cols, self.dtype) for side in self.sides)
+        self.pieces.append(np.stack((left, right)))
+        return self, left.size
+
+    def segment(self) -> Segment:
+        """The split's rows so far, in one array."""
+        pieces = self.pieces
+        index = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+        left, right = self.sides
+        return Segment(self.op, left.nodes, right.nodes, index)
 
 
 def _junction_column(conj: bool, children: list[Instantiator]) -> Instantiator:
@@ -580,20 +651,36 @@ class _SentenceGrounder:
         # (predicate, constant positions) -> _relation_trie's trie
         self._tries: dict[tuple[str, tuple[int, ...]], dict | list] = {}
 
-    def sentence(self, f: Formula, sentence_id: int = 0) -> SentenceStats:
+    def sentence(
+        self, f: Formula, sentence_id: int = 0, into: list | None = None
+    ) -> SentenceStats:
         """Ground one sentence into a fresh row; tensor_bits is the peak of
-        this sentence alone."""
+        this sentence alone.  The row's formula is the sentence's ground
+        formula.  Given a list into, the sentence's top-level assertions
+        are appended to it instead, and the row's formula is FALSE if the
+        sentence is refuted and TRUE otherwise.  Under vec, a sentence
+        that folds to a universal block then keeps each split that
+        qualifies as a Segment (_columns)."""
         t0 = time.perf_counter()
         self.row = row = SentenceStats(sentence_id, self.strategy)
         f = desugar(f)
         if self.strategy == "noreduce":
-            row.formula = self.ground_noreduce(f)
+            formula = self.ground_noreduce(f)
         elif self.ev is None:
-            row.formula = self.ground(f)
+            formula = self.ground(f)
         else:
             self.ev.peak_bits = 0
-            row.formula = self.ground(f)
+            folded = self.fold(f)
+            if into is not None and isinstance(folded, ForAll):
+                formula = self._ground_block(folded, into)
+            else:
+                formula = self._ground_folded(folded)
             row.tensor_bits = self.ev.peak_bits
+        if into is not None and formula is not FALSE:
+            if formula is not TRUE:
+                into.extend(_split_assertions(formula))
+            formula = TRUE
+        row.formula = formula
         row.micros = int((time.perf_counter() - t0) * 1e6)
         return row
 
@@ -768,35 +855,46 @@ class _SentenceGrounder:
                     )
         return f  # a constant, a ground atom or comparison, or no block inside
 
-    def _ground_block(self, f: Formula) -> Formula:
+    def _ground_block(self, f: Formula, into: list | None = None) -> Formula:
+        """The ground conjunction (forall) or disjunction of a block.  With
+        a list into, f is a whole sentence's universal block under vec,
+        whose kept parts _draw appends to into, and a split that qualifies
+        is kept as a segment (_segment)."""
         forall, vars, body = _block_of(f)
         guards, occurrences = _collect_guards(body, self.sigma0, frozenset(vars))
         if not self._open_blocks:  # an outermost block
             self.row.guards += len(guards)
         if self.ev is not None and len(guards) <= self.cap:
-            parts = self._block_vec(forall, vars, body, guards, occurrences)
+            parts = self._block_vec(forall, vars, body, guards, occurrences, into is not None)
         else:
             if self.ev is not None:
                 self.row.strategy = "naive(fallback)"
             parts = self._block_naive(vars, body, guards, occurrences)
         self._open_blocks += 1
         try:
-            return self._draw(forall, parts)
+            return self._draw(forall, parts, into)
         finally:
             self._open_blocks -= 1
 
-    def _draw(self, forall: bool, chunks: Iterable[tuple[list, _Parts]]) -> Formula:
+    def _draw(
+        self, forall: bool, chunks: Iterable[tuple[list, _Parts]], into: list | None = None
+    ) -> Formula:
         """The conjunction (forall) or disjunction of a block's parts,
         which chunks yields a chunk at a time as (parts, how) pairs, how
         one of _Parts.  Each chunk is checked against the deadline once and
         counted as a whole, unless it holds the first deciding part, where
         drawing stops and counting ends with that part; a chunk of parts
-        that never fold is kept whole with no scan.  A nested chunk's parts
-        are counted, checked and ground one at a time instead."""
+        that never fold is kept whole with no scan, and a segment chunk is
+        counted with no part built.  A nested chunk's parts are counted,
+        checked and ground one at a time instead.  With a list into, the
+        parts kept are appended to it, a segment split's as one Segment,
+        and the block's unit is returned, unless a part decides the block;
+        a lone part that is a formula is returned instead."""
         unit, absorbing = (TRUE, FALSE) if forall else (FALSE, TRUE)
         row, out = self.row, []
         # bound once: looking up an Enum member costs about 0.1 us
         nested, folded, whole = _Parts.NESTED, _Parts.FOLDED, _Parts.WHOLE
+        segment = _Parts.SEGMENT
         for parts, how in chunks:
             if how is nested:
                 for part in parts:
@@ -813,6 +911,12 @@ class _SentenceGrounder:
                 row.instantiations += len(parts)
                 out.extend(parts)
                 continue
+            if how is segment:
+                builder, rows = parts
+                row.instantiations += rows
+                if not out or out[-1] is not builder:
+                    out.append(builder)
+                continue
             if any(map(operator.is_, parts, itertools.repeat(absorbing))):
                 if how is folded:
                     hits = list(map(operator.is_, parts, itertools.repeat(absorbing)))
@@ -824,7 +928,10 @@ class _SentenceGrounder:
                 kept = map(operator.is_not, parts, itertools.repeat(unit))
                 parts = list(itertools.compress(parts, kept))
             out.extend(parts)
-        return _junction(forall, out)
+        if into is None or (len(out) == 1 and type(out[0]) is not _SegmentBuilder):
+            return _junction(forall, out)
+        into.extend(p.segment() if type(p) is _SegmentBuilder else p for p in out)
+        return unit
 
     def _count_split(self) -> None:
         """A kept split of the block being drawn, if that block is outermost."""
@@ -871,6 +978,26 @@ class _SentenceGrounder:
         else:
             how = _Parts.FOLDED if folds else _Parts.WHOLE
         return _per_value(mentions, build, radix), how
+
+    def _segment(self, residual: Formula, vars: list[Variable]) -> tuple[Instantiator, _Parts] | None:
+        """A _SegmentBuilder for a kept split whose residual is a comparison
+        that never folds, each of whose sides mentions some block
+        variables but not all, and how _draw takes its chunks; None for
+        any other.  Its sides' values are built per value as _columns
+        would build them, and its rows, which differ only in their places
+        among those values, become one Segment."""
+        if type(residual) is not Compare:
+            return None
+        pos = {v: i for i, v in enumerate(vars)}  # a repeated name binds last
+        radix = {p: self.s.domain_size(v.type) for v, p in pos.items()}
+        (lm, lb, lf), (rm, rb, rf) = (
+            self._column_node(t, pos, radix) for t in (residual.left, residual.right)
+        )
+        every = radix.keys()
+        if lf and rf or lm | rm != every or lm == every or rm == every:
+            return None
+        left, right = _Values(lm, lb, radix), _Values(rm, rb, radix)
+        return _SegmentBuilder(residual.op, left, right), _Parts.SEGMENT
 
     def _column_parts(
         self, nodes, pos, radix
@@ -961,12 +1088,13 @@ class _SentenceGrounder:
     # _draw stops drawing at the first deciding part, so no later tensor is
     # evaluated and no later chunk instantiated.
 
-    def _block_vec(self, forall, vars, body, guards, occurrences):
+    def _block_vec(self, forall, vars, body, guards, occurrences, segments=False):
         """Each kept split's satisfying set, a slab of leading-variable
         rows at a time (SatSetEvaluator.slabs): a residual that decides
         the block is drawn at the first slab holding a one, and no later
         slab is evaluated; otherwise each slab's ones are instantiated in
-        order."""
+        order.  With segments, a split that qualifies is kept as a
+        segment (_segment)."""
         for signs, residual in _splits(forall, body, len(guards), occurrences, self.s):
             self._count_split()
             slabs = self.ev.slabs(_guard_formula(guards, signs), tuple(vars))
@@ -974,7 +1102,8 @@ class _SentenceGrounder:
                 if any(tensor.any() for _, tensor in slabs):
                     yield [residual], _Parts.CONSTANT
                 continue
-            form, how = self._columns(residual, vars)
+            segment = self._segment(residual, vars) if segments else None
+            form, how = segment or self._columns(residual, vars)
             rows = max(1, _CHUNK_NODES // _tree_size(residual))
             for lo, tensor in slabs:
                 for coords in tensor.iter_ones_chunks():
@@ -1047,7 +1176,9 @@ class _SentenceGrounder:
 @dataclass(slots=True)
 class SentenceStats:
     """One sentence's ground formula and --stats row.  guards and
-    splits_kept count its outermost blocks, instantiations every block."""
+    splits_kept count its outermost blocks, instantiations every block.
+    In a row of ground_problem, whose theory holds the assertions, the
+    formula is FALSE for a refuted sentence and TRUE otherwise."""
 
     sentence_id: int
     strategy: str
@@ -1097,32 +1228,88 @@ class GroundingStats:
         return "\n".join(lines) + "\n"
 
 
+class Segment:
+    """The instances of one kept split whose residual is a comparison that
+    never folds, held as columns: assertion r is
+    Compare(op, left[index[0, r]], right[index[1, r]]).  left and right
+    hold each side's distinct folded values, shared with the rest of the
+    theory, and index is one unsigned array of two rows, as narrow as the
+    sides allow.  materialise() builds the comparisons."""
+
+    __slots__ = ("op", "left", "right", "index")
+
+    def __init__(self, op: str, left: list[Term], right: list[Term], index: np.ndarray):
+        self.op = op
+        self.left = left
+        self.right = right
+        self.index = index
+
+    def __len__(self) -> int:
+        return self.index.shape[1]
+
+    def __repr__(self) -> str:
+        return f"Segment({self.op!r}, {len(self)} rows)"
+
+    def materialise(self) -> list[Formula]:
+        """The comparisons, in row order: new nodes over the shared sides."""
+        left, right = (
+            np.fromiter(nodes, object, len(nodes))[places].tolist()
+            for nodes, places in zip((self.left, self.right), self.index)
+        )
+        return list(map(Compare, itertools.repeat(self.op), left, right))
+
+
 class GroundTheory:
     """Quantifier-free assertions plus the input structure (the emitter
     needs domains and signatures).  mode is 'reduced' (assertions mention no
     interpreted symbol) or 'unfolded' (interpreted symbols appear and their
-    tables are part of the assertions)."""
+    tables are part of the assertions).
+
+    parts holds the assertions in order, as formulas and Segments, each
+    Segment standing for its rows.  assertions is every assertion as a
+    formula: a segment's comparisons are built when it is first read, and
+    kept; assertion_count counts them without building any."""
 
     def __init__(
         self,
         structure: Structure,
-        assertions: tuple[Formula, ...],
+        assertions: Iterable[Formula | Segment],
         verdict: str,
         mode: str,
         stats: GroundingStats,
     ):
-        if verdict != VERDICT_OPEN and assertions:
+        parts = tuple(assertions)
+        if verdict != VERDICT_OPEN and parts:
             raise ValueError("a decided theory carries no assertions")
         self.structure = structure
-        self.assertions = assertions
+        self.parts = parts
         self.verdict = verdict
         self.mode = mode
         self.stats = stats
+        self._assertions: tuple[Formula, ...] | None = None
+
+    @property
+    def assertions(self) -> tuple[Formula, ...]:
+        if self._assertions is None:
+            self._assertions = self.parts
+            if any(type(p) is Segment for p in self.parts):
+                out: list[Formula] = []
+                for p in self.parts:
+                    if type(p) is Segment:
+                        out += p.materialise()
+                    else:
+                        out.append(p)
+                self._assertions = tuple(out)
+        return self._assertions
+
+    @property
+    def assertion_count(self) -> int:
+        return sum(len(p) if type(p) is Segment else 1 for p in self.parts)
 
     def __repr__(self) -> str:
         return (
             f"GroundTheory(verdict={self.verdict!r}, "
-            f"assertions={len(self.assertions)}, mode={self.mode!r})"
+            f"assertions={self.assertion_count}, mode={self.mode!r})"
         )
 
 
@@ -1209,16 +1396,14 @@ def ground_problem(
         s = problem.structure
         g = _SentenceGrounder(s, strategy, cap)
         rows: list[SentenceStats] = []
-        assertions: list[Formula] = []
+        assertions: list[Formula | Segment] = []
         refuted = False
         for i, sentence in enumerate(problem.sentences):
-            row = g.sentence(sentence, i)
+            row = g.sentence(sentence, i, assertions)
             rows.append(row)
             if row.formula is FALSE:
                 refuted = True
                 break
-            if row.formula is not TRUE:
-                assertions.extend(_split_assertions(row.formula))
         stats = GroundingStats(tuple(rows))
         mode = "unfolded" if strategy == "noreduce" else "reduced"
         if refuted:
@@ -1235,4 +1420,4 @@ def ground_problem(
             assertions = _structure_facts(s, fact_symbols) + assertions
         if not assertions:
             return GroundTheory(s, (), VERDICT_SAT, mode, stats)
-        return GroundTheory(s, tuple(assertions), VERDICT_OPEN, mode, stats)
+        return GroundTheory(s, assertions, VERDICT_OPEN, mode, stats)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import re
 import string
 
-from .grounder import GroundTheory, VERDICT_OPEN, VERDICT_SAT
+import numpy as np
+
+from .grounder import GroundTheory, Segment, VERDICT_OPEN, VERDICT_SAT
 from .logic import (
     FALSE,
     TRUE,
@@ -120,10 +122,12 @@ class _Emitter:
 
     In reduced mode each term and atom node is rendered once and its text
     is keyed by id(node): the column instantiator hands the same
-    FunctionApp/Arith object to every tuple that shares it, and
-    gt.assertions keeps every node, so every id, alive for the walk.  A
-    comparison or an arithmetic term looks its children up in the memo
-    before it calls `term` on them; rendered text is never empty.
+    FunctionApp/Arith object to every tuple that shares it, and gt.parts
+    keeps every node, so every id, alive for the walk: a formula's nodes,
+    and a segment's side values.  A comparison or an arithmetic term looks
+    its children up in the memo before it calls `term` on them; rendered
+    text is never empty.  A segment is rendered from its columns
+    (`segment`), and no comparison of it is built.
     Unfolded mode keeps no memo: the noreduce grounder shares few nodes,
     and a memo there was measured to slow emission down.
 
@@ -304,18 +308,46 @@ class _Emitter:
         return text
 
 
+    def segment(self, seg: Segment) -> list[str]:
+        """A segment's lines, rendered from its columns.  Each side's
+        values are rendered once, in the order of the row that first uses
+        them, the left side's before the right's within a row: the order in
+        which rendering row by row would meet them, so declarations keep
+        first-use order.  A line is then one gather of each side's text and
+        one concatenation per row."""
+        memo, term, index = self.memo, self.term, seg.index
+        firsts = [
+            np.unique(places, return_index=True)[1] * 2 + side
+            for side, places in enumerate(index)
+        ]
+        uses = np.sort(np.concatenate(firsts))  # row * 2 + side
+        sides = uses & 1
+        nodes = (seg.left, seg.right)
+        texts: tuple[list, list] = ([None] * len(seg.left), [None] * len(seg.right))
+        for side, place in zip(sides.tolist(), index[sides, uses >> 1].tolist()):
+            node = nodes[side][place]
+            texts[side][place] = memo.get(id(node)) or term(node)
+        op = _COMPARE_OPS[seg.op]
+        heads = np.fromiter((f"(assert ({op} {t} " for t in texts[0]), object, len(texts[0]))
+        tails = np.fromiter((f"{t}))" for t in texts[1]), object, len(texts[1]))
+        return (heads[index[0]] + tails[index[1]]).tolist()
+
+
 def _walk(gt: GroundTheory, taken: frozenset[str]) -> tuple[_Emitter, list[str]]:
     """The emitter after one walk, and the assertion lines it rendered.  A
     comparison, the usual assertion of a reduced theory, is rendered as
-    formula would render it, in the one string of its line."""
+    formula would render it, in the one string of its line, and a segment
+    from its columns."""
     em = _Emitter(gt, taken)
     memo, term, formula = em.memo, em.term, em.formula
     lines = []
-    for a in gt.assertions:
+    for a in gt.parts:
         if type(a) is Compare:
             left = memo.get(id(a.left)) or term(a.left)
             right = memo.get(id(a.right)) or term(a.right)
             lines.append(f"(assert ({_COMPARE_OPS[a.op]} {left} {right}))")
+        elif type(a) is Segment:
+            lines += em.segment(a)
         else:
             lines.append(f"(assert {formula(a)})")
     return em, lines

@@ -41,8 +41,10 @@ from sli.errors import (
 from sli.grounder import (
     GroundTheory,
     GroundingStats,
+    Segment,
     SentenceStats,
     _Parts,
+    _Values,
     _SentenceGrounder,
     _collect_guards,
     _holds_block,
@@ -1352,18 +1354,24 @@ structure {{
 
 
 def _table_sizes(form):
-    """The sizes of the per-value tables a column instantiator reaches
-    through its closures."""
+    """The sizes of the per-value tables (_Values) a column instantiator
+    reaches through its closures."""
+
+    def compiled(v):
+        return hasattr(v, "__code__") or isinstance(v, _Values)
+
     sizes, todo = [], [form]
     while todo:
         f = todo.pop()
-        for name, cell in zip(f.__code__.co_freevars, f.__closure__ or ()):
+        if isinstance(f, _Values):
+            sizes.append(len(f.place))
+            todo.append(f.build)
+            continue
+        for cell in f.__closure__ or ():
             v = cell.cell_contents
-            if name == "table":
-                sizes.append(len(v))
-            elif isinstance(v, list):
-                todo.extend(c for c in v if hasattr(c, "__code__"))
-            elif hasattr(v, "__code__"):
+            if isinstance(v, list):
+                todo.extend(c for c in v if compiled(c))
+            elif compiled(v):
                 todo.append(v)
     return sorted(sizes)
 
@@ -1519,8 +1527,9 @@ def test_interpreted_atom_over_an_uninterpreted_term_in_a_residual(strategy):
     assert first.children[0] is second.children[0]
 
 
-def _colour_like(n, k):
-    """Colouring of a circulant graph: vertex i borders i+1 .. i+k mod n."""
+def _colour_like(n, k, extra=""):
+    """Colouring of a circulant graph: vertex i borders i+1 .. i+k mod n;
+    extra is a further sentence."""
     vertices = ", ".join(f"v{i}" for i in range(n))
     border = ", ".join(
         f"(v{i}, v{(i + d) % n})" for i in range(n) for d in range(1, k + 1)
@@ -1535,6 +1544,7 @@ vocabulary {{
 }}
 theory {{
   !x, y in V: x ~= y & border(x, y) => colour(x) ~= colour(y).
+  {extra}
 }}
 structure {{
   border := {{{border}}}.
@@ -1685,9 +1695,18 @@ def test_pipeline_leaves_no_cyclic_garbage(make, strategy):
     """Parsing, grounding and emitting free every object they make by
     reference counting alone: no walk leaves a reference cycle behind,
     with the collector disabled, or enabled, when a grounding that returns
-    hands what it made to the oldest generation."""
+    hands what it made to the oldest generation.  Under vec, colouring's
+    and queens' theories hold segments, whose comparisons are built too."""
     for enabled in (False, True):
-        assert _cyclic_garbage(lambda: emit(ground_problem(make(), strategy)), enabled) == 0
+        run = lambda: _emit_and_read(ground_problem(make(), strategy))  # noqa: E731
+        assert _cyclic_garbage(run, enabled) == 0
+
+
+def _emit_and_read(gt):
+    """Emit a theory, then read its assertions, which builds the
+    comparisons of its segments."""
+    emit(gt)
+    return gt.assertions
 
 
 def _cyclic_garbage(run, enabled: bool) -> int:
@@ -1752,7 +1771,7 @@ def test_a_deadline_leaves_no_cyclic_garbage(monkeypatch, make, strategy, timed_
         if timed_out:
             now[0] = 0
         try:
-            emit(ground_problem(make(), strategy, timeout=timeout))
+            _emit_and_read(ground_problem(make(), strategy, timeout=timeout))
         except GroundingTimeout:
             assert timed_out
         else:
@@ -1859,11 +1878,14 @@ def _freezes(monkeypatch) -> list[None]:
 
 
 def test_a_ground_theory_skips_the_young_generations():
-    """A grounding that returns leaves none of its assertions in the two
-    young generations, and gen 0's count at 0, so no young collection
-    scans the theory: none starts inside ground_problem, and the emission
-    that follows runs no collection of generation 1 or 2."""
-    prob = _colour_like(600, 4)
+    """A grounding that returns leaves none of the objects its theory holds
+    in the two young generations, and gen 0's count at 0, so no young
+    collection scans the theory: none starts inside ground_problem, and the
+    emission that follows runs no collection of generation 1 or 2.  The
+    theory holds formulas, from a residual that is a disjunction, and
+    segments, from one that is a comparison; the comparisons a segment
+    builds when .assertions is first read are new."""
+    prob = _colour_like(600, 4, "!x, y in V: border(x, y) => colour(x) ~= colour(y) | colour(x) = c0.")
     starts = []
 
     def probe(phase, info):
@@ -1880,9 +1902,14 @@ def test_a_ground_theory_skips_the_young_generations():
         emit(gt)
     finally:
         gc.callbacks.remove(probe)
-    assert len(gt.assertions) >= 2000 and count == 0
+    assert gt.assertion_count >= 2000 and count == 0
     assert not [s for s in starts if s[0] == "ground" or s[1] >= 1]
-    ids = set(map(id, gt.assertions))
+    segments = [p for p in gt.parts if type(p) is Segment]
+    assert segments and len(segments) < len(gt.parts)
+    held = list(gt.parts)
+    for seg in segments:
+        held += [seg.left, seg.right, *seg.left, *seg.right]
+    ids = set(map(id, held))
     for generation in (0, 1):
         assert not any(id(o) in ids for o in gc.get_objects(generation=generation))
 
