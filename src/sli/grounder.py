@@ -660,7 +660,7 @@ class _SentenceGrounder:
         are appended to it instead, and the row's formula is FALSE if the
         sentence is refuted and TRUE otherwise.  Under vec, a sentence
         that folds to a universal block then keeps each split that
-        qualifies as a Segment (_columns)."""
+        qualifies as a Segment (_segment)."""
         t0 = time.perf_counter()
         self.row = row = SentenceStats(sentence_id, self.strategy)
         f = desugar(f)
@@ -994,7 +994,7 @@ class _SentenceGrounder:
             self._column_node(t, pos, radix) for t in (residual.left, residual.right)
         )
         every = radix.keys()
-        if lf and rf or lm | rm != every or lm == every or rm == every:
+        if (lf and rf) or lm | rm != every or lm == every or rm == every:
             return None
         left, right = _Values(lm, lb, radix), _Values(rm, rb, radix)
         return _SegmentBuilder(residual.op, left, right), _Parts.SEGMENT
@@ -1247,9 +1247,6 @@ class Segment:
     def __len__(self) -> int:
         return self.index.shape[1]
 
-    def __repr__(self) -> str:
-        return f"Segment({self.op!r}, {len(self)} rows)"
-
     def materialise(self) -> list[Formula]:
         """The comparisons, in row order: new nodes over the shared sides."""
         left, right = (
@@ -1291,7 +1288,6 @@ class GroundTheory:
     @property
     def assertions(self) -> tuple[Formula, ...]:
         if self._assertions is None:
-            self._assertions = self.parts
             if any(type(p) is Segment for p in self.parts):
                 out: list[Formula] = []
                 for p in self.parts:
@@ -1300,6 +1296,8 @@ class GroundTheory:
                     else:
                         out.append(p)
                 self._assertions = tuple(out)
+            else:
+                self._assertions = self.parts
         return self._assertions
 
     @property

@@ -307,7 +307,6 @@ class _Emitter:
                 self.bounds.append(f"(assert (<= {text} {_int(hi)}))")
         return text
 
-
     def segment(self, seg: Segment) -> list[str]:
         """A segment's lines, rendered from its columns.  Each side's
         values are rendered once, in the order of the row that first uses

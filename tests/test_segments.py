@@ -37,8 +37,9 @@ def _segments(gt: GroundTheory) -> list[Segment]:
 
 def test_whole_comparison_splits_are_segments():
     """Each queens sentence keeps one segment, and colouring one; the
-    places are as narrow as the sides' values allow, and reading
-    .assertions builds the same comparisons again on every read."""
+    places are as narrow as the sides' values allow, and the first read
+    of .assertions builds the comparisons, over the segment's own side
+    values, and keeps them."""
     queens = ground_problem(_toy("queens"), "vec")
     assert [len(s) for s in _segments(queens)] == [30, 30, 30] == [len(p) for p in queens.parts]
     assert all(s.index.dtype == np.uint8 and s.index.shape == (2, 30) for s in queens.parts)
@@ -265,3 +266,31 @@ def test_a_segmented_theory_holds_few_bytes_per_assertion():
         tracemalloc.stop()
     assert gt.assertion_count == 200000 and _segments(gt)
     assert held / gt.assertion_count < 32
+
+
+LONE_CONJUNCTION = """
+vocabulary {
+  type T := {a, b, c}.
+  pred p(T).
+  pred u(T).
+  pred v(T).
+  func f(T) -> T.
+}
+theory {
+  !x in T: p(x) => u(x) & v(x).
+  !x, y in T: p(x) & x ~= y => f(x) ~= f(y) & u(y).
+}
+structure {
+  p := {b}.
+}
+"""
+
+
+def test_a_lone_conjunction_is_split_into_assertions():
+    """A universal block that keeps one part, a conjunction, is that
+    conjunction, whose conjuncts are the sentence's assertions, as
+    ground_sentence's formula splits into them."""
+    prob = parse_problem(LONE_CONJUNCTION)
+    gt = ground_problem(prob, "vec")
+    assert [str(a) for a in gt.assertions] == [str(a) for a in _sentence_by_sentence(prob)[1]]
+    assert len(gt.assertions) == 4
