@@ -59,6 +59,14 @@ def seconds(text: str) -> float:
     return value
 
 
+def guard_count(text: str) -> int:
+    """A --cap value: an int, but not a negative one, which every block's
+    guard count would exceed."""
+    if (value := int(text)) < 0:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sli", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -75,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ground.add_argument(
         "--cap",
-        type=int,
+        type=guard_count,
         default=DEFAULT_GUARD_CAP,
         help="guard count above which vec grounds a quantifier block the naive"
         " way; the --stats row of its sentence then reads naive(fallback)",

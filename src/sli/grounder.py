@@ -19,11 +19,11 @@ stops at the first deciding part.
   residual decides the block stops at the first slab holding a one.
   Otherwise each slab's ones are taken in chunks
   (BitTensor.iter_ones_chunks), cut so that a chunk's rows times the
-  residual's nodes stay within _CHUNK_NODES; slabs in order and ones in
-  order within each give the whole set's order.  A block with
-  more guards than the cap is grounded as naive grounds it, and its
-  sentence's row reports naive(fallback); the other blocks stay
-  vectorized.
+  residual's nodes, counted by the walk that compiles it, stay within
+  _CHUNK_NODES; slabs in order and ones in order within each give the
+  whole set's order.  A block with more guards than the cap is grounded
+  as naive grounds it, and its sentence's row reports naive(fallback);
+  the other blocks stay vectorized.
 - naive: one nested loop over the block's tuples; the guards are decided
   per tuple by recursive evaluation, skipping tuples whose residual is
   vacuous and exiting early on a deciding tuple.  Each split's residual is
@@ -94,7 +94,8 @@ split of such a block whose residual is a comparison that never folds,
 each side of which mentions some of the block variables but not all
 (colouring's colour(x) ~= colour(y), queens' queen(x) + x ~= queen(y) +
 y), has rows that differ only in their sides' values.  Those values are
-built per value as above, and the split is kept as one Segment: the
+built per value as above, and _columns, which sees that shape as it
+compiles the residual, keeps the split as one Segment: the
 operator, each side's distinct values, and one narrow unsigned array of
 two rows that holds each row's places among them.  No comparison is
 built.  GroundTheory.parts holds formulas and segments in assertion order,
@@ -580,32 +581,19 @@ def _junction_column(conj: bool, children: list[Instantiator]) -> Instantiator:
     return build
 
 
-def _tree_size(n) -> int:
-    """The formula and term nodes of n, counted as a tree."""
-    if isinstance(n, (Atom, FunctionApp)):
-        kids = n.args
-    elif isinstance(n, (Arith, Compare)):
-        kids = (n.left, n.right)
-    elif isinstance(n, Not):
-        kids = (n.child,)
-    elif isinstance(n, (And, Or)):
-        kids = n.children
-    elif isinstance(n, (ForAll, Exists)):
-        kids = (n.body,)
-    else:
-        return 1
-    return 1 + sum(map(_tree_size, kids))
+@dataclass(slots=True)
+class _Binary:
+    """The build of a comparison or arithmetic node: step(op, l, r) at
+    each row, l and r its sides' values there.  step is the node's
+    constructor when it never folds, its _fold_* step otherwise."""
 
+    step: Callable
+    op: str
+    left: Instantiator
+    right: Instantiator
 
-def _holds_block(f: Formula) -> bool:
-    """Whether a folded formula holds a quantifier block."""
-    if isinstance(f, (ForAll, Exists)):
-        return True
-    if isinstance(f, Not):
-        return _holds_block(f.child)
-    if isinstance(f, (And, Or)):
-        return any(_holds_block(c) for c in f.children)
-    return False
+    def __call__(self, cols: Columns) -> list:
+        return list(map(self.step, itertools.repeat(self.op), self.left(cols), self.right(cols)))
 
 
 def _tuples(sizes: list[int]) -> Iterator[tuple[int, ...]]:
@@ -660,7 +648,7 @@ class _SentenceGrounder:
         are appended to it instead, and the row's formula is FALSE if the
         sentence is refuted and TRUE otherwise.  Under vec, a sentence
         that folds to a universal block then keeps each split that
-        qualifies as a Segment (_segment)."""
+        qualifies as a Segment (_columns)."""
         t0 = time.perf_counter()
         self.row = row = SentenceStats(sentence_id, self.strategy)
         f = desugar(f)
@@ -859,7 +847,7 @@ class _SentenceGrounder:
         """The ground conjunction (forall) or disjunction of a block.  With
         a list into, f is a whole sentence's universal block under vec,
         whose kept parts _draw appends to into, and a split that qualifies
-        is kept as a segment (_segment)."""
+        is kept as a segment (_columns)."""
         forall, vars, body = _block_of(f)
         guards, occurrences = _collect_guards(body, self.sigma0, frozenset(vars))
         if not self._open_blocks:  # an outermost block
@@ -956,67 +944,66 @@ class _SentenceGrounder:
         self.row.instantiations += 1
         return substitute(f, {v: self._const(v.type, i) for v, i in zip(vars, idx_tuple)})
 
-    def _columns(self, residual: Formula, vars: list[Variable]) -> tuple[Instantiator, _Parts]:
+    def _columns(
+        self, residual: Formula, vars: list[Variable], segments: bool = False
+    ) -> tuple[Instantiator, _Parts, int]:
         """The column instantiator of one kept split, as the module
         docstring describes it: maps a chunk of the block variables' indices
-        to fold(substitute(residual, constants)) at each row, in row order,
-        and how _draw takes those parts.  A chunk raises if one of its rows
+        to fold(substitute(residual, constants)) at each row, in row order;
+        how _draw takes those parts; and the residual's nodes, counted as a
+        tree, by which vec sizes chunks.  A chunk raises if one of its rows
         would, and a one-row chunk raises what that row would.  Each node of
-        the residual is compiled once, a nested quantifier's body included;
-        a node that mentions fewer block variables than its parent goes
-        through _per_value.  A nested quantifier's block is left for
-        _instances to ground.
+        the residual is compiled once, in one walk, a nested quantifier's
+        body included; a node that mentions fewer block variables than its
+        parent goes through _per_value.  A nested quantifier's block is left
+        for _instances to ground.
+
+        With segments, a residual that is a comparison that never folds,
+        over every block variable, each of whose sides mentions fewer (so
+        is built per value), gives a _SegmentBuilder over those sides
+        instead: its rows differ only in their places among the sides'
+        values, and become one Segment.
 
         The compiler is methods, not nested functions: a recursive nested
         function is a reference cycle, which would keep this grounder, and
         with it the evaluator's memo, alive until a cycle collection."""
         pos = {v: i for i, v in enumerate(vars)}  # a repeated name binds last
         radix = {p: self.s.domain_size(v.type) for v, p in pos.items()}
-        mentions, build, folds = self._column_node(residual, pos, radix)
-        if _holds_block(residual):
-            how = _Parts.NESTED
-        else:
-            how = _Parts.FOLDED if folds else _Parts.WHOLE
-        return _per_value(mentions, build, radix), how
-
-    def _segment(self, residual: Formula, vars: list[Variable]) -> tuple[Instantiator, _Parts] | None:
-        """A _SegmentBuilder for a kept split whose residual is a comparison
-        that never folds, each of whose sides mentions some block
-        variables but not all, and how _draw takes its chunks; None for
-        any other.  Its sides' values are built per value as _columns
-        would build them, and its rows, which differ only in their places
-        among those values, become one Segment."""
-        if type(residual) is not Compare:
-            return None
-        pos = {v: i for i, v in enumerate(vars)}  # a repeated name binds last
-        radix = {p: self.s.domain_size(v.type) for v, p in pos.items()}
-        (lm, lb, lf), (rm, rb, rf) = (
-            self._column_node(t, pos, radix) for t in (residual.left, residual.right)
-        )
-        every = radix.keys()
-        if (lf and rf) or lm | rm != every or lm == every or rm == every:
-            return None
-        left, right = _Values(lm, lb, radix), _Values(rm, rb, radix)
-        return _SegmentBuilder(residual.op, left, right), _Parts.SEGMENT
+        mentions, build, folds, size, nested = self._column_node(residual, pos, radix)
+        if (
+            segments
+            and mentions == radix.keys()
+            and type(build) is _Binary
+            and build.step is Compare
+            and type(build.left) is type(build.right) is _Values
+        ):
+            return _SegmentBuilder(build.op, build.left, build.right), _Parts.SEGMENT, size
+        how = _Parts.NESTED if nested else _Parts.FOLDED if folds else _Parts.WHOLE
+        return _per_value(mentions, build, radix), how, size
 
     def _column_parts(
         self, nodes, pos, radix
-    ) -> tuple[frozenset[int], list[Instantiator], list[bool]]:
+    ) -> tuple[frozenset[int], list[Instantiator], list[bool], int, bool]:
         """The block-variable positions a node over these children mentions,
-        the children's builds, per value where they mention fewer, and
-        whether each can fold to a constant."""
+        the children's builds, per value where they mention fewer, whether
+        each can fold to a constant, and the node's size and nesting, as
+        _column_node gives them."""
         compiled = [self._column_node(n, pos, radix) for n in nodes]
-        mentions = frozenset().union(*(m for m, _, _ in compiled))
-        builds = [b if m == mentions else _per_value(m, b, radix) for m, b, _ in compiled]
-        return mentions, builds, [f for _, _, f in compiled]
+        mentions = frozenset().union(*(c[0] for c in compiled))
+        builds = [b if m == mentions else _per_value(m, b, radix) for m, b, *_ in compiled]
+        size = 1 + sum(c[3] for c in compiled)
+        return mentions, builds, [c[2] for c in compiled], size, any(c[4] for c in compiled)
 
-    def _column_node(self, n, pos, radix) -> tuple[frozenset[int], Instantiator, bool]:
-        """The block-variable positions node n mentions, its build, and
-        whether its folded value can ever be a constant: radix maps each
-        block position to its domain size.  A node that never folds is
+    def _column_node(
+        self, n, pos, radix
+    ) -> tuple[frozenset[int], Instantiator, bool, int, bool]:
+        """The block-variable positions node n mentions, its build, whether
+        its folded value can ever be a constant, its formula and term nodes
+        counted as a tree, and whether it holds a quantifier: radix maps
+        each block position to its domain size.  A node that never folds is
         built with its constructor, not its _fold_* step."""
         if isinstance(n, (FunctionApp, Atom)):
-            mentions, args, arg_folds = self._column_parts(n.args, pos, radix)
+            mentions, args, arg_folds, size, _ = self._column_parts(n.args, pos, radix)
             if isinstance(n, FunctionApp):
                 # a node over every block variable differs on every row, so
                 # only one that is folded per value consults the run's table
@@ -1026,44 +1013,47 @@ class _SentenceGrounder:
             else:
                 name, step, folds = n.pred, self._fold_atom, n.pred in self.sigma0
             if not args:
-                return mentions, lambda cols: [step(name, ())] * len(cols[0]), folds
+                return mentions, lambda cols: [step(name, ())] * len(cols[0]), folds, size, False
             return mentions, lambda cols: [
                 step(name, row) for row in zip(*[a(cols) for a in args])
-            ], folds
+            ], folds, size, False
         if isinstance(n, (Arith, Compare)):
-            mentions, (left, right), (lf, rf) = self._column_parts((n.left, n.right), pos, radix)
+            mentions, (left, right), (lf, rf), size, _ = self._column_parts(
+                (n.left, n.right), pos, radix
+            )
             # only two constants fold, so a side that never folds leaves
             # every row as built
-            folds, op = lf and rf, n.op
+            folds = lf and rf
             if isinstance(n, Compare):
                 step = self._fold_compare if folds else Compare
             else:
                 step = self._fold_arith if folds else Arith
-            return mentions, lambda cols: list(
-                map(step, itertools.repeat(op), left(cols), right(cols))
-            ), folds
+            return mentions, _Binary(step, n.op, left, right), folds, size, False
         if isinstance(n, Not):
-            mentions, (child,), (folds,) = self._column_parts((n.child,), pos, radix)
-            return mentions, lambda cols: list(map(_simp_not, child(cols))), folds
+            mentions, (child,), (folds,), size, nested = self._column_parts((n.child,), pos, radix)
+            return mentions, lambda cols: list(map(_simp_not, child(cols))), folds, size, nested
         if isinstance(n, (And, Or)):
-            mentions, children, folds = self._column_parts(n.children, pos, radix)
+            mentions, children, folds, size, nested = self._column_parts(n.children, pos, radix)
             # a part that folds to the absorbing constant folds the junction,
             # and so do no parts
-            return mentions, _junction_column(isinstance(n, And), children), any(folds) or not folds
+            folds = any(folds) or not folds
+            return mentions, _junction_column(isinstance(n, And), children), folds, size, nested
         if isinstance(n, (ForAll, Exists)):
             # a block variable that the quantifier rebinds is shadowed in its body
             inner = {v: p for v, p in pos.items() if v != n.var}
-            mentions, body, folds = self._column_node(n.body, inner, radix)
+            mentions, body, folds, size, _ = self._column_node(n.body, inner, radix)
             forall, var, s = isinstance(n, ForAll), n.var, self.s
             folds = folds or s.domain_size(var.type) == 0
             return mentions, lambda cols: [
                 _simp_quant(forall, var, b, s) for b in body(cols)
-            ], folds
+            ], folds, size + 1, True
         if isinstance(n, Variable) and n in pos:
             p, type_name, const = pos[n], n.type, self._const
-            return frozenset((p,)), lambda cols: [const(type_name, i) for i in _ints(cols[p])], True
+            return frozenset((p,)), lambda cols: [
+                const(type_name, i) for i in _ints(cols[p])
+            ], True, 1, False
         # a constant, or a variable not of the block
-        return frozenset(), lambda cols: [n] * len(cols[0]), not isinstance(n, Variable)
+        return frozenset(), lambda cols: [n] * len(cols[0]), not isinstance(n, Variable), 1, False
 
     def _instances(self, form: Instantiator, cols: Columns, how: _Parts):
         """The folded parts of one chunk of a kept split, in row order, as
@@ -1093,8 +1083,9 @@ class _SentenceGrounder:
         rows at a time (SatSetEvaluator.slabs): a residual that decides
         the block is drawn at the first slab holding a one, and no later
         slab is evaluated; otherwise each slab's ones are instantiated in
-        order.  With segments, a split that qualifies is kept as a
-        segment (_segment)."""
+        order, in chunks of at most _CHUNK_NODES node builds.  With
+        segments, a split that qualifies is kept as a segment
+        (_columns)."""
         for signs, residual in _splits(forall, body, len(guards), occurrences, self.s):
             self._count_split()
             slabs = self.ev.slabs(_guard_formula(guards, signs), tuple(vars))
@@ -1102,9 +1093,8 @@ class _SentenceGrounder:
                 if any(tensor.any() for _, tensor in slabs):
                     yield [residual], _Parts.CONSTANT
                 continue
-            segment = self._segment(residual, vars) if segments else None
-            form, how = segment or self._columns(residual, vars)
-            rows = max(1, _CHUNK_NODES // _tree_size(residual))
+            form, how, size = self._columns(residual, vars, segments)
+            rows = max(1, _CHUNK_NODES // size)
             for lo, tensor in slabs:
                 for coords in tensor.iter_ones_chunks():
                     coords[0] += lo
@@ -1143,7 +1133,7 @@ class _SentenceGrounder:
             if compiled is None:
                 compiled = kept[signs] = self._columns(residual, vars)
                 self._count_split()
-            form, how = compiled
+            form, how, _ = compiled
             yield from self._instances(form, [[i] for i in idx_tuple], how)
 
     # -- the non-reducing strategy -----------------------------------------

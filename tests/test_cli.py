@@ -133,6 +133,18 @@ def test_a_nan_timeout_is_a_usage_error(capsys, command, value):
     assert main(command + ["--timeout", "inf"]) == 0
 
 
+@pytest.mark.parametrize("value", ["-5", "-1"])
+def test_a_negative_cap_is_a_usage_error(capsys, value):
+    """A negative cap is below every block's guard count, so it would send
+    every block, guard-free ones too, to naive(fallback); 0 still grounds."""
+    command = ["ground", str(DATA / "mapcolour3.sli")]
+    with pytest.raises(SystemExit) as e:
+        main(command + ["--cap", value])
+    assert e.value.code == 1
+    assert "--cap" in capsys.readouterr().err
+    assert main(command + ["--cap", "0"]) == 0
+
+
 def test_ground_unsupported_nesting_exit_code(tmp_path, capsys):
     src = tmp_path / "nested.sli"
     src.write_text(

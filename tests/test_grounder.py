@@ -43,11 +43,11 @@ from sli.grounder import (
     GroundingStats,
     Segment,
     SentenceStats,
+    _Binary,
     _Parts,
     _Values,
     _SentenceGrounder,
     _collect_guards,
-    _holds_block,
     _ints,
     _liftable,
     _per_value,
@@ -66,6 +66,7 @@ from sli.logic import (
     FALSE,
     TRUE,
     And,
+    Arith,
     Atom,
     Compare,
     DomainConstant,
@@ -855,10 +856,39 @@ structure {
 INSTANCE_ERRORS = (UnsupportedFormula, IndexOutOfRange, ArithmeticOverflow)
 
 
-def _reference_columns(g, residual, vars):
+def _tree_size(n) -> int:
+    """The formula and term nodes of n, counted as a tree."""
+    if isinstance(n, (Atom, FunctionApp)):
+        kids = n.args
+    elif isinstance(n, (Arith, Compare)):
+        kids = (n.left, n.right)
+    elif isinstance(n, Not):
+        kids = (n.child,)
+    elif isinstance(n, (And, Or)):
+        kids = n.children
+    elif isinstance(n, (ForAll, Exists)):
+        kids = (n.body,)
+    else:
+        return 1
+    return 1 + sum(map(_tree_size, kids))
+
+
+def _holds_block(f) -> bool:
+    """Whether a formula holds a quantifier block."""
+    if isinstance(f, (ForAll, Exists)):
+        return True
+    if isinstance(f, Not):
+        return _holds_block(f.child)
+    if isinstance(f, (And, Or)):
+        return any(_holds_block(c) for c in f.children)
+    return False
+
+
+def _reference_columns(g, residual, vars, segments=False):
     """The per-tuple path the column instantiator replaces: substitute and
     fold row by row, raising the first failing row's error; its parts are
-    taken as ones that may fold, unless they hold a block."""
+    taken as ones that may fold, unless they hold a block, and never as a
+    segment; and the residual's tree size."""
 
     def form(cols):
         rows = cols.tolist() if isinstance(cols, np.ndarray) else cols
@@ -867,7 +897,8 @@ def _reference_columns(g, residual, vars):
             for idx in zip(*rows)
         ]
 
-    return form, _Parts.NESTED if _holds_block(residual) else _Parts.FOLDED
+    how = _Parts.NESTED if _holds_block(residual) else _Parts.FOLDED
+    return form, how, _tree_size(residual)
 
 
 def _array_chunk(tuples):
@@ -905,10 +936,10 @@ def test_compiled_instantiation_matches_substitute_and_fold(monkeypatch, strateg
     seen = Counter()
     lengths = np.random.default_rng(1)
 
-    def checking_columns(g, residual, vars):
+    def checking_columns(g, residual, vars, segments=False):
         # every tuple of the block as a one-row chunk of a fresh instantiator
-        form, _ = columns(g, residual, vars)
-        reference, _ = _reference_columns(g, residual, vars)
+        form = columns(g, residual, vars)[0]
+        reference = _reference_columns(g, residual, vars)[0]
         sizes = [g.s.domain_size(v.type) for v in vars]
         tuples = list(itertools.product(*(range(n) for n in sizes)))
         for idx in tuples:
@@ -919,7 +950,7 @@ def test_compiled_instantiation_matches_substitute_and_fold(monkeypatch, strateg
         # the tuples again, in array chunks of random lengths, through
         # another fresh instantiator whose tables carry over between chunks:
         # a chunk equals its rows, or raises if one of them does
-        form, _ = columns(g, residual, vars)
+        form = columns(g, residual, vars)[0]
         at = 0
         while at < len(tuples):
             n = int(lengths.integers(2, 40))
@@ -931,7 +962,7 @@ def test_compiled_instantiation_matches_substitute_and_fold(monkeypatch, strateg
                 assert got == want, print_formula(residual)
                 seen["chunk"] += 1
             at += n
-        return columns(g, residual, vars)
+        return columns(g, residual, vars, segments)
 
     def counting_expand(g, f):
         seen["expanded"] += 1
@@ -1079,8 +1110,8 @@ def test_three_variables_gather_by_non_adjacent_keys(monkeypatch):
     prob = _three_variables()
     columns, forms = _SentenceGrounder._columns, []
 
-    def recording_columns(g, residual, vars):
-        forms.append(columns(g, residual, vars))
+    def recording_columns(g, residual, vars, segments=False):
+        forms.append(columns(g, residual, vars, segments))
         return forms[-1]
 
     monkeypatch.setattr(_SentenceGrounder, "_columns", recording_columns)
@@ -1198,14 +1229,14 @@ def test_a_comparison_that_can_fold_decides_and_drops_units():
     equal = Compare("=", FunctionApp("f", (x,)), y)
     rows = _array_chunk([(i, j) for i in range(10) for j in (i, (i + 1) % 10)])
     # equal | u(x): a unit part where x = y, dropped but counted
-    form, how = g._columns(Or((equal, Atom("u", (x,)))), [x, y])
+    form, how, _ = g._columns(Or((equal, Atom("u", (x,)))), [x, y])
     assert how is _Parts.FOLDED
     g.row = SentenceStats(0, "vec")
     got = g._draw(True, g._instances(form, rows, how))
     assert got == And(tuple(Atom("u", (IntConstant(i + 1),)) for i in range(10)))
     assert g.row.instantiations == 20
     # equal alone: the second row, x = 1 and y = 2, decides the block
-    form, how = g._columns(equal, [x, y])
+    form, how, _ = g._columns(equal, [x, y])
     assert how is _Parts.FOLDED
     g.row = SentenceStats(0, "vec")
     assert g._draw(True, g._instances(form, rows, how)) is FALSE
@@ -1338,8 +1369,8 @@ structure {{
 
     columns, forms = _SentenceGrounder._columns, []
 
-    def recording_columns(g, residual, vars):
-        forms.append(columns(g, residual, vars))
+    def recording_columns(g, residual, vars, segments=False):
+        forms.append(columns(g, residual, vars, segments))
         return forms[-1]
 
     monkeypatch.setattr(_SentenceGrounder, "_fold_atom", counting_fold_atom)
@@ -1355,10 +1386,11 @@ structure {{
 
 def _table_sizes(form):
     """The sizes of the per-value tables (_Values) a column instantiator
-    reaches through its closures."""
+    reaches through its closures and its comparison and arithmetic nodes'
+    sides (_Binary)."""
 
     def compiled(v):
-        return hasattr(v, "__code__") or isinstance(v, _Values)
+        return hasattr(v, "__code__") or isinstance(v, (_Values, _Binary))
 
     sizes, todo = [], [form]
     while todo:
@@ -1366,6 +1398,9 @@ def _table_sizes(form):
         if isinstance(f, _Values):
             sizes.append(len(f.place))
             todo.append(f.build)
+            continue
+        if isinstance(f, _Binary):
+            todo += [f.left, f.right]
             continue
         for cell in f.__closure__ or ():
             v = cell.cell_contents
@@ -1448,6 +1483,79 @@ def test_an_inner_quantifier_shadows_a_block_variable(monkeypatch, strategy):
         f"u({x}) | (w(b, {y}) | w(c, {y}))" for x in "ab" for y in "abc"
     ]
     assert rows[0][2] == 1  # p(x)
+
+
+def test_the_compile_walk_sizes_and_nests_as_the_oracles(monkeypatch):
+    """The one walk that compiles a kept split's residual counts its nodes
+    as _tree_size does, by which vec sizes chunks, and finds a nested
+    block where _holds_block does: on the residuals of random blocks,
+    under vec and naive, on nested and shadowing blocks, and on the
+    workload shapes, whose comparisons become segments."""
+    columns, seen = _SentenceGrounder._columns, Counter()
+
+    def checking_columns(g, residual, vars, segments=False):
+        compiled = columns(g, residual, vars, segments)
+        assert compiled[2] == _tree_size(residual), print_formula(residual)
+        assert (compiled[1] is _Parts.NESTED) == _holds_block(residual), print_formula(residual)
+        seen[compiled[1]] += 1
+        return compiled
+
+    monkeypatch.setattr(_SentenceGrounder, "_columns", checking_columns)
+    rng = np.random.default_rng(20261022)
+    problems = [problem(NESTED_RESIDUAL), _shadowing(), _three_variables(), _queens(5)]
+    for _ in range(400):
+        s = random_structure(rng, max_size=3, n_preds=(1, 2), n_funcs=(1, 3), uninterpreted=2)
+        types = _quantifiable_types(s)
+        x, y = (Variable(n, types[int(rng.integers(len(types)))]) for n in "xy")
+        body = random_formula(
+            rng, s, [x, y], 3, uninterpreted_ok=True, fresh_names=("z",), term_depth=2
+        )
+        kind = ForAll if rng.random() < 0.5 else Exists
+        # with the first function table dropped, interpreted atoms over its
+        # terms can fold
+        opened = Structure(s.voc, s.domains, s.relations, dict(list(s.functions.items())[1:]))
+        problems += [Problem(s.voc, (kind(x, kind(y, body)),), t) for t in (s, opened)]
+    for prob in problems:
+        for strategy in ("vec", "naive"):
+            _grounding(prob, strategy, 8)
+    assert min(seen[how] for how in (_Parts.NESTED, _Parts.FOLDED, _Parts.WHOLE)) >= 10, seen
+    assert seen[_Parts.SEGMENT]
+
+
+@pytest.mark.parametrize(
+    "strategy, whole", [("vec", True), ("vec", False), ("naive", True)],
+    ids=["vec-segments", "vec-sentences", "naive"],
+)
+def test_each_kept_split_is_compiled_in_one_walk(monkeypatch, strategy, whole):
+    """The root of each kept split's residual is compiled once, whether
+    the split becomes a segment (vec, a whole problem), keeps node lists
+    (vec, one sentence at a time) or is compiled on its first tuple
+    (naive)."""
+    columns, column_node = _SentenceGrounder._columns, _SentenceGrounder._column_node
+    roots, root_walks = [], []
+
+    def recording_columns(g, residual, vars, segments=False):
+        roots.append(residual)
+        return columns(g, residual, vars, segments)
+
+    def counting_column_node(g, n, pos, radix):
+        if roots and n is roots[-1]:
+            root_walks.append(n)
+        return column_node(g, n, pos, radix)
+
+    monkeypatch.setattr(_SentenceGrounder, "_columns", recording_columns)
+    monkeypatch.setattr(_SentenceGrounder, "_column_node", counting_column_node)
+    kept = segments = 0
+    for prob in (_colour_like(30, 4), _queens(6)):
+        if whole:
+            gt = ground_problem(prob, strategy)
+            rows = gt.stats.rows
+            segments += sum(type(p) is Segment for p in gt.parts)
+        else:
+            rows = [ground_sentence(f, prob.structure, strategy) for f in prob.sentences]
+        kept += sum(r.splits_kept for r in rows)
+    assert kept == len(roots) == len(root_walks) == 4
+    assert segments == (4 if (strategy, whole) == ("vec", True) else 0)
 
 
 WIDE_RELATION = """

@@ -1,8 +1,14 @@
-"""Every name a module of `sli` imports is used in that module.
+"""Every name a module of `sli` imports is used in that module, and every
+private name a module defines is read somewhere in `sli`.
 
-A name counts as used when the module reads it (a bare name, or the root
-of an attribute chain), names it in a string annotation, or lists it in
-its `__all__`.  `from __future__` imports are directives, not names.
+An imported name counts as used when the module reads it (a bare name, or
+the root of an attribute chain), names it in a string annotation, or lists
+it in its `__all__`.  `from __future__` imports are directives, not names.
+
+A private name is one a module binds at its top level (a function, a
+class, or an assignment's target) that starts with one underscore.  It
+counts as read when some module loads it, names it as an attribute, or
+imports it.
 """
 
 import ast
@@ -66,3 +72,53 @@ def test_an_unused_import_is_found():
         "    return math.prod(xs) + len(os.path.sep)\n"
     )
     assert unused_imports(source) == ["3: system", "4: Iterable"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private names the modules in sources (name -> source) define at
+    their top level and none of them reads, as 'module:line: name'."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            defined += [(module, node.lineno, n) for n in private]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {a.name for a in node.names}
+    return [f"{m}:{line}: {n}" for m, line, n in defined if n not in read]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_an_unread_private_name_is_found():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_kept: int = 1\n"
+            "__all__ = []\n"
+            "def _helper():\n"
+            "    _local = 2\n"
+            "    return _local\n"
+            "class _Unused:\n"
+            "    def _method(self):\n"
+            "        return _LIMIT\n"
+            "def _dead():\n"
+            "    _dead = 1\n"
+        ),
+        "b.py": "from .a import _helper\nimport a\nprint(a._kept)\n",
+    }
+    assert unread_private_names(sources) == ["a.py:7: _Unused", "a.py:10: _dead"]

@@ -108,18 +108,31 @@ SIDES = {
     ("N", "N"): ["w(V)", "w(V) - V", "w(j(V)) + V", "j(V) + w(V)", "j(V)", "w(V + 1)"],
 }
 GUARDS = ["~x = y", "p(x, y)", "~p(x, y) | x = y", "q(x) | q(y)", "true"]
+# interpreted sides, which can fold: a comparison of two of them is a
+# guard, unless no guard is lifted
+FOLDING_SIDES = {
+    ("T", "T"): ["i(V)", "V", "i(i(V))", "e0"],
+    ("N", "T"): ["e0"],
+    ("T", "N"): ["3"],
+    ("N", "N"): ["j(V)", "j(V) + V", "j(V - 1)", "V * 2"],
+}
 
 
-def _comparison_problem(rng) -> Problem:
+def _comparison_problem(rng, shape: str = "sides") -> Problem:
     """A universal sentence over x and y whose residual is, under most
-    guards, a comparison of a term over x with a term over y."""
+    guards, a comparison of a term over x with a term over y.  Other
+    shapes: "both" makes one side s2(x, y), over both variables; "root"
+    puts the comparison under a negation or a disjunction; "fold" makes
+    both sides interpreted and drops the guard, so that the comparison is
+    the residual only when no guard is lifted."""
     pick = lambda options: options[int(rng.integers(len(options)))]  # noqa: E731
     size = int(rng.integers(1, 5))
     lo = pick([-2, 1, 2**63 - 4, -(2**63)])
     tx, ty, sort = pick("TN"), pick("TN"), pick("TN")
     ops = ["=", "~="] if sort == "T" else ["=", "~=", "<", "=<", ">", ">="]
-    left = pick(SIDES[tx, sort]).replace("V", "x")
-    right = pick(SIDES[ty, sort]).replace("V", "y")
+    sides = FOLDING_SIDES if shape == "fold" else SIDES
+    left = pick(sides[tx, sort]).replace("V", "x")
+    right = pick(sides[ty, sort]).replace("V", "y")
     guard = pick(GUARDS if tx == ty else [g for g in GUARDS if "x = y" not in g])
     guard = guard.replace("p(", f"p{tx}{ty}(").replace("q(x)", f"q{tx}(x)")
     guard = guard.replace("q(y)", f"q{ty}(y)")
@@ -135,8 +148,15 @@ def _comparison_problem(rng) -> Problem:
 
     preds = "".join(f"  pred p{a}{b}({a}, {b}).\n" for a in "TN" for b in "TN")
     preds += "  pred qT(T).\n  pred qN(N).\n"
+    preds += f"  func s2({tx}, {ty}) -> {sort}.\n  pred r2({tx}, {ty}).\n"
     rels = "".join(f"  p{a}{b} := {{{subset(a, b)}}}.\n" for a in "TN" for b in "TN")
     rels += f"  qT := {{{subset('T')}}}.\n  qN := {{{subset('N')}}}.\n"
+    if shape == "both":
+        left, right = ("s2(x, y)", right) if rng.random() < 0.5 else (left, "s2(x, y)")
+    body = f"{left} {pick(ops)} {right}"
+    if shape == "root":
+        body = pick([f"~({body})", f"{body} | r2(x, y)"])
+    sentence = body if shape == "fold" else f"{guard} => {body}"
     return parse_problem(
         f"""
 vocabulary {{
@@ -147,7 +167,7 @@ vocabulary {{
   func i(T) -> T.  func j(N) -> N.
 }}
 theory {{
-  !x in {tx}: !y in {ty}: {guard} => {left} {pick(ops)} {right}.
+  !x in {tx}: !y in {ty}: {sentence}.
 }}
 structure {{
 {rels}  i := {{{table("T")}}}.
@@ -174,13 +194,14 @@ def _differential_problems():
         yield _comparison_problem(rng)
 
 
-def test_segments_ground_and_emit_as_their_comparisons():
-    """A theory holding segments emits what the same theory with every
+def _segmented(problems) -> int:
+    """How many of the problems keep a segment, each checked on the way:
+    a theory holding segments emits what the same theory with every
     comparison built emits, constructor-name retry included; its
     assertions equal those of its sentences ground one at a time with no
     segment, and so does a failing grounding's error."""
     segmented = 0
-    for prob in _differential_problems():
+    for prob in problems:
         got = _outcome(lambda: ground_problem(prob, "vec"))
         want = _outcome(lambda: _sentence_by_sentence(prob))
         if isinstance(got, tuple):
@@ -190,7 +211,25 @@ def test_segments_ground_and_emit_as_their_comparisons():
         built = GroundTheory(got.structure, got.assertions, got.verdict, got.mode, got.stats)
         assert emit(got) == emit(built)
         segmented += bool(_segments(got))
+    return segmented
+
+
+def test_segments_ground_and_emit_as_their_comparisons():
+    segmented = _segmented(_differential_problems())
     assert segmented >= 150, segmented
+
+
+@pytest.mark.parametrize("shape", ["both", "root", "fold"])
+def test_other_residuals_ground_and_emit_as_node_lists(monkeypatch, shape):
+    """A comparison with a side over every block variable, a residual
+    whose root is not a comparison, and a comparison whose sides both
+    fold keep no segment, and ground and emit as the same sentences one
+    at a time.  Guards lift every comparison of interpreted terms, so the
+    folding one is a residual only with no guard lifted."""
+    if shape == "fold":
+        monkeypatch.setattr(sli.grounder, "_collect_guards", lambda body, sigma0, block: ([], {}))
+    rng = np.random.default_rng(28)
+    assert _segmented(_comparison_problem(rng, shape) for _ in range(100)) == 0
 
 
 def test_a_segment_renders_a_constructor_clash_on_the_second_walk():
